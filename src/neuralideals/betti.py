@@ -8,10 +8,13 @@ of reduced homology H_{i-1} of the upper Koszul complex
 
 Only multidegrees in the lcm closure of the minimal generators can
 carry a nonzero Betti number, so the table scans exactly that set.
+Membership b / tau ∈ I is looked up in a per-ideal table over the
+submasks of lcm(gens), which the Euler check reuses.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +25,7 @@ from .monomials import (
     MonomialIdeal,
     UnitOrZeroIdealError,
     ZeroIdealError,
+    _lcm_levels,
     lcm_closure,
 )
 
@@ -37,28 +41,88 @@ def _require_proper_nonzero(ideal: MonomialIdeal) -> None:
         raise UnitOrZeroIdealError("operation undefined for the unit ideal")
 
 
+class _Membership:
+    """Ideal membership for every submask of the generators' lcm.
+
+    The s variables of top = lcm(gens) are renumbered to bits 0..s-1;
+    `weight` maps a variable's bit position to its renumbered bit, and
+    `in_ideal[c]` is 1 iff the renumbered submask c lies in the ideal.
+    A monomial m is in the ideal iff its part inside top is, so every
+    membership query reduces to one lookup.  Filled by one zeta
+    transform in s * 2^(s-1) additions, no more than the 2^s submasks
+    the upper Koszul complex at b = top has anyway.
+    """
+
+    def __init__(self, ideal: MonomialIdeal):
+        top = 0
+        for g in ideal.gens:
+            top |= g.mask
+        self.positions = tuple(p for p in range(top.bit_length()) if top >> p & 1)
+        self.weight = {p: 1 << k for k, p in enumerate(self.positions)}
+        counts = [0] * (1 << len(self.positions))
+        for g in ideal.gens:
+            counts[self.compress(g.mask)] = 1
+        _subset_transform(counts, 1)  # generators dividing each submask
+        self.in_ideal = bytes(map(bool, counts))
+
+    def compress(self, mask: int) -> int:
+        """The renumbered part of `mask` inside top."""
+        return sum(w for p, w in self.weight.items() if mask >> p & 1)
+
+    def expand(self, c: int) -> int:
+        """The bit mask of the renumbered submask c."""
+        return sum(1 << p for k, p in enumerate(self.positions) if c >> k & 1)
+
+
+def _subset_transform(values: list[int], sign: int) -> None:
+    """In place, values[c] <- sum over submasks d of c of sign^|c-d| * values[d].
+
+    sign = 1 is the zeta transform over the subset lattice, sign = -1
+    its Mobius inverse.  len(values) must be a power of two, 2^s; the
+    cost is s * 2^(s-1) additions.
+    """
+    size = len(values)
+    step = 1
+    while step < size:
+        for base in range(step, size, 2 * step):
+            for c in range(base, base + step):
+                values[c] += sign * values[c - step]
+        step *= 2
+
+
+@functools.lru_cache(maxsize=8)
+def _membership(ideal: MonomialIdeal) -> _Membership:
+    return _Membership(ideal)
+
+
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     """The upper Koszul complex of `ideal` at the squarefree multidegree b.
 
     A subset tau of supp(b) is a face iff b with tau removed still lies
-    in the ideal; equivalently some generator divides b and avoids tau.
-    Void when b itself is outside the ideal.
+    in the ideal.  Void when b itself is outside the ideal.  Faces are
+    grown one vertex at a time from the empty face, each candidate
+    tested by one lookup in the ideal's membership table; downward
+    closure means a non-face is never extended.
     """
     _require_proper_nonzero(ideal)
-    relevant = [g.mask for g in ideal.gens if g.divides(b)]
-    vertices = frozenset(b.support())
-    if not relevant:
-        return SimplicialComplex(vertices, frozenset())
-    faces = set()
-    # iterate all submasks of b.mask
-    sub = b.mask
-    while True:
-        if any(g & sub == 0 for g in relevant):
-            faces.add(frozenset(i for i in vertices if sub >> i & 1))
-        if sub == 0:
-            break
-        sub = (sub - 1) & b.mask
-    return SimplicialComplex(vertices, frozenset(faces))
+    member = _membership(ideal)
+    in_ideal = member.in_ideal
+    verts = b.support()
+    weights = [member.weight.get(v, 0) for v in verts]
+    inside = sum(weights)
+    if not in_ideal[inside]:
+        return SimplicialComplex(frozenset(verts), frozenset())
+    faces = []
+    # (face, renumbered part of b / face inside top, first vertex to add)
+    stack = [(frozenset(), inside, 0)]
+    while stack:
+        face, rest, start = stack.pop()
+        faces.append(face)
+        for k in range(start, len(verts)):
+            smaller = rest & ~weights[k]
+            if in_ideal[smaller]:
+                stack.append((face | {verts[k]}, smaller, k + 1))
+    return SimplicialComplex(frozenset(verts), frozenset(faces))
 
 
 @dataclass
@@ -153,22 +217,13 @@ def has_linear_resolution(ideal: MonomialIdeal,
 def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:
     """1 + max over nonempty generator subsets A of deg(lcm(A)) - |A|.
 
-    Always an upper bound for regularity.  Brute force over all 2^q - 1
-    subsets with incremental lcms; fine at desk scale (q <= ~16).
+    Always an upper bound for regularity.  For a fixed lcm b the best A
+    is a smallest one, so this is 1 + max over the lcm closure of
+    deg(b) - (fewest generators with lcm b), read off the breadth-first
+    closure search at a cost of |closure| * q joins rather than 2^q.
     """
     _require_proper_nonzero(ideal)
-    masks = [g.mask for g in ideal.gens]
-    q = len(masks)
-    lcms = [0] * (1 << q)
-    best = -(2 * ideal.n)
-    for s in range(1, 1 << q):
-        low = (s & -s).bit_length() - 1
-        m = lcms[s & (s - 1)] | masks[low]
-        lcms[s] = m
-        val = m.bit_count() - s.bit_count()
-        if val > best:
-            best = val
-    return best + 1
+    return 1 + max(b.bit_count() - k for b, k in _lcm_levels(ideal).items())
 
 
 def dominant_check(ideal: MonomialIdeal) -> Optional[dict[Monomial, int]]:
@@ -209,19 +264,21 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     """Alternating Betti sum minus the inclusion-exclusion lcm sum, per multidegree.
 
     Empty iff the table satisfies the Euler identity: for every
-    multidegree b, sum_i (-1)^i beta_{i,b} equals the signed count of
-    generator subsets with lcm b.
+    multidegree b, sum_i (-1)^i beta_{i,b} equals the signed count
+    sum over generator subsets A with lcm(A) = b of (-1)^(|A|-1).
+    Summed over all b inside c that count is 1 if c lies in the ideal
+    and 0 otherwise, so the counts are the subset Mobius transform of
+    the membership table: 2^s cells with s = deg lcm(gens), not 2^q
+    subsets.
     """
     coeff: dict[int, int] = {}
     for (i, m), rank in table.fine.items():
         coeff[m] = coeff.get(m, 0) + (-1) ** i * rank
-    masks = [g.mask for g in ideal.gens]
-    q = len(masks)
-    lcms = [0] * (1 << q)
-    for s in range(1, 1 << q):
-        low = (s & -s).bit_length() - 1
-        m = lcms[s & (s - 1)] | masks[low]
-        lcms[s] = m
-        sign = -1 if s.bit_count() % 2 == 0 else 1
-        coeff[m] = coeff.get(m, 0) - sign
+    member = _membership(ideal)
+    signed = list(member.in_ideal)
+    _subset_transform(signed, -1)
+    for c, count in enumerate(signed):
+        if count:
+            m = member.expand(c)
+            coeff[m] = coeff.get(m, 0) - count
     return {m: c for m, c in coeff.items() if c}

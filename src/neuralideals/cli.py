@@ -17,6 +17,7 @@ from .codes import CodeParseError, code_to_polarized_ideal, parse_code
 from .homology import FieldTag
 from .monomials import (
     MonomialParseError,
+    NeuronCountError,
     PairViolationError,
     parse_ideal,
     render_ideal,
@@ -237,25 +238,26 @@ def cmd_family(args) -> int:
         return EXIT_PARSE
     try:
         ideal = builder(args.n, param)
-    except FamilyParameterError as exc:
+    except (FamilyParameterError, NeuronCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     expected = expected_fn(args.n, param)
+    computed = None
+    if args.check:
+        table = betti_table(ideal.inner, _field(args))
+        computed = {"pd": table.pd, "reg": table.reg}
     if args.json:
         payload = {"schema": 1, "n": args.n, "family": args.name,
                    param_name: param,
                    "ideal": [str(g) for g in ideal.inner.gens],
                    "expected": expected}
-        if args.check:
-            table = betti_table(ideal.inner, _field(args))
-            payload["computed"] = {"pd": table.pd, "reg": table.reg}
+        if computed is not None:
+            payload["computed"] = computed
         _emit_json(payload)
     else:
         print(render_ideal(ideal.inner), end="")
         print("# expected " + ", ".join(f"{k} = {v}" for k, v in expected.items()))
-    if args.check:
-        table = betti_table(ideal.inner, _field(args))
-        computed = {"pd": table.pd, "reg": table.reg}
+    if computed is not None:
         for key, value in expected.items():
             if computed[key] != value:
                 print(f"CHECK FAILED: {key} = {computed[key]}, expected {value}",

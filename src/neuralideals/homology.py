@@ -73,11 +73,6 @@ class SimplicialComplex:
             if not any(g != f and f <= g for g in self.faces)
         )
 
-    def memo_key(self) -> tuple:
-        """Canonical key for homology caching (face family up to relabeling is NOT
-        collapsed; repeats across multidegrees are exact-face-set repeats)."""
-        return (frozenset(self.faces),)
-
 
 def rank_f2(rows: list[int]) -> int:
     """Rank of a matrix whose rows are bit masks, over F2."""

@@ -268,26 +268,37 @@ def is_equigenerated(ideal: MonomialIdeal) -> Optional[int]:
     return degrees.pop() if len(degrees) == 1 else None
 
 
+def _lcm_levels(ideal: MonomialIdeal) -> dict[int, int]:
+    """Each lcm-closure mask mapped to the fewest generators whose lcm it is.
+
+    Breadth-first search: level k+1 joins every mask first reached at
+    level k with one more generator, so a mask's level is the size of
+    its smallest generating subset.  Costs |closure| * q joins.
+    """
+    gens = [g.mask for g in ideal.gens]
+    levels = dict.fromkeys(gens, 1)
+    frontier = list(levels)
+    level = 1
+    while frontier:
+        level += 1
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = a | g
+                if c not in levels:
+                    levels[c] = level
+                    new.append(c)
+        frontier = new
+    return levels
+
+
 def lcm_closure(ideal: MonomialIdeal) -> list[Monomial]:
     """Closure of the generator multidegrees under pairwise lcm, sorted canonically.
 
     Multigraded Betti numbers vanish off this set, so it is the only
     multidegree range the homology oracle ever needs to scan.
     """
-    if ideal.is_zero:
-        return []
-    masks = {g.mask for g in ideal.gens}
-    frontier = set(masks)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in masks:
-                c = a | b
-                if c not in masks and c not in new:
-                    new.add(c)
-        masks |= new
-        frontier = new
-    out = [Monomial(m, ideal.n) for m in masks]
+    out = [Monomial(m, ideal.n) for m in _lcm_levels(ideal)]
     out.sort(key=Monomial.sort_key)
     return out
 

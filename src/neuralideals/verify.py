@@ -25,8 +25,10 @@ from .betti import (
 )
 from .homology import FieldTag
 from .monomials import (
+    MAX_NEURONS,
     Monomial,
     MonomialIdeal,
+    NeuronCountError,
     PolarizedNeuralIdeal,
     lcm_closure,
     minimalize,
@@ -388,8 +390,12 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
     """Full verification pass; see the CLI `verify` subcommand."""
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not 1 <= n <= MAX_NEURONS:
+        raise NeuronCountError(f"neuron count must lie in [1, {MAX_NEURONS}], got {n}")
     if mode == "exhaustive" and n > 3:
         raise ValueError("exhaustive mode is limited to n <= 3")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     report = VerificationReport(n=n, mode=mode, seed=seed, field_tag=field_tag.value)
     restriction = mode == "exhaustive"
     field_compare = mode == "exhaustive"

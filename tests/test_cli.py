@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from neuralideals import cli
 from neuralideals.cli import main
 from neuralideals.monomials import parse_ideal, render_ideal
 
@@ -167,6 +168,35 @@ class TestFamilyCommand:
         code, _, _ = run_cli(capsys, "family", "prop32", "--n", "3", "--k", "9")
         assert code == 2
 
+    def test_neuron_count_too_large_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "family", "prop32", "--n", "40", "--k", "1")
+        assert code == 2 and "neuron count" in err
+
+    def test_json_check_uses_one_table(self, capsys, monkeypatch):
+        real_betti_table, tables = cli.betti_table, []
+
+        def counting_betti_table(*args):
+            tables.append(real_betti_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "betti_table", counting_betti_table)
+        code, out, _ = run_cli(capsys, "family", "thm36", "--n", "3", "--k", "3",
+                               "--check", "--json")
+        payload = json.loads(out)
+        assert code == 0 and len(tables) == 1
+        assert payload["computed"] == {"pd": tables[0].pd, "reg": tables[0].reg}
+        assert payload["computed"] == payload["expected"]
+
+    def test_json_check_failure_reports_the_same_values(self, capsys, monkeypatch):
+        builder, param, _ = cli.FAMILIES["thm36"]
+        monkeypatch.setitem(cli.FAMILIES, "thm36",
+                            (builder, param, lambda n, k: {"pd": 99}))
+        code, out, err = run_cli(capsys, "family", "thm36", "--n", "3", "--k", "3",
+                                 "--check", "--json")
+        computed = json.loads(out)["computed"]
+        assert code == 4
+        assert f"CHECK FAILED: pd = {computed['pd']}, expected 99" in err
+
     def test_family_output_parses_back(self, capsys):
         _, out, _ = run_cli(capsys, "family", "prop33", "--n", "3", "--k", "2")
         ideal_lines = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
@@ -189,3 +219,15 @@ class TestVerifyCommand:
     def test_sample_mode_default_for_n4(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "4", "--count", "10")
         assert code == 0 and "mode=sample" in out
+
+    def test_neuron_count_too_large_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "33", "--count", "1")
+        assert code == 2 and "neuron count" in err
+
+    def test_neuron_count_zero_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "0")
+        assert code == 2 and "neuron count" in err
+
+    def test_jobs_below_one_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "2", "--jobs", "0")
+        assert code == 2 and "jobs" in err

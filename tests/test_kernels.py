@@ -1,0 +1,124 @@
+"""Differential tests: the membership-table kernels against brute force.
+
+The Euler check, the lcm-subset regularity bound, the lcm closure and
+the upper Koszul complex each have a slow reference in `brute_force`;
+the package's kernels must agree with it exactly.
+"""
+
+import brute_force
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from neuralideals.betti import (
+    betti_table,
+    euler_discrepancy,
+    reg_upper_bound_lcm,
+    upper_koszul,
+)
+from neuralideals.monomials import Monomial, lcm_closure, minimalize, parse_monomial
+from neuralideals.verify import degree_n_universe, ideal_from_subset
+
+
+@st.composite
+def polarized_ideals(draw, max_n=4, max_gens=10):
+    """Pair-excluding squarefree ideals with mixed generator degrees."""
+    n = draw(st.integers(1, max_n))
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        # per neuron: absent, x_i or y_i
+        choice = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        mask = 0
+        for i, c in enumerate(choice):
+            if c == 1:
+                mask |= 1 << i
+            elif c == 2:
+                mask |= 1 << (n + i)
+        if mask:
+            gens.append(Monomial(mask, n))
+    ideal = minimalize(gens, n)
+    if not ideal.is_proper_nonzero:
+        ideal = minimalize([Monomial(1, n)], n)
+    return ideal
+
+
+def degree_3_ideals():
+    universe = degree_n_universe(3)
+    return [ideal_from_subset(universe, s).inner for s in range(1, 1 << 8)]
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(polarized_ideals())
+    def test_reg_upper_bound(self, ideal):
+        assert reg_upper_bound_lcm(ideal) == brute_force.reg_upper_bound_lcm(ideal)
+
+    @settings(max_examples=150, deadline=None)
+    @given(polarized_ideals())
+    def test_lcm_closure(self, ideal):
+        assert lcm_closure(ideal) == brute_force.lcm_closure(ideal)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polarized_ideals(), st.data())
+    def test_euler_discrepancy_on_perturbed_tables(self, ideal, data):
+        table = betti_table(ideal)
+        assert euler_discrepancy(ideal, table) == {}
+        # a wrong table must be judged the same way by both
+        i = data.draw(st.integers(0, 2 * ideal.n))
+        b = data.draw(st.integers(0, (1 << 2 * ideal.n) - 1))
+        table.fine[(i, b)] = table.fine.get((i, b), 0) + data.draw(st.integers(1, 3))
+        assert euler_discrepancy(ideal, table) == brute_force.euler_discrepancy(ideal, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(polarized_ideals(), st.data())
+    def test_upper_koszul_any_multidegree(self, ideal, data):
+        b = Monomial(data.draw(st.integers(0, (1 << 2 * ideal.n) - 1)), ideal.n)
+        assert upper_koszul(ideal, b) == brute_force.upper_koszul(ideal, b)
+
+    def test_every_degree_3_ideal(self):
+        for ideal in degree_3_ideals():
+            table = betti_table(ideal)
+            assert euler_discrepancy(ideal, table) == brute_force.euler_discrepancy(
+                ideal, table) == {}
+            assert reg_upper_bound_lcm(ideal) == brute_force.reg_upper_bound_lcm(ideal)
+            closure = lcm_closure(ideal)
+            assert closure == brute_force.lcm_closure(ideal)
+            for b in closure:
+                assert upper_koszul(ideal, b) == brute_force.upper_koszul(ideal, b)
+
+
+class TestEulerFlagsCorruption:
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_one_corrupted_entry(self, delta):
+        ideal = degree_3_ideals()[200]
+        table = betti_table(ideal)
+        key = max(table.fine)  # an entry in the top homological index
+        table.fine[key] += delta
+        sign = (-1) ** key[0]
+        assert euler_discrepancy(ideal, table) == {key[1]: sign * delta}
+
+    def test_entry_outside_the_support(self):
+        n = 3
+        ideal = minimalize([parse_monomial("x1*x2", n), parse_monomial("y1*x2", n)], n)
+        table = betti_table(ideal)
+        outside = parse_monomial("x3", n).mask
+        table.fine[(1, outside)] = 1
+        assert euler_discrepancy(ideal, table) == {outside: -1}
+
+
+class TestUpperKoszulOutsideSupport:
+    def test_variable_outside_the_support_is_a_cone_point(self):
+        n = 3
+        ideal = minimalize([parse_monomial("x1*x2", n), parse_monomial("y1*x2", n)], n)
+        b = parse_monomial("x1*y1*x2*y3", n)  # y3 divides no generator
+        K = upper_koszul(ideal, b)
+        assert K == brute_force.upper_koszul(ideal, b)
+        y3 = n + 2
+        assert all(face | {y3} in K.faces for face in K.faces)
+
+    def test_void_when_b_outside_ideal_with_outside_variable(self):
+        n = 3
+        ideal = minimalize([parse_monomial("x1*x2", n)], n)
+        b = parse_monomial("x1*x3", n)
+        assert upper_koszul(ideal, b).is_void
+        assert brute_force.upper_koszul(ideal, b).is_void
