@@ -149,35 +149,22 @@ def cmd_betti(args) -> int:
 
 def cmd_check_linear(args) -> int:
     ideal = _load_ideal(args)
-    field_tag = _field(args)
-    table = betti_table(ideal, field_tag)
-    lr = has_linear_resolution(ideal, field_tag, table=table) \
-        if len({g.degree for g in ideal.gens}) == 1 else False
-    lq = linear_quotients_search(ideal)
-    payload = {
-        "schema": 1,
-        "n": ideal.n,
-        "ideal": [str(g) for g in ideal.gens],
-        "linear_resolution": lr,
-        "linear_quotients": [str(m) for m in lq] if lq is not None else None,
-    }
-    try:
-        payload["recursive_linear_check"] = recursive_linear_check(
-            validate_polarized_neural(ideal), pivot=args.pivot)
-    except (NotEquigeneratedDegreeNError, PairViolationError):
-        payload["recursive_linear_check"] = None
+    report = _ideal_report(ideal, _field(args), args.pivot)
+    payload = {key: report[key] for key in (
+        "schema", "n", "ideal", "linear_resolution", "linear_quotients",
+        "recursive_linear_check")}
+    lr = payload["linear_resolution"]
+    lq = payload["linear_quotients"]
+    rlc = payload["recursive_linear_check"]
     if args.json:
         _emit_json(payload)
     else:
         print(f"linear resolution (oracle): {'yes' if lr else 'no'}")
         print(f"linear quotients (search):  {'yes' if lq else 'no'}")
-        rlc = payload["recursive_linear_check"]
         print("recursive check:            "
               + ("n/a (not generated in degree n)" if rlc is None
                  else ("yes" if rlc else "no")))
-    agreeing = {lr, lq is not None} | (
-        {payload["recursive_linear_check"]}
-        if payload["recursive_linear_check"] is not None else set())
+    agreeing = {lr, lq is not None} | ({rlc} if rlc is not None else set())
     if len(agreeing) > 1:
         print("DISAGREEMENT between linearity checks", file=sys.stderr)
         return EXIT_VERIFY

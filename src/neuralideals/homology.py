@@ -2,8 +2,9 @@
 
 Homology is computed from boundary matrices of the augmented chain
 complex, with exact rank computation: bit-packed Gaussian elimination
-over F2, fraction-free exact elimination over the rationals.  No
-floating point anywhere.
+over F2, and over the rationals fraction-free elimination on sparse
+integer rows (cross-multiplication, then division by the row's gcd).
+No floating point and no modular reduction anywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 
@@ -90,35 +91,43 @@ def rank_f2(rows: list[int]) -> int:
     return rank
 
 
-def rank_rational(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals via exact fraction elimination."""
-    if not rows:
-        return 0
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
+def rank_rational(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of a matrix with sparse integer rows.
+
+    Each row maps a column to an int; zero entries are ignored.  Rows are
+    inserted into an echelon table keyed by leading (lowest) column, as
+    in `rank_f2`.  A row whose leading column is taken is replaced by
+    a*row - b*pivot, where a/b is the pivot's leading entry over the
+    row's, in lowest terms.  Scaling a row by a nonzero integer and
+    subtracting multiples of other rows leave the rank over Q unchanged,
+    so the result is exact for any integer input.  A stored row is
+    divided by the gcd of its entries and has a positive leading entry,
+    which keeps entries small; boundary rows have entries of +-1, so
+    almost every pivot is 1.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> reduced row owning it
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row.values())
+                if row[lead] < 0:
+                    g = -g
+                pivots[lead] = {c: v // g for c, v in row.items()} if g != 1 else row
                 break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] * inv
-                row = mat[r]
-                for c in range(col, ncols):
-                    row[c] -= factor * prow[c]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                w = row.get(c, 0) - b * v
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]],
@@ -140,14 +149,10 @@ def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]],
                 row |= 1 << index[sub]
             rows.append(row)
         return rank_f2(rows)
-    rows_q = []
-    for face in upper:
-        row = [Fraction(0)] * len(lower)
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1:]
-            row[index[sub]] += Fraction(-1 if k % 2 else 1)
-        rows_q.append(row)
-    return rank_rational(rows_q)
+    return rank_rational([
+        {index[face[:k] + face[k + 1:]]: -1 if k % 2 else 1 for k in range(len(face))}
+        for face in upper
+    ])
 
 
 def reduced_homology_ranks(complex_: SimplicialComplex,

@@ -2,9 +2,12 @@
 
 Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
-multidegree, or over pairwise lcms until nothing new appears.  They are
-exact and obviously correct, and only usable for small inputs.
+multidegree, over pairwise lcms until nothing new appears, or over the
+columns of a dense matrix of fractions.  They are exact and obviously
+correct, and only usable for small inputs.
 """
+
+from fractions import Fraction
 
 from neuralideals.betti import BettiTable
 from neuralideals.homology import SimplicialComplex
@@ -62,3 +65,33 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
                 break
             sub = (sub - 1) & b.mask
     return SimplicialComplex(vertices, frozenset(faces))
+
+
+def rank_rational(rows: list[list[int]]) -> int:
+    """Rank over the rationals of a dense matrix, by Gauss-Jordan on Fractions."""
+    if not rows:
+        return 0
+    mat = [[Fraction(v) for v in r] for r in rows]
+    ncols = len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(mat)):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        inv = 1 / prow[col]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col] * inv
+                row = mat[r]
+                for c in range(col, ncols):
+                    row[c] -= factor * prow[c]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank

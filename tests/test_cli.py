@@ -98,6 +98,22 @@ class TestCheckLinear:
         assert code == 0
         assert out.count("no") == 3
 
+    @pytest.mark.parametrize("text, linear", [
+        ("x1*x2\ny1*x2\nx1*y2\n", True),
+        ("x1*x2\ny1*y2\n", False),
+    ])
+    def test_json_matches_invariants(self, capsys, tmp_path, text, linear):
+        path = tmp_path / "ideal.ideal"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "check-linear", "--json", str(path))
+        report_code, report_out, _ = run_cli(capsys, "invariants", "--json", str(path))
+        assert code == report_code == 0
+        checked, report = json.loads(out), json.loads(report_out)
+        assert list(checked) == ["schema", "n", "ideal", "linear_resolution",
+                                 "linear_quotients", "recursive_linear_check"]
+        assert checked == {key: report[key] for key in checked}
+        assert checked["linear_resolution"] is linear
+
 
 class TestCodeCommands:
     def test_from_code(self, capsys, tmp_path):

@@ -9,7 +9,6 @@ from neuralideals.homology import (
     rank_rational,
     reduced_homology_ranks,
 )
-from fractions import Fraction
 
 FIELDS = [FieldTag.F2, FieldTag.RATIONALS]
 
@@ -27,10 +26,15 @@ class TestRankKernels:
         assert rank_f2([0b101, 0b010]) == 2
 
     def test_rational_rank(self):
-        rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        rows = [{0: 1, 1: 2}, {0: 2, 1: 4}]
         assert rank_rational(rows) == 1
-        rows = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
+        rows = [{0: 1}, {0: 1, 1: 1}]
         assert rank_rational(rows) == 2
+
+    def test_rank_is_not_taken_mod_2(self):
+        # [[1, 1], [1, -1]] has determinant -2: rank 2 over Q, 1 over F2
+        assert rank_rational([{0: 1, 1: 1}, {0: 1, 1: -1}]) == 2
+        assert rank_f2([0b11, 0b11]) == 1
 
 
 @pytest.mark.parametrize("field", FIELDS)

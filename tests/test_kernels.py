@@ -1,8 +1,8 @@
-"""Differential tests: the membership-table kernels against brute force.
+"""Differential tests: the package's kernels against brute force.
 
-The Euler check, the lcm-subset regularity bound, the lcm closure and
-the upper Koszul complex each have a slow reference in `brute_force`;
-the package's kernels must agree with it exactly.
+The Euler check, the lcm-subset regularity bound, the lcm closure, the
+upper Koszul complex and the rank over Q each have a slow reference in
+`brute_force`; the package's kernels must agree with it exactly.
 """
 
 import brute_force
@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuralideals import homology
 from neuralideals.betti import (
     betti_table,
     euler_discrepancy,
     reg_upper_bound_lcm,
     upper_koszul,
 )
+from neuralideals.homology import FieldTag, rank_rational
 from neuralideals.monomials import Monomial, lcm_closure, minimalize, parse_monomial
 from neuralideals.verify import degree_n_universe, ideal_from_subset
 
@@ -40,6 +42,26 @@ def polarized_ideals(draw, max_n=4, max_gens=10):
     if not ideal.is_proper_nonzero:
         ideal = minimalize([Monomial(1, n)], n)
     return ideal
+
+
+@st.composite
+def integer_matrices(draw, entries=st.integers(-3, 3), max_size=7):
+    """Dense matrices of at most max_size rows and columns, with scaled
+    duplicate rows and zero rows mixed in."""
+    ncols = draw(st.integers(1, max_size))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=max_size))
+    for _ in range(draw(st.integers(0, max_size - len(rows)))):
+        if rows and draw(st.booleans()):
+            k = draw(st.sampled_from([-3, -2, -1, 2, 3]))
+            rows.append([k * v for v in draw(st.sampled_from(rows))])
+        else:
+            rows.append([0] * ncols)
+    return draw(st.permutations(rows))
+
+
+def sparse(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
 
 
 def degree_3_ideals():
@@ -85,6 +107,44 @@ class TestAgainstBruteForce:
             assert closure == brute_force.lcm_closure(ideal)
             for b in closure:
                 assert upper_koszul(ideal, b) == brute_force.upper_koszul(ideal, b)
+
+
+class TestRationalRankAgainstFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_small_integer_matrices(self, rows):
+        assert rank_rational(sparse(rows)) == brute_force.rank_rational(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices(entries=st.sampled_from([-3, -2, 0, 2, 3])))
+    def test_non_unit_entries_and_explicit_zeros(self, rows):
+        with_zeros = [dict(enumerate(r)) for r in rows]
+        assert rank_rational(with_zeros) == brute_force.rank_rational(rows)
+
+    @pytest.mark.parametrize("rows, rank", [
+        ([[2, 3], [3, 2]], 2),
+        ([[2, 3, 0], [0, 2, 3], [2, 5, 3]], 2),
+        ([[3, 2, 0], [0, 3, 2], [2, 0, 3]], 3),
+        ([[0, 0], [2, 3], [0, 0], [-4, -6]], 1),
+    ])
+    def test_only_non_unit_pivots(self, rows, rank):
+        assert rank_rational(sparse(rows)) == brute_force.rank_rational(rows) == rank
+
+    def test_every_degree_3_boundary_matrix(self, monkeypatch):
+        ranks = []
+
+        def checked(rows):
+            ncols = 1 + max((c for r in rows for c in r), default=0)
+            dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+            rank = rank_rational(rows)
+            assert rank == brute_force.rank_rational(dense)
+            ranks.append(rank)
+            return rank
+
+        monkeypatch.setattr(homology, "rank_rational", checked)
+        for ideal in degree_3_ideals():
+            betti_table(ideal, FieldTag.RATIONALS)
+        assert len(ranks) > 255
 
 
 class TestEulerFlagsCorruption:
