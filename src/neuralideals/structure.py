@@ -150,55 +150,97 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     return SplitPrediction(pd_pred, reg_pred, fine)
 
 
-def _step_admissible(prefix_masks: list[int], candidate: int) -> bool:
-    """Is colon(prefix, candidate) generated by variables?
-
-    The colon generators are p & ~candidate over the prefix; the colon
-    is variable-generated iff every such quotient contains some
-    single-bit quotient.
-    """
-    quots = [p & ~candidate for p in prefix_masks]
-    singles = 0
-    for q in quots:
-        if q.bit_count() == 1:
-            singles |= q
-    return all(q & singles for q in quots)
-
-
 def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ...]]:
-    """Backtracking search for a linear-quotient order of the minimal generators.
+    """Find a linear-quotient order of the minimal generators, or None.
 
-    Returns the lexicographically least admissible order under the
-    canonical generator order, or None when no full order exists.  The
-    colon at each step depends only on the set of generators already
-    placed, so the search memoizes dead prefix sets.
+    In an order g_1, ..., g_q every colon (g_1, ..., g_{j-1}) : g_j must
+    be generated by variables; the colon depends only on the set placed
+    before g_j.  Call a generator set R orderable when |R| <= 1 or some
+    c in R is admissible after R - {c} and R - {c} is orderable.
+
+    The search first decides whether the full set is orderable by
+    peeling admissible last generators off it, memoizing the sets found
+    not orderable; an ideal without linear quotients reaches few of
+    them.  Only when the full set is orderable does it build the order:
+    a forward backtracking over prefix sets, memoizing dead prefixes,
+    that returns the lexicographically least admissible order under the
+    canonical generator order.
+
+    Sets are bit masks of generator indices.  The colon S : c is
+    generated by the quotients g_u & ~c over u in S, and is generated
+    by variables iff each quotient contains a variable that is itself
+    the quotient of some u in S.  On its first test, candidate c gets a
+    row of pairs, one per variable v that is some quotient: the
+    generators whose quotient is v, and the generators whose quotient
+    contains v (those whose mask contains v).  A test ORs the second
+    masks of the pairs that meet S and checks that the result covers S.
     """
     _require_proper_nonzero(ideal)
     gens = ideal.gens
-    q = len(gens)
+    masks = [g.mask for g in gens]
+    q = len(masks)
+    holders: dict[int, int] = {}
+    for u, g in enumerate(masks):
+        while g:
+            v = g & -g
+            holders[v] = holders.get(v, 0) | 1 << u
+            g ^= v
+    rows: list[Optional[list[tuple[int, int]]]] = [None] * q
+
+    def admissible(placed: int, c: int) -> bool:
+        row = rows[c]
+        if row is None:
+            singles: dict[int, int] = {}
+            for u, g in enumerate(masks):
+                quot = g & ~masks[c]
+                if quot and quot & (quot - 1) == 0:
+                    singles[quot] = singles.get(quot, 0) | 1 << u
+            row = rows[c] = [(s, holders[v]) for v, s in singles.items()]
+        covered = 0
+        for single, cover in row:
+            if placed & single:
+                covered |= cover
+        return placed & ~covered == 0
+
+    not_orderable: set[int] = set()
+
+    def orderable(r: int) -> bool:
+        if r & (r - 1) == 0:
+            return True
+        if r in not_orderable:
+            return False
+        rest = r
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if admissible(r ^ bit, bit.bit_length() - 1) and orderable(r ^ bit):
+                return True
+        not_orderable.add(r)
+        return False
+
     full = (1 << q) - 1
+    if not orderable(full):
+        return None
     order: list[int] = []
     dead: set[int] = set()
 
-    def backtrack(used: int) -> bool:
+    def extend(used: int) -> bool:
         if used == full:
             return True
-        prefix = [gens[o].mask for o in order]
-        for idx in range(q):
-            bit = 1 << idx
+        for c in range(q):
+            bit = 1 << c
             if used & bit or used | bit in dead:
                 continue
-            if _step_admissible(prefix, gens[idx].mask):
-                order.append(idx)
-                if backtrack(used | bit):
+            if admissible(used, c):
+                order.append(c)
+                if extend(used | bit):
                     return True
                 order.pop()
                 dead.add(used | bit)
         return False
 
-    if backtrack(0):
-        return tuple(gens[i] for i in order)
-    return None
+    extend(0)
+    return tuple(gens[i] for i in order)
 
 
 def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> bool:

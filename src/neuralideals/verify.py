@@ -396,6 +396,8 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
         raise ValueError("exhaustive mode is limited to n <= 3")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if mode == "sample" and count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     report = VerificationReport(n=n, mode=mode, seed=seed, field_tag=field_tag.value)
     restriction = mode == "exhaustive"
     field_compare = mode == "exhaustive"

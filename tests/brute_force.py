@@ -1,13 +1,15 @@
-"""Slow reference versions of the Betti-oracle kernels, for differential tests.
+"""Slow reference versions of the package's kernels, for differential tests.
 
 Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
-multidegree, over pairwise lcms until nothing new appears, or over the
-columns of a dense matrix of fractions.  They are exact and obviously
-correct, and only usable for small inputs.
+multidegree, over pairwise lcms until nothing new appears, over the
+columns of a dense matrix of fractions, or over every prefix of a
+generator order.  They are exact and obviously correct, and only usable
+for small inputs.
 """
 
 from fractions import Fraction
+from typing import Optional
 
 from neuralideals.betti import BettiTable
 from neuralideals.homology import SimplicialComplex
@@ -95,3 +97,47 @@ def rank_rational(rows: list[list[int]]) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def _step_admissible(prefix_masks: list[int], candidate: int) -> bool:
+    """Is colon(prefix, candidate) generated by variables?
+
+    The colon generators are p & ~candidate over the prefix; the colon
+    is variable-generated iff every such quotient contains some
+    single-bit quotient.
+    """
+    quots = [p & ~candidate for p in prefix_masks]
+    singles = 0
+    for q in quots:
+        if q.bit_count() == 1:
+            singles |= q
+    return all(q & singles for q in quots)
+
+
+def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ...]]:
+    """Forward backtracking over prefix sets: the lex-least admissible order, or None."""
+    gens = ideal.gens
+    q = len(gens)
+    full = (1 << q) - 1
+    order: list[int] = []
+    dead: set[int] = set()
+
+    def backtrack(used: int) -> bool:
+        if used == full:
+            return True
+        prefix = [gens[o].mask for o in order]
+        for idx in range(q):
+            bit = 1 << idx
+            if used & bit or used | bit in dead:
+                continue
+            if _step_admissible(prefix, gens[idx].mask):
+                order.append(idx)
+                if backtrack(used | bit):
+                    return True
+                order.pop()
+                dead.add(used | bit)
+        return False
+
+    if backtrack(0):
+        return tuple(gens[i] for i in order)
+    return None

@@ -247,3 +247,9 @@ class TestVerifyCommand:
     def test_jobs_below_one_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--jobs", "0")
         assert code == 2 and "jobs" in err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exit_2(self, capsys, count):
+        code, _, err = run_cli(capsys, "verify", "--n", "3", "--mode", "sample",
+                               "--count", count)
+        assert code == 2 and "count" in err

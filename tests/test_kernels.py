@@ -1,8 +1,9 @@
 """Differential tests: the package's kernels against brute force.
 
 The Euler check, the lcm-subset regularity bound, the lcm closure, the
-upper Koszul complex and the rank over Q each have a slow reference in
-`brute_force`; the package's kernels must agree with it exactly.
+upper Koszul complex, the rank over Q and the linear-quotient search
+each have a slow reference in `brute_force`; the package's kernels must
+agree with it exactly.
 """
 
 import brute_force
@@ -18,8 +19,19 @@ from neuralideals.betti import (
     upper_koszul,
 )
 from neuralideals.homology import FieldTag, rank_rational
-from neuralideals.monomials import Monomial, lcm_closure, minimalize, parse_monomial
-from neuralideals.verify import degree_n_universe, ideal_from_subset
+from neuralideals.monomials import (
+    Monomial,
+    lcm_closure,
+    minimalize,
+    parse_monomial,
+    restrict,
+)
+from neuralideals.structure import family_thm36, linear_quotients_search
+from neuralideals.verify import (
+    degree_n_universe,
+    ideal_from_subset,
+    sample_degree_n_subsets,
+)
 
 
 @st.composite
@@ -145,6 +157,73 @@ class TestRationalRankAgainstFractions:
         for ideal in degree_3_ideals():
             betti_table(ideal, FieldTag.RATIONALS)
         assert len(ranks) > 255
+
+
+def greedy_order_completes(ideal):
+    """Does placing the first admissible generator at every step give a
+    full order?  When it does not, the lex-least search must backtrack."""
+    masks = [g.mask for g in ideal.gens]
+    placed, left = [], list(range(len(masks)))
+    while left:
+        for idx in left:
+            if brute_force._step_admissible(placed, masks[idx]):
+                placed.append(masks[idx])
+                left.remove(idx)
+                break
+        else:
+            return False
+    return True
+
+
+# Ten degree-3 generators on x1..x6 with linear quotients, where the first
+# admissible generator at some step leads to a dead prefix.  Random searches
+# over pair-excluding ideals with n <= 4, of any degrees, found none.
+BACKTRACKING_IDEAL = minimalize([parse_monomial(t, 6) for t in (
+    "x1*x3*x4", "x1*x2*x5", "x1*x3*x5", "x2*x4*x5", "x1*x2*x6",
+    "x2*x3*x6", "x1*x4*x6", "x2*x4*x6", "x3*x5*x6", "x4*x5*x6")], 6)
+
+
+class TestLinearQuotientsAgainstBacktracking:
+    """The same order, or None on both sides, as the forward search."""
+
+    def test_every_degree_3_ideal_and_its_restrictions(self):
+        restrictions = 0
+        for ideal in degree_3_ideals():
+            assert linear_quotients_search(ideal) == brute_force.linear_quotients_search(ideal)
+            for m in lcm_closure(ideal):
+                sub = restrict(ideal, m)
+                if sub.is_proper_nonzero and sub != ideal:
+                    restrictions += 1
+                    assert linear_quotients_search(sub) == \
+                        brute_force.linear_quotients_search(sub)
+        assert restrictions > 255
+
+    def test_sampled_degree_4_ideals(self):
+        universe = degree_n_universe(4)
+        outcomes = []
+        for subset in sample_degree_n_subsets(4, 150, seed=5):
+            ideal = ideal_from_subset(universe, subset).inner
+            order = linear_quotients_search(ideal)
+            assert order == brute_force.linear_quotients_search(ideal)
+            outcomes.append(order is not None)
+        assert True in outcomes and False in outcomes
+
+    def test_order_that_needs_backtracking(self):
+        assert not greedy_order_completes(BACKTRACKING_IDEAL)
+        order = linear_quotients_search(BACKTRACKING_IDEAL)
+        assert order is not None
+        assert order == brute_force.linear_quotients_search(BACKTRACKING_IDEAL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(polarized_ideals())
+    def test_mixed_degree_ideals(self, ideal):
+        assert linear_quotients_search(ideal) == brute_force.linear_quotients_search(ideal)
+
+    def test_thm36_product_of_32_generators(self):
+        ideal = family_thm36(5, 5).inner
+        order = linear_quotients_search(ideal)
+        assert order is not None and len(order) == 32
+        assert order == brute_force.linear_quotients_search(ideal)
 
 
 class TestEulerFlagsCorruption:
