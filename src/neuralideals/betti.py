@@ -100,9 +100,10 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
 
     A subset tau of supp(b) is a face iff b with tau removed still lies
     in the ideal.  Void when b itself is outside the ideal.  Faces are
-    grown one vertex at a time from the empty face, each candidate
-    tested by one lookup in the ideal's membership table; downward
-    closure means a non-face is never extended.
+    int submasks of b.mask, grown one vertex bit at a time from the
+    empty face 0, each candidate tested by one lookup in the ideal's
+    membership table; downward closure means a non-face is never
+    extended.
     """
     _require_proper_nonzero(ideal)
     member = _membership(ideal)
@@ -111,18 +112,18 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     weights = [member.weight.get(v, 0) for v in verts]
     inside = sum(weights)
     if not in_ideal[inside]:
-        return SimplicialComplex(frozenset(verts), frozenset())
+        return SimplicialComplex(b.mask, frozenset())
     faces = []
-    # (face, renumbered part of b / face inside top, first vertex to add)
-    stack = [(frozenset(), inside, 0)]
+    # (face mask, renumbered part of b / face inside top, first vertex to add)
+    stack = [(0, inside, 0)]
     while stack:
         face, rest, start = stack.pop()
         faces.append(face)
         for k in range(start, len(verts)):
             smaller = rest & ~weights[k]
             if in_ideal[smaller]:
-                stack.append((face | {verts[k]}, smaller, k + 1))
-    return SimplicialComplex(frozenset(verts), frozenset(faces))
+                stack.append((face | 1 << verts[k], smaller, k + 1))
+    return SimplicialComplex(b.mask, frozenset(faces))
 
 
 @dataclass
@@ -167,12 +168,13 @@ class BettiTable:
 def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:
     """Complete multigraded Betti table via upper Koszul homology.
 
-    Homology results are memoized per call keyed by the exact face set;
-    the same complex recurs across multidegrees.
+    Homology results are memoized per call keyed by the exact face set
+    (a frozenset of face masks); the same complex recurs across
+    multidegrees.
     """
     _require_proper_nonzero(ideal)
     table = BettiTable(ideal.n)
-    memo: dict[frozenset, dict[int, int]] = {}
+    memo: dict[frozenset[int], dict[int, int]] = {}
     for b in lcm_closure(ideal):
         complex_ = upper_koszul(ideal, b)
         key = complex_.faces

@@ -1,19 +1,22 @@
 """Simplicial complexes and exact reduced homology ranks.
 
-Homology is computed from boundary matrices of the augmented chain
-complex, with exact rank computation: bit-packed Gaussian elimination
-over F2, and over the rationals fraction-free elimination on sparse
-integer rows (cross-multiplication, then division by the row's gcd).
-No floating point and no modular reduction anywhere.
+Faces are int bit masks over the vertex positions, so a face's
+dimension is its bit count minus one and its boundary faces are the
+masks with one set bit cleared.  Homology is computed from boundary
+matrices of the augmented chain complex, with exact rank computation:
+bit-packed Gaussian elimination over F2, and over the rationals
+fraction-free elimination on sparse integer rows (cross-multiplication,
+then division by the row's gcd).  No floating point and no modular
+reduction anywhere.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from math import gcd
-from typing import Iterable
+from operator import or_
 
 
 class FieldTag(str, Enum):
@@ -25,19 +28,19 @@ class FieldTag(str, Enum):
 class SimplicialComplex:
     """A downward-closed face family, stored with every face explicit.
 
-    Faces are frozensets of vertex labels (ints).  Three distinct states:
-    the void complex (no faces at all), the irrelevant complex {∅}
-    (only the empty face), and nonempty complexes (which always contain
-    the empty face by downward closure).
+    Vertices are bit positions: `vertices` is an int mask and each face
+    is an int submask of it.  Three distinct states: the void complex
+    (no faces at all), the irrelevant complex {∅} (only the empty face,
+    mask 0), and nonempty complexes (which always contain the empty face
+    by downward closure).
     """
 
-    vertices: frozenset[int]
-    faces: frozenset[frozenset[int]]
+    vertices: int
+    faces: frozenset[int]
 
     def __post_init__(self):
-        for f in self.faces:
-            if not f <= self.vertices:
-                raise ValueError(f"face {sorted(f)} uses labels outside the vertex set")
+        if reduce(or_, self.faces, 0) & ~self.vertices:
+            raise ValueError("a face uses vertices outside the vertex set")
 
     @property
     def is_void(self) -> bool:
@@ -45,34 +48,7 @@ class SimplicialComplex:
 
     @property
     def is_irrelevant(self) -> bool:
-        return self.faces == frozenset({frozenset()})
-
-    @classmethod
-    def from_faces(cls, vertices: Iterable[int], faces: Iterable[Iterable[int]],
-                   include_empty: bool = True) -> "SimplicialComplex":
-        """Build from a face list, closing downward."""
-        closed: set[frozenset[int]] = set()
-        for face in faces:
-            face = frozenset(face)
-            if face in closed:
-                continue
-            stack = [face]
-            while stack:
-                f = stack.pop()
-                if f in closed:
-                    continue
-                closed.add(f)
-                for v in f:
-                    stack.append(f - {v})
-        if include_empty and closed:
-            closed.add(frozenset())
-        return cls(frozenset(vertices), frozenset(closed))
-
-    def facets(self) -> frozenset[frozenset[int]]:
-        return frozenset(
-            f for f in self.faces
-            if not any(g != f and f <= g for g in self.faces)
-        )
+        return self.faces == {0}
 
 
 def rank_f2(rows: list[int]) -> int:
@@ -130,29 +106,33 @@ def rank_rational(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]],
-                   field: FieldTag) -> int:
-    """Rank of the boundary map from the span of `upper` to the span of `lower`.
+def _boundary_rank(upper: list[int], index: dict[int, int], field: FieldTag) -> int:
+    """Rank of the boundary map on the span of the equal-size faces `upper`.
 
-    Faces are given as sorted vertex tuples; `lower` holds the faces one
-    dimension down (possibly the single empty face for the augmentation).
+    Faces are masks, and `index` numbers the faces of each size from 0.
+    The boundary of a face clears one set bit at a time, lowest first;
+    over Q the k-th cleared bit, counting from 0, has sign (-1)^k.
     """
-    if not upper or not lower:
-        return 0
-    index = {f: i for i, f in enumerate(lower)}
     if field is FieldTag.F2:
         rows = []
         for face in upper:
-            row = 0
-            for k in range(len(face)):
-                sub = face[:k] + face[k + 1:]
-                row |= 1 << index[sub]
+            row, rest = 0, face
+            while rest:
+                low = rest & -rest
+                row |= 1 << index[face ^ low]
+                rest ^= low
             rows.append(row)
         return rank_f2(rows)
-    return rank_rational([
-        {index[face[:k] + face[k + 1:]]: -1 if k % 2 else 1 for k in range(len(face))}
-        for face in upper
-    ])
+    rows = []
+    for face in upper:
+        row, rest, sign = {}, face, 1
+        while rest:
+            low = rest & -rest
+            row[index[face ^ low]] = sign
+            rest ^= low
+            sign = -sign
+        rows.append(row)
+    return rank_rational(rows)
 
 
 def reduced_homology_ranks(complex_: SimplicialComplex,
@@ -164,20 +144,20 @@ def reduced_homology_ranks(complex_: SimplicialComplex,
     """
     if complex_.is_void:
         return {}
-    by_dim: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for f in complex_.faces:
-        by_dim[len(f) - 1].append(tuple(sorted(f)))
-    for faces in by_dim.values():
-        faces.sort()
-    top = max(by_dim)
-    # boundary_ranks[d] = rank of d-chains -> (d-1)-chains; d = 0 is the augmentation
-    boundary_ranks: dict[int, int] = {}
-    for d in range(0, top + 1):
-        boundary_ranks[d] = _boundary_rank(by_dim.get(d - 1, []), by_dim.get(d, []), field)
+    faces = complex_.faces
+    # by_size[k]: the faces with k vertices, of dimension k - 1
+    by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
+    index: dict[int, int] = {}
+    for f in faces:
+        same = by_size[f.bit_count()]
+        index[f] = len(same)
+        same.append(f)
+    # boundary[k]: rank of the map from size-k chains to size-(k-1) chains;
+    # k = 1 is the augmentation
+    boundary = [0] + [_boundary_rank(upper, index, field) for upper in by_size[1:]] + [0]
     out: dict[int, int] = {}
-    for d in range(-1, top + 1):
-        dim_cd = len(by_dim.get(d, []))
-        rank = dim_cd - boundary_ranks.get(d, 0) - boundary_ranks.get(d + 1, 0)
+    for k, same in enumerate(by_size):
+        rank = len(same) - boundary[k] - boundary[k + 1]
         if rank:
-            out[d] = rank
+            out[k - 1] = rank
     return out

@@ -8,6 +8,7 @@ arguments.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -173,6 +174,14 @@ class MonomialIdeal:
 
     n: int
     gens: tuple[Monomial, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # computed once per ideal: per-ideal caches hash it on every lookup
+        return hash((self.n, self.gens))
 
     @property
     def is_zero(self) -> bool:

@@ -2,17 +2,19 @@
 
 Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
-multidegree, over pairwise lcms until nothing new appears, over the
-columns of a dense matrix of fractions, or over every prefix of a
-generator order.  They are exact and obviously correct, and only usable
-for small inputs.
+multidegree, over pairwise lcms until nothing new appears, over sorted
+vertex tuples of faces, over the columns of a dense matrix of
+fractions, or over every prefix of a generator order.  They are exact
+and obviously correct, and only usable for small inputs.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Optional
 
 from neuralideals.betti import BettiTable
-from neuralideals.homology import SimplicialComplex
+from neuralideals.homology import FieldTag, SimplicialComplex, rank_f2
+from neuralideals.homology import rank_rational as sparse_rank_rational
 from neuralideals.monomials import Monomial, MonomialIdeal
 
 
@@ -56,17 +58,78 @@ def lcm_closure(ideal: MonomialIdeal) -> list[Monomial]:
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     """Test every submask tau of b: a face iff some generator divides b and avoids tau."""
     relevant = [g.mask for g in ideal.gens if g.divides(b)]
-    vertices = frozenset(b.support())
     faces = set()
     if relevant:
         sub = b.mask
         while True:
             if any(g & sub == 0 for g in relevant):
-                faces.add(frozenset(i for i in vertices if sub >> i & 1))
+                faces.add(sub)
             if sub == 0:
                 break
             sub = (sub - 1) & b.mask
-    return SimplicialComplex(vertices, frozenset(faces))
+    return SimplicialComplex(b.mask, frozenset(faces))
+
+
+def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]],
+                   field: FieldTag) -> int:
+    """Rank of the boundary map from the span of `upper` to the span of `lower`.
+
+    Faces are given as sorted vertex tuples; `lower` holds the faces one
+    dimension down (possibly the single empty face for the augmentation).
+    """
+    if not upper or not lower:
+        return 0
+    index = {f: i for i, f in enumerate(lower)}
+    if field is FieldTag.F2:
+        rows = []
+        for face in upper:
+            row = 0
+            for k in range(len(face)):
+                sub = face[:k] + face[k + 1:]
+                row |= 1 << index[sub]
+            rows.append(row)
+        return rank_f2(rows)
+    return sparse_rank_rational([
+        {index[face[:k] + face[k + 1:]]: -1 if k % 2 else 1 for k in range(len(face))}
+        for face in upper
+    ])
+
+
+def reduced_homology_ranks(complex_: SimplicialComplex,
+                           field: FieldTag = FieldTag.F2) -> dict[int, int]:
+    """Reduced homology ranks from faces turned into sorted vertex tuples,
+    with boundary rows built by slicing one vertex out of each tuple."""
+    if complex_.is_void:
+        return {}
+    by_dim: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for f in complex_.faces:
+        face = tuple(v for v in range(f.bit_length()) if f >> v & 1)
+        by_dim[len(face) - 1].append(face)
+    for faces in by_dim.values():
+        faces.sort()
+    top = max(by_dim)
+    boundary_ranks: dict[int, int] = {}
+    for d in range(0, top + 1):
+        boundary_ranks[d] = _boundary_rank(by_dim.get(d - 1, []), by_dim.get(d, []), field)
+    out: dict[int, int] = {}
+    for d in range(-1, top + 1):
+        dim_cd = len(by_dim.get(d, []))
+        rank = dim_cd - boundary_ranks.get(d, 0) - boundary_ranks.get(d + 1, 0)
+        if rank:
+            out[d] = rank
+    return out
+
+
+def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:
+    """Betti table from the submask-enumerated upper Koszul complexes and
+    the tuple-based homology above, at every lcm-closure multidegree."""
+    table = BettiTable(ideal.n)
+    for b in lcm_closure(ideal):
+        for dim, rank in reduced_homology_ranks(upper_koszul(ideal, b), field_tag).items():
+            table.fine[(dim + 1, b.mask)] = rank
+            key = (dim + 1, b.degree)
+            table.coarse[key] = table.coarse.get(key, 0) + rank
+    return table
 
 
 def rank_rational(rows: list[list[int]]) -> int:

@@ -43,7 +43,8 @@ class TestUpperKoszul:
 
     def test_koszul_syzygy_two_vertices(self):
         K = upper_koszul(ideal(1, "x1", "y1"), m("x1*y1", 1))
-        assert K.faces == frozenset({frozenset(), frozenset({0}), frozenset({1})})
+        assert K.vertices == 0b11
+        assert K.faces == frozenset({0, 0b01, 0b10})
 
     def test_void_when_outside_ideal(self):
         assert upper_koszul(ideal(2, "x1*y2"), m("x1", 2)).is_void

@@ -1,9 +1,14 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import neuralideals
 from neuralideals import cli
 from neuralideals.cli import main
 from neuralideals.monomials import parse_ideal, render_ideal
@@ -253,3 +258,35 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--n", "3", "--mode", "sample",
                                "--count", count)
         assert code == 2 and "count" in err
+
+
+class TestDeterminismAcrossHashSeeds:
+    """JSON output must not depend on string hashing or set order: the
+    same command under two hash seeds prints the same bytes."""
+
+    @pytest.fixture
+    def mixed_file(self, tmp_path):
+        path = tmp_path / "mixed.ideal"
+        path.write_text("x1*x2\ny1*x2\nx1*y3\ny2*x3\n")
+        return str(path)
+
+    @staticmethod
+    def stdout_under(hash_seed, argv):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=str(Path(neuralideals.__file__).parents[1]))
+        code = "import sys; from neuralideals.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--json", "--field", "q"],
+        ["betti", "--json"],
+        ["verify", "--n", "2", "--json"],
+    ], ids=["invariants", "betti", "verify"])
+    def test_byte_identical_stdout(self, mixed_file, argv):
+        if argv[0] != "verify":
+            argv = argv + [mixed_file]
+        first = self.stdout_under(0, argv)
+        assert first and first == self.stdout_under(1, argv)

@@ -13,9 +13,22 @@ from neuralideals.homology import (
 FIELDS = [FieldTag.F2, FieldTag.RATIONALS]
 
 
+def mask(face):
+    return sum(1 << v for v in face)
+
+
 def complex_of(*faces):
-    vertices = {v for f in faces for v in f}
-    return SimplicialComplex.from_faces(vertices, faces)
+    """The downward closure of the given vertex sets, with faces as masks."""
+    vertices, closed = 0, set()
+    for top in map(mask, faces):
+        vertices |= top
+        sub = top
+        while True:
+            closed.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & top
+    return SimplicialComplex(vertices, frozenset(closed))
 
 
 class TestRankKernels:
@@ -40,12 +53,12 @@ class TestRankKernels:
 @pytest.mark.parametrize("field", FIELDS)
 class TestReducedHomology:
     def test_void_complex(self, field):
-        K = SimplicialComplex(frozenset(), frozenset())
+        K = SimplicialComplex(0, frozenset())
         assert K.is_void
         assert reduced_homology_ranks(K, field) == {}
 
     def test_irrelevant_complex(self, field):
-        K = SimplicialComplex(frozenset(), frozenset({frozenset()}))
+        K = SimplicialComplex(0, frozenset({0}))
         assert K.is_irrelevant
         assert reduced_homology_ranks(K, field) == {-1: 1}
 
@@ -99,8 +112,8 @@ class TestProjectivePlane:
 
 class TestComplexStates:
     def test_three_states_distinct(self):
-        void = SimplicialComplex(frozenset(), frozenset())
-        irrelevant = SimplicialComplex(frozenset(), frozenset({frozenset()}))
+        void = SimplicialComplex(0, frozenset())
+        irrelevant = SimplicialComplex(0, frozenset({0}))
         point = complex_of({0})
         assert void.is_void and not void.is_irrelevant
         assert irrelevant.is_irrelevant and not irrelevant.is_void
@@ -108,13 +121,18 @@ class TestComplexStates:
 
     def test_downward_closure_from_faces(self):
         K = complex_of({0, 1, 2})
-        assert frozenset({0, 1}) in K.faces
-        assert frozenset() in K.faces
+        assert K.vertices == 0b111
+        assert K.faces == frozenset(range(8))
+        assert 0b011 in K.faces
+        assert 0 in K.faces
 
     def test_facets(self):
         K = complex_of({0, 1}, {1, 2})
-        assert K.facets() == frozenset({frozenset({0, 1}), frozenset({1, 2})})
+        facets = {f for f in K.faces if not any(f != g and f & g == f for g in K.faces)}
+        assert facets == {0b011, 0b110}
 
     def test_face_outside_vertices_rejected(self):
         with pytest.raises(ValueError):
-            SimplicialComplex(frozenset({0}), frozenset({frozenset({1})}))
+            SimplicialComplex(0b01, frozenset({0, 0b10}))
+        with pytest.raises(ValueError):
+            SimplicialComplex(0b101, frozenset({0, 0b001, 0b100, 0b110}))

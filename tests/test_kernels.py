@@ -1,14 +1,15 @@
 """Differential tests: the package's kernels against brute force.
 
 The Euler check, the lcm-subset regularity bound, the lcm closure, the
-upper Koszul complex, the rank over Q and the linear-quotient search
-each have a slow reference in `brute_force`; the package's kernels must
-agree with it exactly.
+upper Koszul complex, reduced homology, the rank over Q and the
+linear-quotient search each have a slow reference in `brute_force`; the
+package's kernels must agree with it exactly.
 """
 
 import brute_force
 import pytest
-from hypothesis import given, settings
+import test_homology
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuralideals import homology
@@ -18,7 +19,7 @@ from neuralideals.betti import (
     reg_upper_bound_lcm,
     upper_koszul,
 )
-from neuralideals.homology import FieldTag, rank_rational
+from neuralideals.homology import FieldTag, rank_rational, reduced_homology_ranks
 from neuralideals.monomials import (
     Monomial,
     lcm_closure,
@@ -226,6 +227,46 @@ class TestLinearQuotientsAgainstBacktracking:
         assert order == brute_force.linear_quotients_search(ideal)
 
 
+@st.composite
+def complexes(draw, max_vertices=7):
+    """Downward-closed complexes on at most max_vertices vertices sitting at
+    arbitrary bit positions, void when no facet is drawn."""
+    positions = draw(st.lists(st.integers(0, 13), max_size=max_vertices, unique=True))
+    facet = st.lists(st.sampled_from(positions), max_size=5, unique=True) \
+        if positions else st.just([])
+    return test_homology.complex_of(*draw(st.lists(facet, max_size=10)))
+
+
+class TestHomologyAgainstTuples:
+    """Mask-built boundary rows against the sorted-tuple reference."""
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_every_degree_3_ideal_at_every_multidegree(self, field):
+        complexes_seen = 0
+        for ideal in degree_3_ideals():
+            for b in lcm_closure(ideal):
+                K = upper_koszul(ideal, b)
+                assert reduced_homology_ranks(K, field) == \
+                    brute_force.reduced_homology_ranks(K, field)
+                complexes_seen += 1
+        assert complexes_seen > 255
+
+    @settings(max_examples=300, deadline=None)
+    @given(complexes())
+    @example(test_homology.complex_of(*test_homology.TestProjectivePlane.FACES))
+    def test_downward_closed_complexes(self, K):
+        for field in FieldTag:
+            assert reduced_homology_ranks(K, field) == \
+                brute_force.reduced_homology_ranks(K, field)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_thm36_betti_table(self, field):
+        ideal = family_thm36(5, 5).inner
+        table = betti_table(ideal, field)
+        assert table == brute_force.betti_table(ideal, field)
+        assert (table.pd, table.reg) == (5, 5)
+
+
 class TestEulerFlagsCorruption:
     @pytest.mark.parametrize("delta", [1, -1])
     def test_one_corrupted_entry(self, delta):
@@ -252,8 +293,8 @@ class TestUpperKoszulOutsideSupport:
         b = parse_monomial("x1*y1*x2*y3", n)  # y3 divides no generator
         K = upper_koszul(ideal, b)
         assert K == brute_force.upper_koszul(ideal, b)
-        y3 = n + 2
-        assert all(face | {y3} in K.faces for face in K.faces)
+        y3 = 1 << (n + 2)
+        assert all(face | y3 in K.faces for face in K.faces)
 
     def test_void_when_b_outside_ideal_with_outside_variable(self):
         n = 3
