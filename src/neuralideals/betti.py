@@ -8,8 +8,11 @@ of reduced homology H_{i-1} of the upper Koszul complex
 
 Only multidegrees in the lcm closure of the minimal generators can
 carry a nonzero Betti number, so the table scans exactly that set.
-Membership b / tau ∈ I is looked up in a per-ideal table over the
-submasks of lcm(gens), which the Euler check reuses.
+Where one or two generators divide b, K^b is {∅} or two disjoint
+simplices and its homology is written down without building it; every
+other b gets its complex and a homology computation.  Membership
+b / tau ∈ I is looked up in a per-ideal table over the submasks of
+lcm(gens), which the Euler check reuses.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .monomials import (
     UnitOrZeroIdealError,
     ZeroIdealError,
     _lcm_levels,
-    lcm_closure,
 )
 
 
@@ -45,12 +47,13 @@ class _Membership:
     """Ideal membership for every submask of the generators' lcm.
 
     The s variables of top = lcm(gens) are renumbered to bits 0..s-1;
-    `weight` maps a variable's bit position to its renumbered bit, and
+    `weight` maps a variable's one-bit mask to its renumbered bit, and
     `in_ideal[c]` is 1 iff the renumbered submask c lies in the ideal.
     A monomial m is in the ideal iff its part inside top is, so every
-    membership query reduces to one lookup.  Filled by one zeta
-    transform in s * 2^(s-1) additions, no more than the 2^s submasks
-    the upper Koszul complex at b = top has anyway.
+    membership query reduces to one lookup.  The table is built as one
+    2^s-bit int: a bit per generator, then s shift-ORs that each pass
+    membership from every submask c to c with one more renumbered bit k
+    set, so a submask ends up set iff some generator lies inside it.
     """
 
     def __init__(self, ideal: MonomialIdeal):
@@ -58,35 +61,56 @@ class _Membership:
         for g in ideal.gens:
             top |= g.mask
         self.positions = tuple(p for p in range(top.bit_length()) if top >> p & 1)
-        self.weight = {p: 1 << k for k, p in enumerate(self.positions)}
-        counts = [0] * (1 << len(self.positions))
+        self.weight = {1 << p: 1 << k for k, p in enumerate(self.positions)}
+        s = len(self.positions)
+        table = 0
         for g in ideal.gens:
-            counts[self.compress(g.mask)] = 1
-        _subset_transform(counts, 1)  # generators dividing each submask
-        self.in_ideal = bytes(map(bool, counts))
+            table |= 1 << self.compress(g.mask)
+        for k, clear in enumerate(_bit_clear_patterns(s)):
+            table |= (table & clear) << (1 << k)
+        self.in_ideal = format(table, f"0{1 << s}b")[::-1].encode().translate(_DIGITS)
 
     def compress(self, mask: int) -> int:
         """The renumbered part of `mask` inside top."""
-        return sum(w for p, w in self.weight.items() if mask >> p & 1)
+        return sum(w for bit, w in self.weight.items() if mask & bit)
 
     def expand(self, c: int) -> int:
         """The bit mask of the renumbered submask c."""
         return sum(1 << p for k, p in enumerate(self.positions) if c >> k & 1)
 
 
-def _subset_transform(values: list[int], sign: int) -> None:
-    """In place, values[c] <- sum over submasks d of c of sign^|c-d| * values[d].
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
-    sign = 1 is the zeta transform over the subset lattice, sign = -1
-    its Mobius inverse.  len(values) must be a power of two, 2^s; the
-    cost is s * 2^(s-1) additions.
+
+@functools.cache
+def _bit_clear_patterns(s: int) -> tuple[int, ...]:
+    """For k < s, the 2^s-bit int whose bit c is set iff bit k of c is clear.
+
+    Bit k of the index is clear in runs of 2^k indices that repeat with
+    period 2^(k+1), so each pattern is one run times a repunit.
+    """
+    size = 1 << s
+    out = []
+    for k in range(s):
+        period = 2 << k
+        repunit = ((1 << size) - 1) // ((1 << period) - 1)
+        out.append(((1 << (1 << k)) - 1) * repunit)
+    return tuple(out)
+
+
+def _mobius_transform(values: list[int]) -> None:
+    """In place, values[c] <- sum over submasks d of c of (-1)^|c-d| * values[d].
+
+    The inverse of the zeta transform over the subset lattice.
+    len(values) must be a power of two, 2^s; the cost is s * 2^(s-1)
+    subtractions.
     """
     size = len(values)
     step = 1
     while step < size:
         for base in range(step, size, 2 * step):
             for c in range(base, base + step):
-                values[c] += sign * values[c - step]
+                values[c] -= values[c - step]
         step *= 2
 
 
@@ -108,8 +132,13 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     _require_proper_nonzero(ideal)
     member = _membership(ideal)
     in_ideal = member.in_ideal
-    verts = b.support()
-    weights = [member.weight.get(v, 0) for v in verts]
+    bits = []
+    rest = b.mask
+    while rest:
+        low = rest & -rest
+        bits.append(low)
+        rest ^= low
+    weights = [member.weight.get(bit, 0) for bit in bits]
     inside = sum(weights)
     if not in_ideal[inside]:
         return SimplicialComplex(b.mask, frozenset())
@@ -119,10 +148,10 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     while stack:
         face, rest, start = stack.pop()
         faces.append(face)
-        for k in range(start, len(verts)):
+        for k in range(start, len(bits)):
             smaller = rest & ~weights[k]
             if in_ideal[smaller]:
-                stack.append((face | 1 << verts[k], smaller, k + 1))
+                stack.append((face | bits[k], smaller, k + 1))
     return SimplicialComplex(b.mask, frozenset(faces))
 
 
@@ -165,27 +194,42 @@ class BettiTable:
         }
 
 
+# reduced homology of {∅} and of two disjoint nonempty simplices
+_GENERATOR_RANKS = {-1: 1}
+_TWO_SIMPLICES_RANKS = {0: 1}
+
+
 def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:
     """Complete multigraded Betti table via upper Koszul homology.
 
-    Homology results are memoized per call keyed by the exact face set
-    (a frozenset of face masks); the same complex recurs across
-    multidegrees.
+    A closure element b that is a generator has K^b = {∅}, so beta_{0,b}
+    = 1.  One that exactly two generators g, h divide is their lcm, and
+    K^b is the two simplices on b - g and b - h, disjoint and nonempty,
+    so beta_{1,b} = 1.  Both hold over any field.  Every other b builds
+    its complex with `upper_koszul`; homology results are memoized per
+    call keyed by the exact face set (a frozenset of face masks), since
+    the same complex recurs across multidegrees.
     """
     _require_proper_nonzero(ideal)
     table = BettiTable(ideal.n)
+    gens = [g.mask for g in ideal.gens]
     memo: dict[frozenset[int], dict[int, int]] = {}
-    for b in lcm_closure(ideal):
-        complex_ = upper_koszul(ideal, b)
-        key = complex_.faces
-        ranks = memo.get(key)
-        if ranks is None:
-            ranks = reduced_homology_ranks(complex_, field_tag)
-            memo[key] = ranks
-        j = b.degree
+    for b, level in _lcm_levels(ideal).items():
+        if level == 1:
+            ranks = _GENERATOR_RANKS
+        elif level == 2 and len([g for g in gens if g | b == b]) == 2:
+            ranks = _TWO_SIMPLICES_RANKS
+        else:
+            complex_ = upper_koszul(ideal, Monomial(b, ideal.n))
+            key = complex_.faces
+            ranks = memo.get(key)
+            if ranks is None:
+                ranks = reduced_homology_ranks(complex_, field_tag)
+                memo[key] = ranks
+        j = b.bit_count()
         for dim, rank in ranks.items():
             i = dim + 1
-            table.fine[(i, b.mask)] = rank
+            table.fine[(i, b)] = rank
             table.coarse[(i, j)] = table.coarse.get((i, j), 0) + rank
     return table
 
@@ -278,7 +322,7 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
         coeff[m] = coeff.get(m, 0) + (-1) ** i * rank
     member = _membership(ideal)
     signed = list(member.in_ideal)
-    _subset_transform(signed, -1)
+    _mobius_transform(signed)
     for c, count in enumerate(signed):
         if count:
             m = member.expand(c)

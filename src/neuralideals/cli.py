@@ -19,6 +19,7 @@ from .monomials import (
     MonomialParseError,
     NeuronCountError,
     PairViolationError,
+    is_equigenerated,
     parse_ideal,
     render_ideal,
     validate_polarized_neural,
@@ -153,18 +154,21 @@ def cmd_check_linear(args) -> int:
     payload = {key: report[key] for key in (
         "schema", "n", "ideal", "linear_resolution", "linear_quotients",
         "recursive_linear_check")}
-    lr = payload["linear_resolution"]
+    # linear resolution is defined for equigenerated ideals only, and mixed
+    # degrees can have linear quotients without it
+    lr = payload["linear_resolution"] if is_equigenerated(ideal) is not None else None
     lq = payload["linear_quotients"]
     rlc = payload["recursive_linear_check"]
     if args.json:
         _emit_json(payload)
     else:
-        print(f"linear resolution (oracle): {'yes' if lr else 'no'}")
+        print("linear resolution (oracle): "
+              + ("n/a (not equigenerated)" if lr is None else ("yes" if lr else "no")))
         print(f"linear quotients (search):  {'yes' if lq else 'no'}")
         print("recursive check:            "
               + ("n/a (not generated in degree n)" if rlc is None
                  else ("yes" if rlc else "no")))
-    agreeing = {lr, lq is not None} | ({rlc} if rlc is not None else set())
+    agreeing = {lq is not None} | {check for check in (lr, rlc) if check is not None}
     if len(agreeing) > 1:
         print("DISAGREEMENT between linearity checks", file=sys.stderr)
         return EXIT_VERIFY
@@ -175,7 +179,7 @@ def _load_code(args):
     text = _read_text(args.file)
     try:
         return parse_code(text)
-    except CodeParseError as exc:
+    except (CodeParseError, NeuronCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 

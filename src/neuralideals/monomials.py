@@ -74,10 +74,6 @@ class Monomial:
         return cls(0, n)
 
     @classmethod
-    def variable(cls, name_bit: int, n: int) -> "Monomial":
-        return cls(1 << name_bit, n)
-
-    @classmethod
     def x(cls, i: int, n: int) -> "Monomial":
         """The variable x_i (1-indexed)."""
         return cls(1 << (i - 1), n)
@@ -198,9 +194,6 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         """Monomial membership: m lies in the ideal iff some generator divides it."""
         return any(g.divides(m) for g in self.gens)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.gens)
 
     def max_degree(self) -> int:
         if self.is_zero:

@@ -2,7 +2,7 @@
 
 Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
-multidegree, over pairwise lcms until nothing new appears, over sorted
+multidegree or of the generators' lcm, over pairwise lcms until nothing new appears, over sorted
 vertex tuples of faces, over the columns of a dense matrix of
 fractions, or over every prefix of a generator order.  They are exact
 and obviously correct, and only usable for small inputs.
@@ -68,6 +68,20 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
                 break
             sub = (sub - 1) & b.mask
     return SimplicialComplex(b.mask, frozenset(faces))
+
+
+def membership_table(ideal: MonomialIdeal) -> bytes:
+    """in_ideal[c] for every submask c of lcm(gens), its variables renumbered
+    in increasing bit order: 1 iff some generator lies inside c."""
+    top = 0
+    for g in ideal.gens:
+        top |= g.mask
+    positions = [p for p in range(top.bit_length()) if top >> p & 1]
+    out = []
+    for c in range(1 << len(positions)):
+        mask = sum(1 << p for k, p in enumerate(positions) if c >> k & 1)
+        out.append(int(any(g.mask & ~mask == 0 for g in ideal.gens)))
+    return bytes(out)
 
 
 def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]],

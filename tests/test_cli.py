@@ -119,6 +119,24 @@ class TestCheckLinear:
         assert checked == {key: report[key] for key in checked}
         assert checked["linear_resolution"] is linear
 
+    def test_mixed_degree_linear_quotients_agree(self, capsys, tmp_path):
+        # linear quotients without linear resolution is no disagreement
+        # when the generators have different degrees
+        path = tmp_path / "mixed.ideal"
+        path.write_text("x1\nx2*y3\n")
+        code, out, err = run_cli(capsys, "check-linear", str(path))
+        assert code == 0 and "DISAGREEMENT" not in err
+        assert "linear resolution (oracle): n/a (not equigenerated)" in out
+        assert "linear quotients (search):  yes" in out
+
+    def test_equigenerated_disagreement_exit_4(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "lin.ideal"
+        path.write_text("x1*x2\ny1*x2\nx1*y2\n")
+        monkeypatch.setattr(cli, "linear_quotients_search", lambda ideal: None)
+        code, out, err = run_cli(capsys, "check-linear", str(path))
+        assert code == 4 and "DISAGREEMENT" in err
+        assert "linear resolution (oracle): yes" in out
+
 
 class TestCodeCommands:
     def test_from_code(self, capsys, tmp_path):
@@ -151,6 +169,14 @@ class TestCodeCommands:
         path.write_text("01\n011\n")
         code, _, _ = run_cli(capsys, "from-code", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["from-code", "polarize"])
+    def test_word_longer_than_max_neurons_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "long.txt"
+        path.write_text("0" * 33 + "\n")
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "33" in err
 
     def test_polarize(self, capsys, tmp_path):
         path = tmp_path / "code.txt"

@@ -1,9 +1,10 @@
 """Differential tests: the package's kernels against brute force.
 
 The Euler check, the lcm-subset regularity bound, the lcm closure, the
-upper Koszul complex, reduced homology, the rank over Q and the
-linear-quotient search each have a slow reference in `brute_force`; the
-package's kernels must agree with it exactly.
+membership table, the upper Koszul complex, reduced homology, the Betti
+table, the rank over Q and the linear-quotient search each have a slow
+reference in `brute_force`; the package's kernels must agree with it
+exactly.
 """
 
 import brute_force
@@ -13,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuralideals import homology
+from neuralideals import betti
 from neuralideals.betti import (
+    _Membership,
     betti_table,
     euler_discrepancy,
     reg_upper_bound_lcm,
@@ -22,6 +25,7 @@ from neuralideals.betti import (
 from neuralideals.homology import FieldTag, rank_rational, reduced_homology_ranks
 from neuralideals.monomials import (
     Monomial,
+    _lcm_levels,
     lcm_closure,
     minimalize,
     parse_monomial,
@@ -120,6 +124,53 @@ class TestAgainstBruteForce:
             assert closure == brute_force.lcm_closure(ideal)
             for b in closure:
                 assert upper_koszul(ideal, b) == brute_force.upper_koszul(ideal, b)
+
+
+class TestBettiTableAgainstBruteForce:
+    """Closed forms at one- and two-generator multidegrees, and the
+    shift-OR membership table, against full enumeration."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(polarized_ideals())
+    @example(family_thm36(5, 5).inner)
+    def test_membership_table(self, ideal):
+        assert _Membership(ideal).in_ideal == brute_force.membership_table(ideal)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_every_degree_3_ideal(self, field):
+        for ideal in degree_3_ideals():
+            assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_sampled_degree_4_ideals(self, field):
+        universe = degree_n_universe(4)
+        for subset in sample_degree_n_subsets(4, 60, seed=11):
+            ideal = ideal_from_subset(universe, subset).inner
+            assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+
+    @settings(max_examples=150, deadline=None)
+    @given(polarized_ideals(), st.sampled_from(list(FieldTag)))
+    def test_mixed_degree_ideals(self, ideal, field):
+        assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+
+    def test_level_2_multidegree_with_a_third_divisor(self, monkeypatch):
+        # b = lcm(x1*x2, x2*x3) is also divisible by x1*x3, so K^b is three
+        # points, not two simplices, and beta_{1,b} = 2
+        n = 3
+        ideal = minimalize([parse_monomial(t, n) for t in ("x1*x2", "x2*x3", "x1*x3")], n)
+        b = parse_monomial("x1*x2*x3", n)
+        assert _lcm_levels(ideal)[b.mask] == 2
+        built = []
+
+        def recording(ideal, b):
+            built.append(b)
+            return upper_koszul(ideal, b)
+
+        monkeypatch.setattr(betti, "upper_koszul", recording)
+        table = betti_table(ideal)
+        assert table == brute_force.betti_table(ideal)
+        assert table.fine[(1, b.mask)] == 2
+        assert built == [b]  # the three generators take the closed form
 
 
 class TestRationalRankAgainstFractions:
