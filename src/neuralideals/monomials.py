@@ -101,9 +101,6 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(self.mask | other.mask, self.n)
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.mask & other.mask, self.n)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         shared = self.mask & other.mask
         if shared:
@@ -336,14 +333,19 @@ def validate_polarized_neural(ideal: MonomialIdeal) -> PolarizedNeuralIdeal:
 def parse_ideal(text: str, n: Optional[int] = None) -> MonomialIdeal:
     """Parse an ideal file: one monomial per line, `#` comments, blanks ignored.
 
-    When `n` is not given it is inferred as the largest variable index
-    seen (at least 1).
+    The printed form `(m1, m2, ...)` of a `MonomialIdeal`, possibly over
+    several lines, is read as well; `(0)` is the zero ideal.  When `n`
+    is not given it is inferred as the largest variable index seen (at
+    least 1).
     """
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
+    body = " ".join(lines)
+    if body.startswith("(") and body.endswith(")"):
+        lines = [] if body[1:-1].strip() == "0" else body[1:-1].split(",")
     if n is None:
         n = 1
         for line in lines:

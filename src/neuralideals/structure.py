@@ -5,15 +5,18 @@ The central decomposition: a pair-excluding ideal generated in the full
 degree n splits uniquely at any neuron i as I = x_i*J + y_i*K, with J
 and K living on the remaining neurons.  Everything downstream (the
 splitting-based invariant prediction and the homology-free linearity
-test) runs on that decomposition.
+test) runs on that decomposition.  The linearity test splits truth
+tables, 2^n-bit ints with one bit per degree-n generator, and the
+linear-quotient search works on sets of generator indices as bit masks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .betti import BettiTable, _require_proper_nonzero, betti_table, has_linear_resolution
+from .betti import _bit_clear_patterns, _require_proper_nonzero, betti_table, has_linear_resolution
 from .homology import FieldTag
 from .monomials import (
     Monomial,
@@ -81,27 +84,6 @@ def split_at_neuron(ideal: PolarizedNeuralIdeal, i: int) -> NeuronSplit:
     return NeuronSplit(i, minimalize(j_gens, n), minimalize(k_gens, n))
 
 
-def _drop_bits(bits: int, i: int) -> int:
-    """Delete bit position i-1 from a width-n slice, shifting higher bits down."""
-    low = bits & ((1 << (i - 1)) - 1)
-    return low | (bits >> i << (i - 1))
-
-
-def drop_neuron(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
-    """Reinterpret an ideal not using pair i over n-1 neurons, renumbering."""
-    n = ideal.n
-    xbit = 1 << (i - 1)
-    ybit = 1 << (n + i - 1)
-    gens = []
-    for g in ideal.gens:
-        if g.mask & (xbit | ybit):
-            raise ValueError(f"generator {g} still uses pair {i}")
-        x_part = _drop_bits(g.mask & ((1 << n) - 1), i)
-        y_part = _drop_bits(g.mask >> n, i)
-        gens.append(Monomial(x_part | y_part << (n - 1), n - 1))
-    return minimalize(gens, n - 1)
-
-
 @dataclass(frozen=True)
 class SplitPrediction:
     """Invariants and fine Betti numbers predicted from a pivot splitting."""
@@ -158,13 +140,16 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
     before g_j.  Call a generator set R orderable when |R| <= 1 or some
     c in R is admissible after R - {c} and R - {c} is orderable.
 
-    The search first decides whether the full set is orderable by
-    peeling admissible last generators off it, memoizing the sets found
-    not orderable; an ideal without linear quotients reaches few of
-    them.  Only when the full set is orderable does it build the order:
-    a forward backtracking over prefix sets, memoizing dead prefixes,
-    that returns the lexicographically least admissible order under the
-    canonical generator order.
+    When the generators share one degree, the search first refuses any
+    ideal that is not linearly related (`_linearly_related`), a test
+    polynomial in q that needs no Betti table.  Otherwise it decides
+    whether the full set is orderable by peeling admissible last
+    generators off it, memoizing the sets found not orderable; this
+    peel is exponential in q on some ideals.  Only when the full set is
+    orderable does it build the order: a forward backtracking over
+    prefix sets, memoizing dead prefixes, that returns the
+    lexicographically least admissible order under the canonical
+    generator order.
 
     Sets are bit masks of generator indices.  The colon S : c is
     generated by the quotients g_u & ~c over u in S, and is generated
@@ -178,6 +163,8 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
     _require_proper_nonzero(ideal)
     gens = ideal.gens
     masks = [g.mask for g in gens]
+    if is_equigenerated(ideal) is not None and not _linearly_related(masks):
+        return None
     q = len(masks)
     holders: dict[int, int] = {}
     for u, g in enumerate(masks):
@@ -243,68 +230,133 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
     return tuple(gens[i] for i in order)
 
 
+def _linearly_related(masks: list[int]) -> bool:
+    """Whether any two generators u, v are joined by a chain of generators
+    dividing lcm(u, v) whose neighbours differ in one variable each.
+
+    For generators of one degree this is necessary for linear quotients
+    (the "linearly related" condition of Bigdeli, Herzog and
+    Zaare-Nahandi).  In an admissible order take u before v: the
+    quotient of u by v is in the colon, so some w before v has w : v a
+    single variable dividing u; then w divides lcm(u, v) and differs from
+    v in one variable, and induction on the position of v joins u to w.
+    """
+    q = len(masks)
+    near = [0] * q
+    for u in range(q):
+        for w in range(u):
+            if (masks[u] ^ masks[w]).bit_count() == 2:
+                near[u] |= 1 << w
+                near[w] |= 1 << u
+    for u in range(q):
+        for v in range(u + 1, q):
+            if near[u] >> v & 1:
+                continue
+            lcm = masks[u] | masks[v]
+            inside = sum(1 << w for w, g in enumerate(masks) if g | lcm == lcm)
+            reach = frontier = 1 << u
+            while frontier and not reach >> v & 1:
+                step = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    step |= near[low.bit_length() - 1]
+                frontier = step & inside & ~reach
+                reach |= frontier
+            if not reach >> v & 1:
+                return False
+    return True
+
+
 def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> bool:
     """Homology-free linearity test for ideals generated in the full degree n.
 
     Recurses through I = x_i*J + y_i*K: linear iff both branches are
     linear, J ∩ K is generated by the shared generators (equivalently,
     in degree n - 1), and that shared-generator ideal is recursively
-    linear.  When one branch contains the other the shared-generator
-    ideal is just the smaller branch.  A zero branch reduces to the
-    other branch alone (scaling by a variable preserves linearity).
-    Base case n = 1: any subset of {x1, y1}.
+    linear.  A zero branch reduces to the other branch alone (scaling
+    by a variable preserves linearity).  Base case n = 1: any subset of
+    {x1, y1}.
+
+    The recursion runs on truth tables.  A degree-n generator is fixed
+    by its y-bits c, so the ideal is the 2^n-bit int with bit c set iff
+    that generator is present.  Splitting at neuron k + 1 keeps the
+    points with bit k clear (J) and those with bit k set (K), each
+    renumbered with bit k removed; the shared generators are J & K.
 
     pivot: "last" always splits at the highest neuron; "smallest" picks
-    the neuron giving the most even branch sizes.  The outcome is
-    pivot-independent.
+    the neuron giving the most even branch sizes, the lowest on ties.
+    The outcome is pivot-independent.
     """
     inner = ideal.inner
     _require_proper_nonzero(inner)
-    if is_equigenerated(inner) != inner.n:
+    n = inner.n
+    if is_equigenerated(inner) != n:
         raise NotEquigeneratedDegreeNError(
-            f"{inner} is not generated in the full degree n = {inner.n}"
+            f"{inner} is not generated in the full degree n = {n}"
         )
     if pivot not in ("last", "smallest"):
         raise ValueError(f"unknown pivot rule {pivot!r}")
-    return _recursive_check(inner, pivot)
+    full = (1 << n) - 1
+    table = 0
+    for g in inner.gens:
+        neither = full & ~(g.mask | g.mask >> n)
+        if neither:
+            raise NotSplittableError((neither & -neither).bit_length(), g)
+        table |= 1 << (g.mask >> n)
+
+    @functools.cache  # one memo per call
+    def linear(t: int, m: int) -> bool:
+        if m == 1:
+            return True  # subsets of {x1, y1} are variable ideals
+        j, k = _halves(t, m, m - 1 if pivot == "last" else _most_even_bit(t, m))
+        if not (j and k):
+            return linear(j | k, m - 1)
+        return (_shared_divide_lcms(j, k, j & k, m - 1) and linear(j, m - 1)
+                and linear(k, m - 1) and linear(j & k, m - 1))
+
+    return linear(table, n)
 
 
-def _pick_pivot(ideal: MonomialIdeal, rule: str) -> int:
-    if rule == "last":
-        return ideal.n
-    best, best_score = ideal.n, None
-    for i in range(1, ideal.n + 1):
-        xbit = 1 << (i - 1)
-        nx = sum(1 for g in ideal.gens if g.mask & xbit)
-        score = abs(2 * nx - len(ideal.gens))
-        if best_score is None or score < best_score:
-            best, best_score = i, score
-    return best
+def _most_even_bit(t: int, m: int) -> int:
+    """The lowest k minimizing |2 * (points with bit k clear) - q|."""
+    q = t.bit_count()
+    clear = _bit_clear_patterns(m)
+    return min(range(m), key=lambda b: abs(2 * (t & clear[b]).bit_count() - q))
 
 
-def _recursive_check(ideal: MonomialIdeal, rule: str) -> bool:
-    n = ideal.n
-    if n == 1:
-        return True  # subsets of {x1, y1} are variable ideals
-    i = _pick_pivot(ideal, rule)
-    split = split_at_neuron(PolarizedNeuralIdeal(ideal), i)
-    J = drop_neuron(split.J, i)
-    K = drop_neuron(split.K, i)
-    if J.is_zero:
-        return _recursive_check(K, rule)
-    if K.is_zero:
-        return _recursive_check(J, rule)
-    if not (_recursive_check(J, rule) and _recursive_check(K, rule)):
-        return False
-    common = set(J.gens) & set(K.gens)
-    # J ∩ K is generated in degree n-1 iff every pairwise lcm is divisible
-    # by a shared generator; only then can the splitting keep reg at n
-    for a in J.gens:
-        for b in K.gens:
-            l = a.lcm(b)
-            if not any(c.divides(l) for c in common):
-                return False
-    return _recursive_check(minimalize(sorted(common, key=Monomial.sort_key), n - 1), rule)
+def _halves(t: int, m: int, k: int) -> tuple[int, int]:
+    """The points of the 2^m-bit table t with bit k clear and with bit k set,
+    each renumbered with bit k removed (swaps of neighbouring index bits
+    carry bit k to the top)."""
+    clear = _bit_clear_patterns(m)
+    for b in range(k, m - 1):
+        d = (t ^ t >> (1 << b)) & ~clear[b] & clear[b + 1]
+        t ^= d | d << (1 << b)
+    half = 1 << (m - 1)
+    return t & ((1 << half) - 1), t >> half
+
+
+def _shared_divide_lcms(j: int, k: int, shared: int, m: int) -> bool:
+    """Whether a shared generator divides every lcm(a, b), a in J, b in K.
+
+    c divides lcm(a, b) iff b agrees with c wherever c differs from a, so the
+    b that pass for a are the shared points closed under moving bits off a's."""
+    clear = _bit_clear_patterns(m)
+    rest = j & ~shared
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        reach = shared
+        for b, pattern in enumerate(clear):
+            if a >> b & 1:
+                reach |= reach >> (1 << b) & pattern
+            else:
+                reach |= (reach & pattern) << (1 << b)
+        if k & ~reach:
+            return False
+    return True
 
 
 # --- named witness families ---------------------------------------------------

@@ -4,7 +4,8 @@ Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
 multidegree or of the generators' lcm, over pairwise lcms until nothing new appears, over sorted
 vertex tuples of faces, over the columns of a dense matrix of
-fractions, or over every prefix of a generator order.  They are exact
+fractions, over every prefix of a generator order, or over the
+`Monomial` generators of each branch of a pivot split.  They are exact
 and obviously correct, and only usable for small inputs.
 """
 
@@ -15,7 +16,8 @@ from typing import Optional
 from neuralideals.betti import BettiTable
 from neuralideals.homology import FieldTag, SimplicialComplex, rank_f2
 from neuralideals.homology import rank_rational as sparse_rank_rational
-from neuralideals.monomials import Monomial, MonomialIdeal
+from neuralideals.monomials import Monomial, MonomialIdeal, PolarizedNeuralIdeal, minimalize
+from neuralideals.structure import split_at_neuron
 
 
 def _subset_lcms(ideal: MonomialIdeal):
@@ -218,3 +220,69 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
     if backtrack(0):
         return tuple(gens[i] for i in order)
     return None
+
+
+def _drop_bits(bits: int, i: int) -> int:
+    """Delete bit position i-1 from a width-n slice, shifting higher bits down."""
+    low = bits & ((1 << (i - 1)) - 1)
+    return low | (bits >> i << (i - 1))
+
+
+def drop_neuron(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
+    """Reinterpret an ideal not using pair i over n-1 neurons, renumbering."""
+    n = ideal.n
+    xbit = 1 << (i - 1)
+    ybit = 1 << (n + i - 1)
+    gens = []
+    for g in ideal.gens:
+        if g.mask & (xbit | ybit):
+            raise ValueError(f"generator {g} still uses pair {i}")
+        x_part = _drop_bits(g.mask & ((1 << n) - 1), i)
+        y_part = _drop_bits(g.mask >> n, i)
+        gens.append(Monomial(x_part | y_part << (n - 1), n - 1))
+    return minimalize(gens, n - 1)
+
+
+def _pick_pivot(ideal: MonomialIdeal, rule: str) -> int:
+    if rule == "last":
+        return ideal.n
+    best, best_score = ideal.n, None
+    for i in range(1, ideal.n + 1):
+        xbit = 1 << (i - 1)
+        nx = sum(1 for g in ideal.gens if g.mask & xbit)
+        score = abs(2 * nx - len(ideal.gens))
+        if best_score is None or score < best_score:
+            best, best_score = i, score
+    return best
+
+
+def _recursive_check(ideal: MonomialIdeal, rule: str) -> bool:
+    n = ideal.n
+    if n == 1:
+        return True  # subsets of {x1, y1} are variable ideals
+    i = _pick_pivot(ideal, rule)
+    split = split_at_neuron(PolarizedNeuralIdeal(ideal), i)
+    J = drop_neuron(split.J, i)
+    K = drop_neuron(split.K, i)
+    if J.is_zero:
+        return _recursive_check(K, rule)
+    if K.is_zero:
+        return _recursive_check(J, rule)
+    if not (_recursive_check(J, rule) and _recursive_check(K, rule)):
+        return False
+    common = set(J.gens) & set(K.gens)
+    # J ∩ K is generated in degree n-1 iff every pairwise lcm is divisible
+    # by a shared generator; only then can the splitting keep reg at n
+    for a in J.gens:
+        for b in K.gens:
+            l = a.lcm(b)
+            if not any(c.divides(l) for c in common):
+                return False
+    return _recursive_check(minimalize(sorted(common, key=Monomial.sort_key), n - 1), rule)
+
+
+def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> bool:
+    """The pivot recursion on `MonomialIdeal` branches, renumbering each
+    branch with `drop_neuron` and testing every pairwise lcm against the
+    shared generators.  Expects a degree-n pair-excluding ideal."""
+    return _recursive_check(ideal.inner, pivot)

@@ -12,6 +12,7 @@ import neuralideals
 from neuralideals import cli
 from neuralideals.cli import main
 from neuralideals.monomials import parse_ideal, render_ideal
+from neuralideals.verify import degree_n_universe
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,28 @@ class TestInvariantsCommand:
         _, first, _ = run_cli(capsys, "invariants", "--json", koszul_file)
         _, second, _ = run_cli(capsys, "invariants", "--json", koszul_file)
         assert first == second
+
+    def test_reads_printed_ideal(self, capsys, tmp_path):
+        # str(ideal), the form of every `verify` counterexample subject
+        lines = tmp_path / "lines.ideal"
+        lines.write_text("x1*x2*x3\nx2*x3*y1\n")
+        printed = tmp_path / "printed.ideal"
+        printed.write_text(str(parse_ideal(lines.read_text())) + "\n")
+        assert printed.read_text() == "(x1*x2*x3, x2*x3*y1)\n"
+        code, out, _ = run_cli(capsys, "invariants", "--json", str(printed))
+        assert code == 0
+        assert run_cli(capsys, "invariants", "--json", str(lines)) == (0, out, "")
+
+    def test_dense_degree_5_ideal(self, capsys, tmp_path):
+        # 30 of the 32 degree-5 generators, without linear quotients
+        removed = {"x2*x3*x4*x5*y1", "x1*x3*x4*x5*y2"}
+        gens = [str(g) for g in degree_n_universe(5) if str(g) not in removed]
+        path = tmp_path / "dense.ideal"
+        path.write_text("\n".join(gens) + "\n")
+        code, out, _ = run_cli(capsys, "invariants", "--json", str(path))
+        payload = json.loads(out)
+        assert code == 0 and len(payload["ideal"]) == 30
+        assert payload["reg"] == 6 and payload["linear_quotients"] is None
 
 
 class TestBettiCommand:

@@ -2,9 +2,11 @@
 
 The Euler check, the lcm-subset regularity bound, the lcm closure, the
 membership table, the upper Koszul complex, reduced homology, the Betti
-table, the rank over Q and the linear-quotient search each have a slow
-reference in `brute_force`; the package's kernels must agree with it
-exactly.
+table, the rank over Q, the linear-quotient search and the recursive
+linearity check each have a slow reference in `brute_force`; the
+package's kernels must agree with it exactly.  The linearly-related
+refusal in the linear-quotient search must never refuse an ideal for
+which the reference finds an order.
 """
 
 import brute_force
@@ -31,7 +33,15 @@ from neuralideals.monomials import (
     parse_monomial,
     restrict,
 )
-from neuralideals.structure import family_thm36, linear_quotients_search
+from neuralideals.structure import (
+    _halves,
+    _linearly_related,
+    _most_even_bit,
+    family_thm36,
+    linear_quotients_search,
+    recursive_linear_check,
+    split_at_neuron,
+)
 from neuralideals.verify import (
     degree_n_universe,
     ideal_from_subset,
@@ -81,9 +91,39 @@ def sparse(rows):
     return [{c: v for c, v in enumerate(r) if v} for r in rows]
 
 
+@st.composite
+def equigenerated_ideals(draw, max_n=4, max_gens=10):
+    """Pair-excluding ideals whose generators all have one degree d."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, n))
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        mask = 0
+        for i in draw(st.permutations(range(n)))[:d]:
+            mask |= 1 << (n + i if draw(st.booleans()) else i)
+        gens.append(Monomial(mask, n))
+    return minimalize(gens, n)
+
+
+def degree_n_ideals(n, count=None, seed=0):
+    """Every degree-n ideal, or `count` seeded samples of them."""
+    universe = degree_n_universe(n)
+    subsets = range(1, 1 << (1 << n)) if count is None \
+        else sample_degree_n_subsets(n, count, seed)
+    return [ideal_from_subset(universe, s) for s in subsets]
+
+
 def degree_3_ideals():
-    universe = degree_n_universe(3)
-    return [ideal_from_subset(universe, s).inner for s in range(1, 1 << 8)]
+    return [P.inner for P in degree_n_ideals(3)]
+
+
+def masks_of(ideal):
+    return [g.mask for g in ideal.gens]
+
+
+def truth_table(ideal):
+    """Bit c set iff the degree-n generator with y-bits c is present."""
+    return sum(1 << (g.mask >> ideal.n) for g in ideal.gens)
 
 
 class TestAgainstBruteForce:
@@ -276,6 +316,102 @@ class TestLinearQuotientsAgainstBacktracking:
         order = linear_quotients_search(ideal)
         assert order is not None and len(order) == 32
         assert order == brute_force.linear_quotients_search(ideal)
+
+
+class TestLinearlyRelatedRefusal:
+    """The refusal is sound: whenever the forward search finds an order,
+    the generators are linearly related."""
+
+    def test_every_degree_3_ideal_and_its_restrictions(self):
+        refused = 0
+        for ideal in degree_3_ideals():
+            subs = [restrict(ideal, m) for m in lcm_closure(ideal)]
+            for sub in [ideal] + [s for s in subs if s.is_proper_nonzero and s != ideal]:
+                if brute_force.linear_quotients_search(sub) is not None:
+                    assert _linearly_related(masks_of(sub))
+                else:
+                    refused += not _linearly_related(masks_of(sub))
+        assert refused > 0
+
+    def test_sampled_degree_4_ideals(self):
+        found = 0
+        for P in degree_n_ideals(4, 300, seed=9):
+            if brute_force.linear_quotients_search(P.inner) is not None:
+                found += 1
+                assert _linearly_related(masks_of(P.inner))
+        assert found > 0
+
+    def test_thm36_product_of_32_generators(self):
+        assert _linearly_related(masks_of(family_thm36(5, 5).inner))
+
+    @settings(max_examples=200, deadline=None)
+    @given(equigenerated_ideals())
+    def test_equigenerated_ideals(self, ideal):
+        if brute_force.linear_quotients_search(ideal) is not None:
+            assert _linearly_related(masks_of(ideal))
+
+    @pytest.mark.parametrize("texts", [
+        # x1*x2 and x3*x4 differ in four variables and no generator lies
+        # between them
+        ("x1*x2", "x3*x4"),
+        # a chain x1*x2, x2*y1, x3*y1, x3*x4 joins them, but through
+        # generators that do not divide x1*x2*x3*x4
+        ("x1*x2", "x2*y1", "x3*y1", "x3*x4"),
+    ])
+    def test_refused_example(self, texts):
+        ideal = minimalize([parse_monomial(t, 4) for t in texts], 4)
+        assert not _linearly_related(masks_of(ideal))
+        assert linear_quotients_search(ideal) is None
+        assert brute_force.linear_quotients_search(ideal) is None
+
+    def test_mixed_degrees_bypass_the_refusal(self):
+        # (x1, x2*x3) has linear quotients in the order x1, x2*x3 but is
+        # not linearly related, so the refusal must not run on it
+        ideal = minimalize([parse_monomial(t, 3) for t in ("x1", "x2*x3")], 3)
+        assert not _linearly_related(masks_of(ideal))
+        order = linear_quotients_search(ideal)
+        assert order is not None
+        assert order == brute_force.linear_quotients_search(ideal)
+
+
+class TestRecursiveCheckAgainstReference:
+    """The truth-table recursion gives the reference recursion's answer,
+    under both pivot rules."""
+
+    @pytest.mark.parametrize("pivot", ["last", "smallest"])
+    def test_every_ideal_up_to_degree_3(self, pivot):
+        for n in (1, 2, 3):
+            for P in degree_n_ideals(n):
+                assert recursive_linear_check(P, pivot) == \
+                    brute_force.recursive_linear_check(P, pivot)
+
+    @pytest.mark.parametrize("pivot", ["last", "smallest"])
+    @pytest.mark.parametrize("n, count", [(4, 400), (5, 60)])
+    def test_sampled_ideals(self, n, count, pivot):
+        outcomes = set()
+        for P in degree_n_ideals(n, count, seed=11):
+            linear = recursive_linear_check(P, pivot)
+            assert linear == brute_force.recursive_linear_check(P, pivot)
+            outcomes.add(linear)
+        if n == 4:  # sampled n=5 ideals are almost never linear; see thm36 below
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_split_and_pivot_of_every_ideal(self, n):
+        # both pivot rules give the same answer, so these are the tests
+        # that see a wrong split or a wrong "smallest" pivot
+        for P in degree_n_ideals(n):
+            table = truth_table(P.inner)
+            assert _most_even_bit(table, n) + 1 == brute_force._pick_pivot(P.inner, "smallest")
+            for i in range(1, n + 1):
+                split = split_at_neuron(P, i)
+                J, K = (brute_force.drop_neuron(b, i) for b in (split.J, split.K))
+                assert _halves(table, n, i - 1) == (truth_table(J), truth_table(K))
+
+    def test_thm36_is_linear(self):
+        P = family_thm36(5, 5)
+        assert recursive_linear_check(P, "smallest") is True
+        assert brute_force.recursive_linear_check(P, "smallest") is True
 
 
 @st.composite

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from neuralideals.monomials import (
     Monomial,
+    MonomialParseError,
     NeuronCountError,
     NonSquarefreeProductError,
     PairViolationError,
@@ -52,7 +53,7 @@ class TestMonomialBasics:
         a, b = m("x1*x2", 2), m("x1*y2", 2)
         assert not a.divides(b)
         assert a.lcm(b) == m("x1*x2*y2", 2)
-        assert a.gcd(b) == m("x1", 2)
+        assert a.mask & b.mask == m("x1", 2).mask  # gcd
         assert m("x1", 2).divides(a)
 
     def test_product_disjoint_only(self):
@@ -198,3 +199,22 @@ class TestIdealText:
 
     def test_explicit_n_overrides_inference(self):
         assert parse_ideal("x1", n=3).n == 3
+
+    def test_printed_form(self):
+        expected = ideal(3, "x1*x2*x3", "x2*x3*y1")
+        assert parse_ideal("(x1*x2*x3, x2*x3*y1)") == expected
+        assert parse_ideal("# subject\n(x1*x2*x3,\n x2*x3*y1)  # trailing\n") == expected
+        assert parse_ideal("(0)", n=2) == minimalize([], 2)
+
+    @pytest.mark.parametrize("text", ["()", "(x1,,y1)", "(x1, y1", "x1, y1)"])
+    def test_malformed_printed_form(self, text):
+        with pytest.raises(MonomialParseError):
+            parse_ideal(text)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << (2 * n)) - 1), max_size=8))))
+    @settings(max_examples=200, deadline=None)
+    def test_printed_form_roundtrip(self, n_masks):
+        n, masks = n_masks
+        I = minimalize([Monomial(mk, n) for mk in masks], n)
+        assert parse_ideal(str(I), n=I.n) == I

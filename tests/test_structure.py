@@ -1,8 +1,10 @@
 """Splittings, linear-quotient search, the recursive linearity test, families."""
 
 import random
+import time
 
 import pytest
+from brute_force import drop_neuron
 
 from neuralideals.betti import betti_table, has_linear_resolution, invariants
 from neuralideals.monomials import (
@@ -18,7 +20,6 @@ from neuralideals.structure import (
     NotEquigeneratedDegreeNError,
     NotSplittableError,
     betti_splitting_predict,
-    drop_neuron,
     family_prop32,
     family_prop33,
     family_prop34_pd,
@@ -168,6 +169,33 @@ class TestRecursiveLinearCheck:
         assert recursive_linear_check(P)
         assert has_linear_resolution(P.inner)
         assert linear_quotients_search(P.inner) is not None
+
+
+def dense_degree_5_ideal():
+    """All 32 degree-5 generators but x2*x3*x4*x5*y1 and x1*x3*x4*x5*y2.
+
+    x1*x2*x3*x4*x5 and x3*x4*x5*y1*y2 differ in four variables, and the
+    only generators between them with one variable changed per step are
+    the two removed ones, so the ideal is not linearly related.
+    """
+    removed = {m("x2*x3*x4*x5*y1", 5), m("x1*x3*x4*x5*y2", 5)}
+    return validate_polarized_neural(
+        minimalize([g for g in degree_n_universe(5) if g not in removed], 5))
+
+
+class TestDenseTail:
+    def test_refused_without_the_peel(self):
+        I = dense_degree_5_ideal().inner
+        assert len(I.gens) == 30
+        start = time.perf_counter()
+        assert linear_quotients_search(I) is None
+        assert time.perf_counter() - start < 2.0
+
+    def test_not_linear(self):
+        P = dense_degree_5_ideal()
+        assert not recursive_linear_check(P)
+        assert not has_linear_resolution(P.inner)
+        assert betti_table(P.inner).reg == 6
 
 
 class TestFamilies:
