@@ -18,17 +18,7 @@ from .betti import (
     reg_upper_bound_lcm,
     upper_koszul,
 )
-from .codes import (
-    NeuralCode,
-    Pseudomonomial,
-    code_to_polarized_ideal,
-    evaluate,
-    minimize_pseudos,
-    parse_code,
-    polarize,
-    pseudo_divides,
-    vanishing_generators,
-)
+from .codes import NeuralCode, code_to_polarized_ideal, parse_code
 from .homology import FieldTag, SimplicialComplex, reduced_homology_ranks
 from .monomials import (
     Monomial,
@@ -39,6 +29,7 @@ from .monomials import (
     UnitOrZeroIdealError,
     ZeroIdealError,
     colon,
+    degree_n_ideal,
     intersect,
     is_equigenerated,
     lcm_closure,
@@ -48,6 +39,7 @@ from .monomials import (
     render_ideal,
     restrict,
     scale,
+    truth_table,
     validate_polarized_neural,
 )
 from .structure import (

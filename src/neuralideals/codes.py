@@ -1,11 +1,13 @@
-"""Binary neural codes and their pseudomonomial generators.
+"""Binary neural codes and their polarized neural ideals.
 
 A codeword on n neurons is a length-n bit vector; internally codewords
 are ints with c_i at bit i-1 (c_1 is the leftmost character of the text
-form).  A pseudomonomial is a pair of disjoint index sets (sigma, tau)
-standing for prod_{i in sigma} x_i * prod_{j in tau} (1 - x_j); the
-substitution (1 - x_j) -> y_j turns it into a squarefree monomial over
-the paired variables.
+form).  The neural ideal of a code has one indicator pseudomonomial
+prod_{i in v} x_i * prod_{j not in v} (1 - x_j) per non-codeword v;
+the substitution (1 - x_j) -> y_j polarizes it to the degree-n monomial
+x^v * y^(full - v).  The ideal is therefore a truth table with bit
+full ^ v (that generator's y-bits) set for each non-codeword v, and
+`monomials.degree_n_ideal` builds it.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .monomials import (
-    Monomial,
-    PolarizedNeuralIdeal,
-    _check_n,
-    minimalize,
-    validate_polarized_neural,
-)
+from .monomials import PolarizedNeuralIdeal, _check_n, degree_n_ideal
 
 
 class LengthMismatchError(ValueError):
@@ -88,90 +84,16 @@ def parse_code(text: str) -> NeuralCode:
     return NeuralCode.from_strings(lines)
 
 
-@dataclass(frozen=True)
-class Pseudomonomial:
-    """Disjoint index sets (sigma, tau) over neurons 1..n."""
-
-    sigma: frozenset[int]
-    tau: frozenset[int]
-    n: int
-
-    def __post_init__(self):
-        _check_n(self.n)
-        if self.sigma & self.tau:
-            raise ValueError(f"sigma and tau overlap: {sorted(self.sigma & self.tau)}")
-        for i in self.sigma | self.tau:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"index {i} out of range for n = {self.n}")
-
-
-def evaluate(p: Pseudomonomial, word: int, n: int) -> int:
-    """Evaluate p at a codeword: 1 iff the word is 1 on sigma and 0 on tau."""
-    if n != p.n:
-        raise LengthMismatchError(f"pseudomonomial over n = {p.n}, codeword over n = {n}")
-    if word < 0 or word >> n:
-        raise LengthMismatchError(f"codeword {word:#x} does not fit {n} bits")
-    for i in p.sigma:
-        if not word >> (i - 1) & 1:
-            return 0
-    for j in p.tau:
-        if word >> (j - 1) & 1:
-            return 0
-    return 1
-
-
-def vanishing_generators(code: NeuralCode) -> set[Pseudomonomial]:
-    """One indicator pseudomonomial per non-codeword.
-
-    For v outside the code, sigma = support(v) and tau = its complement,
-    so the result is 1 exactly at v and vanishes on the whole code.
-    """
-    n = code.n
-    out = set()
-    for v in range(1 << n):
-        if v in code.words:
-            continue
-        sigma = frozenset(i for i in range(1, n + 1) if v >> (i - 1) & 1)
-        tau = frozenset(range(1, n + 1)) - sigma
-        out.add(Pseudomonomial(sigma, tau, n))
-    return out
-
-
-def pseudo_divides(p: Pseudomonomial, q: Pseudomonomial) -> bool:
-    """Containment of both index sets."""
-    if p.n != q.n:
-        raise LengthMismatchError("pseudomonomials over different neuron counts")
-    return p.sigma <= q.sigma and p.tau <= q.tau
-
-
-def minimize_pseudos(ps: set[Pseudomonomial]) -> set[Pseudomonomial]:
-    """Keep only the divisibility-minimal pseudomonomials.
-
-    Output of `vanishing_generators` is already an antichain (every
-    element has sigma ∪ tau = [n]) and passes through unchanged.
-    """
-    return {
-        p for p in ps
-        if not any(q != p and pseudo_divides(q, p) for q in ps)
-    }
-
-
-def polarize(p: Pseudomonomial) -> Monomial:
-    """x-bits at sigma, y-bits at tau; never divisible by any x_i*y_i."""
-    mask = 0
-    for i in p.sigma:
-        mask |= 1 << (i - 1)
-    for j in p.tau:
-        mask |= 1 << (p.n + j - 1)
-    return Monomial(mask, p.n)
-
-
 def code_to_polarized_ideal(code: NeuralCode) -> PolarizedNeuralIdeal:
-    """Full pipeline: vanishing generators -> minimize -> polarize -> minimalize.
+    """One degree-n generator x^v * y^(full - v) per non-codeword v.
 
-    The result is generated in degree exactly n with 2^n - |code|
-    generators; the full code yields the zero ideal.
+    It is the polarized indicator pseudomonomial of v, so it vanishes on
+    the whole code; the ideal has 2^n - |code| generators, and the full
+    code yields the zero ideal.
     """
-    pseudos = minimize_pseudos(vanishing_generators(code))
-    ideal = minimalize((polarize(p) for p in pseudos), code.n)
-    return validate_polarized_neural(ideal)
+    full = (1 << code.n) - 1
+    table = 0
+    for v in range(1 << code.n):
+        if v not in code.words:
+            table |= 1 << (full ^ v)
+    return degree_n_ideal(table, code.n)

@@ -1,9 +1,11 @@
 """Squarefree monomials and monomial ideals in the paired ring k[x_1..x_n, y_1..y_n].
 
 A monomial is a bit set over the 2n variables: bit i-1 holds x_i, bit
-n+i-1 holds y_i.  All operations are exact and purely combinatorial.
-Everything here is an immutable value; functions never mutate their
-arguments.
+n+i-1 holds y_i.  An ideal whose generators are all degree-n and
+pair-excluding is also a 2^n-bit truth table, one bit per generator;
+`degree_n_ideal` and `truth_table` convert between the two.  All
+operations are exact and purely combinatorial.  Everything here is an
+immutable value; functions never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -35,6 +37,17 @@ class PairViolationError(ValueError):
         self.neuron = neuron
         self.generator = generator
         super().__init__(f"generator {generator} is divisible by x{neuron}*y{neuron}")
+
+
+class NotSplittableError(ValueError):
+    """Some generator is divisible by neither variable of the pivot pair."""
+
+    def __init__(self, neuron: int, generator: "Monomial"):
+        self.neuron = neuron
+        self.generator = generator
+        super().__init__(
+            f"generator {generator} is divisible by neither x{neuron} nor y{neuron}"
+        )
 
 
 class ZeroIdealError(ValueError):
@@ -328,6 +341,44 @@ def validate_polarized_neural(ideal: MonomialIdeal) -> PolarizedNeuralIdeal:
         if both:
             raise PairViolationError((both & -both).bit_length(), g)
     return PolarizedNeuralIdeal(ideal)
+
+
+def degree_n_ideal(table: int, n: int) -> PolarizedNeuralIdeal:
+    """The degree-n ideal of a truth table: one generator per set bit.
+
+    Bit c stands for the generator with y-bits c and x-bits full ^ c,
+    the polarized indicator of the word full ^ c; `table` 0 is the zero
+    ideal.  Ascending c is the canonical (degree, mask) order and
+    distinct masks of one degree form an antichain, so the generators
+    are the minimal ones as built.
+    """
+    _check_n(n)
+    if table < 0 or table.bit_length() > 1 << n:
+        raise ValueError(f"truth table {table:#x} does not fit 2^{n} bits")
+    full = (1 << n) - 1
+    gens = tuple(Monomial(c << n | full ^ c, n)
+                 for c, bit in enumerate(reversed(f"{table:b}")) if bit == "1")
+    return PolarizedNeuralIdeal(MonomialIdeal(n, gens))
+
+
+def truth_table(ideal: MonomialIdeal) -> int:
+    """Inverse of `degree_n_ideal`: bit c set iff the generator with y-bits c is present.
+
+    A generator divisible by neither x_i nor y_i raises NotSplittableError
+    (least such i); one divisible by both raises PairViolationError.
+    """
+    n = ideal.n
+    full = (1 << n) - 1
+    table = 0
+    for g in ideal.gens:
+        c = g.mask >> n
+        neither = full & ~(g.mask | c)
+        if neither:
+            raise NotSplittableError((neither & -neither).bit_length(), g)
+        if g.mask != c << n | full ^ c:
+            raise PairViolationError(g.pair_violation(), g)
+        table |= 1 << c
+    return table
 
 
 def parse_ideal(text: str, n: Optional[int] = None) -> MonomialIdeal:

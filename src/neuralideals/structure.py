@@ -21,25 +21,16 @@ from .homology import FieldTag
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    NotSplittableError,
     PolarizedNeuralIdeal,
     UnitOrZeroIdealError,
     intersect,
     is_equigenerated,
     minimalize,
     scale,
+    truth_table,
     validate_polarized_neural,
 )
-
-
-class NotSplittableError(ValueError):
-    """Some generator is divisible by neither variable of the pivot pair."""
-
-    def __init__(self, neuron: int, generator: Monomial):
-        self.neuron = neuron
-        self.generator = generator
-        super().__init__(
-            f"generator {generator} is divisible by neither x{neuron} nor y{neuron}"
-        )
 
 
 class NotEquigeneratedDegreeNError(ValueError):
@@ -278,11 +269,11 @@ def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> 
     by a variable preserves linearity).  Base case n = 1: any subset of
     {x1, y1}.
 
-    The recursion runs on truth tables.  A degree-n generator is fixed
-    by its y-bits c, so the ideal is the 2^n-bit int with bit c set iff
-    that generator is present.  Splitting at neuron k + 1 keeps the
-    points with bit k clear (J) and those with bit k set (K), each
-    renumbered with bit k removed; the shared generators are J & K.
+    The recursion runs on the ideal's `truth_table`: the 2^n-bit int
+    with bit c set iff the degree-n generator with y-bits c is present.
+    Splitting at neuron k + 1 keeps the points with bit k clear (J) and
+    those with bit k set (K), each renumbered with bit k removed; the
+    shared generators are J & K.
 
     pivot: "last" always splits at the highest neuron; "smallest" picks
     the neuron giving the most even branch sizes, the lowest on ties.
@@ -297,13 +288,7 @@ def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> 
         )
     if pivot not in ("last", "smallest"):
         raise ValueError(f"unknown pivot rule {pivot!r}")
-    full = (1 << n) - 1
-    table = 0
-    for g in inner.gens:
-        neither = full & ~(g.mask | g.mask >> n)
-        if neither:
-            raise NotSplittableError((neither & -neither).bit_length(), g)
-        table |= 1 << (g.mask >> n)
+    table = truth_table(inner)
 
     @functools.cache  # one memo per call
     def linear(t: int, m: int) -> bool:

@@ -30,11 +30,11 @@ from .monomials import (
     MonomialIdeal,
     NeuronCountError,
     PolarizedNeuralIdeal,
+    degree_n_ideal,
     lcm_closure,
     minimalize,
     restrict,
     scale,
-    validate_polarized_neural,
 )
 from .structure import (
     JNotLinearError,
@@ -105,24 +105,6 @@ class VerificationReport:
             "findings": list(self.findings),
             "timings": {k: round(v, 3) for k, v in sorted(self.timings.items())},
         }
-
-
-def degree_n_universe(n: int) -> list[Monomial]:
-    """All 2^n full-degree pair-excluding monomials, canonically sorted."""
-    out = []
-    for choice in range(1 << n):
-        mask = 0
-        for i in range(n):
-            mask |= 1 << (n + i) if choice >> i & 1 else 1 << i
-        out.append(Monomial(mask, n))
-    out.sort(key=Monomial.sort_key)
-    return out
-
-
-def ideal_from_subset(universe: list[Monomial], subset: int) -> PolarizedNeuralIdeal:
-    gens = [universe[i] for i in range(len(universe)) if subset >> i & 1]
-    # equal degrees: any nonempty subset is already an antichain
-    return validate_polarized_neural(minimalize(gens, universe[0].n))
 
 
 def enumerate_degree_n_subsets(n: int) -> Iterator[int]:
@@ -231,8 +213,7 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
 
 def _check_subset(args) -> tuple[str, dict[str, list[str]]]:
     n, subset, field_value, restriction, field_compare = args
-    universe = degree_n_universe(n)
-    ideal = ideal_from_subset(universe, subset)
+    ideal = degree_n_ideal(subset, n)
     results = check_degree_n_ideal(
         ideal, FieldTag(field_value),
         restriction_closure=restriction, field_compare=field_compare,
@@ -329,32 +310,26 @@ def code_suite(report: VerificationReport, trials: int, seed: int, n_max: int = 
         n = rng.randint(1, n_max)
         words = frozenset(w for w in range(1 << n) if rng.random() < 0.5)
         code = codes_mod.NeuralCode(n, words)
-        pseudos = codes_mod.vanishing_generators(code)
+        ideal = codes_mod.code_to_polarized_ideal(code)
+        full = (1 << n) - 1
+        non_words = (1 << n) - len(words)
         fails = []
         covered = set()
-        for p in pseudos:
-            for w in range(1 << n):
-                val = codes_mod.evaluate(p, w, n)
-                if w in words and val:
-                    fails.append(f"{p} does not vanish on codeword {w:0{n}b}")
-                if val:
-                    covered.add(w)
-        expected_off = set(range(1 << n)) - words
-        if covered != expected_off:
-            fails.append("indicator supports do not cover exactly the non-codewords")
-        if len(pseudos) != (1 << n) - len(words):
-            fails.append(f"{len(pseudos)} pseudomonomials for {(1 << n) - len(words)} non-words")
-        ideal = codes_mod.code_to_polarized_ideal(code)
-        if len(words) == (1 << n):
-            if not ideal.inner.is_zero:
-                fails.append("full code did not give the zero ideal")
-        else:
-            if len(ideal.inner.gens) != (1 << n) - len(words):
-                fails.append("generator count != 2^n - |C|")
-            if any(g.degree != n for g in ideal.inner.gens):
-                fails.append("pipeline output not equigenerated in degree n")
-        report.record("code-pipeline", codes_mod.word_to_string(0, n) if not words
-                      else ",".join(code.word_strings()), fails)
+        for g in ideal.inner.gens:
+            # g is 1 at w iff its x-bits lie in w and its y-bits miss w
+            hits = [w for w in range(1 << n)
+                    if not g.mask & full & ~w and not (g.mask >> n) & w]
+            fails.extend(f"{g} does not vanish on codeword {codes_mod.word_to_string(w, n)}"
+                         for w in hits if w in words)
+            covered.update(hits)
+        if covered != set(range(1 << n)) - words:
+            fails.append("generator supports do not cover exactly the non-codewords")
+        # for the full code this is the zero-ideal check
+        if len(ideal.inner.gens) != non_words:
+            fails.append(f"{len(ideal.inner.gens)} generators for {non_words} non-codewords")
+        if any(g.degree != n for g in ideal.inner.gens):
+            fails.append("pipeline output not equigenerated in degree n")
+        report.record("code-pipeline", ",".join(code.word_strings()) or "{}", fails)
 
 
 def lr_lq_witness_findings(n: int, degree: int, trials: int, seed: int) -> list[str]:
@@ -362,8 +337,7 @@ def lr_lq_witness_findings(n: int, degree: int, trials: int, seed: int) -> list[
     linear-quotients witness; reports, never asserts."""
     rng = random.Random(seed)
     universe = [Monomial(m, n) for m in range(1, 1 << (2 * n))
-                if Monomial(m, n).degree == degree
-                and Monomial(m, n).pair_violation() is None]
+                if m.bit_count() == degree and not m & m >> n]
     witnesses = []
     for _ in range(trials):
         count = rng.randint(1, min(6, len(universe)))

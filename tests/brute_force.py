@@ -4,19 +4,29 @@ Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
 multidegree or of the generators' lcm, over pairwise lcms until nothing new appears, over sorted
 vertex tuples of faces, over the columns of a dense matrix of
-fractions, over every prefix of a generator order, or over the
-`Monomial` generators of each branch of a pivot split.  They are exact
-and obviously correct, and only usable for small inputs.
+fractions, over every prefix of a generator order, over the
+`Monomial` generators of each branch of a pivot split, over a sorted
+list of all 2^n degree-n monomials, or over the indicator
+pseudomonomials of a code's non-codewords.  They are exact and
+obviously correct, and only usable for small inputs.
 """
 
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from neuralideals.betti import BettiTable
+from neuralideals.codes import LengthMismatchError, NeuralCode
 from neuralideals.homology import FieldTag, SimplicialComplex, rank_f2
 from neuralideals.homology import rank_rational as sparse_rank_rational
-from neuralideals.monomials import Monomial, MonomialIdeal, PolarizedNeuralIdeal, minimalize
+from neuralideals.monomials import (
+    Monomial,
+    MonomialIdeal,
+    PolarizedNeuralIdeal,
+    minimalize,
+    validate_polarized_neural,
+)
 from neuralideals.structure import split_at_neuron
 
 
@@ -286,3 +296,79 @@ def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> 
     branch with `drop_neuron` and testing every pairwise lcm against the
     shared generators.  Expects a degree-n pair-excluding ideal."""
     return _recursive_check(ideal.inner, pivot)
+
+
+def degree_n_universe(n: int) -> list[Monomial]:
+    """All 2^n full-degree pair-excluding monomials, canonically sorted."""
+    out = []
+    for choice in range(1 << n):
+        mask = 0
+        for i in range(n):
+            mask |= 1 << (n + i) if choice >> i & 1 else 1 << i
+        out.append(Monomial(mask, n))
+    out.sort(key=Monomial.sort_key)
+    return out
+
+
+def ideal_from_subset(universe: list[Monomial], subset: int) -> PolarizedNeuralIdeal:
+    """The ideal of the universe members at the set bits of `subset`."""
+    gens = [universe[i] for i in range(len(universe)) if subset >> i & 1]
+    return validate_polarized_neural(minimalize(gens, universe[0].n))
+
+
+@dataclass(frozen=True)
+class Pseudomonomial:
+    """prod_{i in sigma} x_i * prod_{j in tau} (1 - x_j) over neurons 1..n."""
+
+    sigma: frozenset[int]
+    tau: frozenset[int]
+    n: int
+
+    def __post_init__(self):
+        if self.sigma & self.tau:
+            raise ValueError(f"sigma and tau overlap: {sorted(self.sigma & self.tau)}")
+        for i in self.sigma | self.tau:
+            if not 1 <= i <= self.n:
+                raise ValueError(f"index {i} out of range for n = {self.n}")
+
+
+def evaluate(p: Pseudomonomial, word: int, n: int) -> int:
+    """1 iff the word is 1 on sigma and 0 on tau."""
+    if n != p.n or word < 0 or word >> n:
+        raise LengthMismatchError(f"codeword {word:#x} over n = {n}, pseudomonomial over {p.n}")
+    if any(not word >> (i - 1) & 1 for i in p.sigma):
+        return 0
+    return 0 if any(word >> (j - 1) & 1 for j in p.tau) else 1
+
+
+def vanishing_generators(code: NeuralCode) -> set[Pseudomonomial]:
+    """One indicator pseudomonomial per non-codeword: sigma its support, tau the rest."""
+    n = code.n
+    out = set()
+    for v in range(1 << n):
+        if v not in code.words:
+            sigma = frozenset(i for i in range(1, n + 1) if v >> (i - 1) & 1)
+            out.add(Pseudomonomial(sigma, frozenset(range(1, n + 1)) - sigma, n))
+    return out
+
+
+def pseudo_divides(p: Pseudomonomial, q: Pseudomonomial) -> bool:
+    """Containment of both index sets."""
+    return p.sigma <= q.sigma and p.tau <= q.tau
+
+
+def minimize_pseudos(ps: set[Pseudomonomial]) -> set[Pseudomonomial]:
+    """Keep only the divisibility-minimal pseudomonomials."""
+    return {p for p in ps if not any(q != p and pseudo_divides(q, p) for q in ps)}
+
+
+def polarize(p: Pseudomonomial) -> Monomial:
+    """x-bits at sigma, y-bits at tau."""
+    mask = sum(1 << (i - 1) for i in p.sigma) + sum(1 << (p.n + j - 1) for j in p.tau)
+    return Monomial(mask, p.n)
+
+
+def code_to_polarized_ideal(code: NeuralCode) -> PolarizedNeuralIdeal:
+    """Vanishing generators -> minimize -> polarize -> minimalize."""
+    pseudos = minimize_pseudos(vanishing_generators(code))
+    return validate_polarized_neural(minimalize((polarize(p) for p in pseudos), code.n))

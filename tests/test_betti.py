@@ -19,13 +19,13 @@ from neuralideals.homology import FieldTag
 from neuralideals.monomials import (
     Monomial,
     UnitOrZeroIdealError,
+    degree_n_ideal,
     minimalize,
     parse_monomial,
     restrict,
     lcm_closure,
 )
 from neuralideals.structure import family_prop32, family_prop33, family_thm36
-from neuralideals.verify import degree_n_universe, ideal_from_subset
 
 
 def m(text, n):
@@ -126,9 +126,8 @@ class TestRegUpperBound:
 
     def test_bounds_regularity(self):
         rng = random.Random(3)
-        universe = degree_n_universe(3)
         for _ in range(25):
-            I = ideal_from_subset(universe, rng.randrange(1, 1 << 8)).inner
+            I = degree_n_ideal(rng.randrange(1, 1 << 8), 3).inner
             assert invariants(I)[1] <= reg_upper_bound_lcm(I)
 
 
@@ -156,9 +155,8 @@ class TestDominant:
 
 class TestEulerIdentity:
     def test_exhaustive_n2(self):
-        universe = degree_n_universe(2)
         for subset in range(1, 1 << 4):
-            I = ideal_from_subset(universe, subset).inner
+            I = degree_n_ideal(subset, 2).inner
             assert euler_discrepancy(I, betti_table(I)) == {}
 
     def test_mixed_degree_sample(self):

@@ -1,21 +1,28 @@
-"""Code ingestion, pseudomonomials, and the polarization pipeline."""
+"""Code ingestion and the polarization pipeline.
+
+The pipeline builds one degree-n generator per non-codeword straight
+from bit masks; the pseudomonomial route it replaced lives on in
+`brute_force` as the reference these tests also pin down.
+"""
 
 import random
 
 import pytest
+from brute_force import (
+    Pseudomonomial,
+    evaluate,
+    minimize_pseudos,
+    polarize,
+    pseudo_divides,
+    vanishing_generators,
+)
 
 from neuralideals.codes import (
     CodeParseError,
     LengthMismatchError,
     NeuralCode,
-    Pseudomonomial,
     code_to_polarized_ideal,
-    evaluate,
-    minimize_pseudos,
     parse_code,
-    polarize,
-    pseudo_divides,
-    vanishing_generators,
     word_from_string,
     word_to_string,
 )
@@ -26,16 +33,29 @@ def pm(sigma, tau, n):
     return Pseudomonomial(frozenset(sigma), frozenset(tau), n)
 
 
+def gen_masks(code):
+    return {g.mask for g in code_to_polarized_ideal(code).inner.gens}
+
+
+def support(mask, n):
+    """The words at which the generator `mask` is 1: its x-bits lie in the
+    word and its y-bits miss it."""
+    full = (1 << n) - 1
+    return {w for w in range(1 << n) if not mask & full & ~w and not (mask >> n) & w}
+
+
 class TestEvaluate:
     def test_indicator_hits(self):
         p = pm({1}, {2}, 2)
         assert evaluate(p, word_from_string("10"), 2) == 1
         assert evaluate(p, word_from_string("01"), 2) == 0
+        assert support(polarize(p).mask, 2) == {word_from_string("10")}
 
     def test_constant_one(self):
         p = pm((), (), 2)
         for w in range(4):
             assert evaluate(p, w, 2) == 1
+        assert support(0, 2) == set(range(4))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -50,14 +70,17 @@ class TestVanishingGenerators:
     def test_two_word_code(self):
         code = NeuralCode(2, frozenset({word_from_string("00"), word_from_string("11")}))
         assert vanishing_generators(code) == {pm({1}, {2}, 2), pm({2}, {1}, 2)}
+        assert gen_masks(code) == {parse_monomial(t, 2).mask for t in ("x1*y2", "x2*y1")}
 
     def test_full_code_empty(self):
         code = NeuralCode(2, frozenset(range(4)))
         assert vanishing_generators(code) == set()
+        assert gen_masks(code) == set()
 
     def test_empty_code_n1(self):
         code = NeuralCode(1, frozenset())
         assert vanishing_generators(code) == {pm({1}, (), 1), pm((), {1}, 1)}
+        assert gen_masks(code) == {parse_monomial(t, 1).mask for t in ("x1", "y1")}
 
     def test_soundness_and_sharpness_exhaustive(self):
         # every generator vanishes on the code and is 1 at exactly one non-word
@@ -65,17 +88,13 @@ class TestVanishingGenerators:
         for _ in range(30):
             n = rng.randint(1, 4)
             words = frozenset(w for w in range(1 << n) if rng.random() < 0.5)
-            code = NeuralCode(n, words)
-            gens = vanishing_generators(code)
-            assert len(gens) == (1 << n) - len(words)
+            masks = gen_masks(NeuralCode(n, words))
+            assert len(masks) == (1 << n) - len(words)
             hit = set()
-            for p in gens:
-                for w in range(1 << n):
-                    val = evaluate(p, w, n)
-                    if w in words:
-                        assert val == 0
-                    elif val:
-                        hit.add(w)
+            for mask in masks:
+                hits = support(mask, n)
+                assert len(hits) == 1 and not hits & words
+                hit |= hits
             assert hit == set(range(1 << n)) - words
 
 
@@ -95,6 +114,8 @@ class TestPseudoOrder:
         code = NeuralCode(3, frozenset({0, 5}))
         gens = vanishing_generators(code)
         assert minimize_pseudos(gens) == gens
+        # so the pipeline polarizes each indicator as it is
+        assert gen_masks(code) == {polarize(p).mask for p in gens}
 
 
 class TestPolarize:
@@ -105,12 +126,12 @@ class TestPolarize:
 
     def test_injective_and_pair_safe(self):
         n = 3
-        seen = {}
+        full = (1 << n) - 1
         for code_words in (frozenset(), frozenset({0}), frozenset({1, 6})):
-            for p in vanishing_generators(NeuralCode(n, code_words)):
-                mono = polarize(p)
-                assert mono.pair_violation() is None
-                assert seen.setdefault(mono, p) == p
+            masks = gen_masks(NeuralCode(n, code_words))
+            assert all(not m & m >> n for m in masks)
+            # the non-word v is recovered from its generator's x-bits
+            assert {m & full for m in masks} == set(range(1 << n)) - code_words
 
 
 class TestPipeline:
@@ -142,6 +163,10 @@ class TestCodeText:
         assert code.n == 4
         assert code.word_strings() == ["0110", "1001"]
         assert word_to_string(word_from_string("0110"), 4) == "0110"
+
+    def test_rejects_codeword_longer_than_n(self):
+        with pytest.raises(LengthMismatchError):
+            NeuralCode(2, frozenset({4}))
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(CodeParseError):

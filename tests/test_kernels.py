@@ -4,9 +4,11 @@ The Euler check, the lcm-subset regularity bound, the lcm closure, the
 membership table, the upper Koszul complex, reduced homology, the Betti
 table, the rank over Q, the linear-quotient search and the recursive
 linearity check each have a slow reference in `brute_force`; the
-package's kernels must agree with it exactly.  The linearly-related
-refusal in the linear-quotient search must never refuse an ideal for
-which the reference finds an order.
+package's kernels must agree with it exactly.  So do the truth-table
+codec and the code pipeline, against the sorted degree-n universe and
+the pseudomonomial pipeline.  The linearly-related refusal in the
+linear-quotient search must never refuse an ideal for which the
+reference finds an order.
 """
 
 import brute_force
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from neuralideals import homology
 from neuralideals import betti
+from neuralideals.codes import NeuralCode, code_to_polarized_ideal
 from neuralideals.betti import (
     _Membership,
     betti_table,
@@ -27,11 +30,16 @@ from neuralideals.betti import (
 from neuralideals.homology import FieldTag, rank_rational, reduced_homology_ranks
 from neuralideals.monomials import (
     Monomial,
+    NeuronCountError,
+    NotSplittableError,
+    PairViolationError,
     _lcm_levels,
+    degree_n_ideal,
     lcm_closure,
     minimalize,
     parse_monomial,
     restrict,
+    truth_table,
 )
 from neuralideals.structure import (
     _halves,
@@ -42,11 +50,7 @@ from neuralideals.structure import (
     recursive_linear_check,
     split_at_neuron,
 )
-from neuralideals.verify import (
-    degree_n_universe,
-    ideal_from_subset,
-    sample_degree_n_subsets,
-)
+from neuralideals.verify import sample_degree_n_subsets
 
 
 @st.composite
@@ -107,10 +111,9 @@ def equigenerated_ideals(draw, max_n=4, max_gens=10):
 
 def degree_n_ideals(n, count=None, seed=0):
     """Every degree-n ideal, or `count` seeded samples of them."""
-    universe = degree_n_universe(n)
     subsets = range(1, 1 << (1 << n)) if count is None \
         else sample_degree_n_subsets(n, count, seed)
-    return [ideal_from_subset(universe, s) for s in subsets]
+    return [degree_n_ideal(s, n) for s in subsets]
 
 
 def degree_3_ideals():
@@ -119,11 +122,6 @@ def degree_3_ideals():
 
 def masks_of(ideal):
     return [g.mask for g in ideal.gens]
-
-
-def truth_table(ideal):
-    """Bit c set iff the degree-n generator with y-bits c is present."""
-    return sum(1 << (g.mask >> ideal.n) for g in ideal.gens)
 
 
 class TestAgainstBruteForce:
@@ -183,9 +181,8 @@ class TestBettiTableAgainstBruteForce:
 
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_sampled_degree_4_ideals(self, field):
-        universe = degree_n_universe(4)
         for subset in sample_degree_n_subsets(4, 60, seed=11):
-            ideal = ideal_from_subset(universe, subset).inner
+            ideal = degree_n_ideal(subset, 4).inner
             assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
 
     @settings(max_examples=150, deadline=None)
@@ -291,10 +288,9 @@ class TestLinearQuotientsAgainstBacktracking:
         assert restrictions > 255
 
     def test_sampled_degree_4_ideals(self):
-        universe = degree_n_universe(4)
         outcomes = []
         for subset in sample_degree_n_subsets(4, 150, seed=5):
-            ideal = ideal_from_subset(universe, subset).inner
+            ideal = degree_n_ideal(subset, 4).inner
             order = linear_quotients_search(ideal)
             assert order == brute_force.linear_quotients_search(ideal)
             outcomes.append(order is not None)
@@ -412,6 +408,63 @@ class TestRecursiveCheckAgainstReference:
         P = family_thm36(5, 5)
         assert recursive_linear_check(P, "smallest") is True
         assert brute_force.recursive_linear_check(P, "smallest") is True
+
+
+class TestTruthTableCodec:
+    """`degree_n_ideal` builds the ideal the sorted universe gives, and the
+    code pipeline builds the ideal the pseudomonomial pipeline gives."""
+
+    @staticmethod
+    def sampled_tables(n, count, seed):
+        return [0, (1 << (1 << n)) - 1] + sample_degree_n_subsets(n, count, seed)
+
+    def test_every_table_up_to_degree_3(self):
+        for n in (1, 2, 3):
+            universe = brute_force.degree_n_universe(n)
+            for t in range(1 << (1 << n)):
+                P = degree_n_ideal(t, n)
+                assert P == brute_force.ideal_from_subset(universe, t)
+                assert truth_table(P.inner) == t
+
+    @pytest.mark.parametrize("n, count", [(4, 300), (5, 200)])
+    def test_sampled_tables(self, n, count):
+        universe = brute_force.degree_n_universe(n)
+        for t in self.sampled_tables(n, count, seed=13):
+            P = degree_n_ideal(t, n)
+            assert P == brute_force.ideal_from_subset(universe, t)
+            assert truth_table(P.inner) == t
+
+    def test_every_code_up_to_length_3(self):
+        for n in (1, 2, 3):
+            for t in range(1 << (1 << n)):
+                code = NeuralCode(n, frozenset(w for w in range(1 << n) if t >> w & 1))
+                assert code_to_polarized_ideal(code) == \
+                    brute_force.code_to_polarized_ideal(code)
+
+    @pytest.mark.parametrize("n, count", [(4, 100), (5, 60)])
+    def test_sampled_codes(self, n, count):
+        for t in self.sampled_tables(n, count, seed=17):
+            code = NeuralCode(n, frozenset(w for w in range(1 << n) if t >> w & 1))
+            assert code_to_polarized_ideal(code) == \
+                brute_force.code_to_polarized_ideal(code)
+
+    @pytest.mark.parametrize("n, table", [(1, -1), (1, 4), (2, 1 << 4), (3, 1 << 300)])
+    def test_out_of_range_table(self, n, table):
+        with pytest.raises(ValueError, match="truth table"):
+            degree_n_ideal(table, n)
+
+    def test_bad_neuron_count(self):
+        with pytest.raises(NeuronCountError):
+            degree_n_ideal(1, 0)
+
+    @pytest.mark.parametrize("text, error", [
+        ("x1", NotSplittableError),           # misses neuron 2
+        ("x1*y2*x2", PairViolationError),     # covers both neurons, x2*y2 divides it
+        ("1", NotSplittableError),            # the unit ideal
+    ])
+    def test_truth_table_rejects_other_generators(self, text, error):
+        with pytest.raises(error):
+            truth_table(minimalize([parse_monomial(text, 2)], 2))
 
 
 @st.composite

@@ -9,6 +9,8 @@ from brute_force import drop_neuron
 from neuralideals.betti import betti_table, has_linear_resolution, invariants
 from neuralideals.monomials import (
     Monomial,
+    PolarizedNeuralIdeal,
+    degree_n_ideal,
     minimalize,
     parse_monomial,
     scale,
@@ -29,7 +31,6 @@ from neuralideals.structure import (
     recursive_linear_check,
     split_at_neuron,
 )
-from neuralideals.verify import degree_n_universe, ideal_from_subset
 
 
 def m(text, n):
@@ -61,10 +62,9 @@ class TestSplitAtNeuron:
         assert exc.value.neuron == 2
 
     def test_reconstruction(self):
-        universe = degree_n_universe(3)
         rng = random.Random(2)
         for _ in range(30):
-            P = ideal_from_subset(universe, rng.randrange(1, 1 << 8))
+            P = degree_n_ideal(rng.randrange(1, 1 << 8), 3)
             for i in (1, 2, 3):
                 split = split_at_neuron(P, i)
                 x, y = Monomial.x(i, 3), Monomial.y(i, 3)
@@ -131,10 +131,9 @@ class TestLinearQuotients:
             assert all(g.degree == 1 for g in step.gens)
 
     def test_lq_implies_lr_when_equigenerated(self):
-        universe = degree_n_universe(3)
         rng = random.Random(4)
         for _ in range(40):
-            I = ideal_from_subset(universe, rng.randrange(1, 1 << 8)).inner
+            I = degree_n_ideal(rng.randrange(1, 1 << 8), 3).inner
             if linear_quotients_search(I) is not None:
                 assert has_linear_resolution(I)
 
@@ -149,16 +148,21 @@ class TestRecursiveLinearCheck:
         with pytest.raises(NotEquigeneratedDegreeNError):
             recursive_linear_check(polarized(2, "x1"))
 
+    def test_unvalidated_pair_is_not_splittable(self):
+        # x1*y1 has degree n = 2 but misses neuron 2; only an unvalidated
+        # wrapper can carry it past pair exclusion
+        with pytest.raises(NotSplittableError) as exc:
+            recursive_linear_check(PolarizedNeuralIdeal(ideal(2, "x1*y1")))
+        assert exc.value.neuron == 2
+
     def test_pivot_rules_agree_exhaustively_n3(self):
-        universe = degree_n_universe(3)
         for subset in range(1, 1 << 8):
-            P = ideal_from_subset(universe, subset)
+            P = degree_n_ideal(subset, 3)
             assert recursive_linear_check(P, "last") == recursive_linear_check(P, "smallest")
 
     def test_matches_oracle_exhaustively_n2(self):
-        universe = degree_n_universe(2)
         for subset in range(1, 1 << 4):
-            P = ideal_from_subset(universe, subset)
+            P = degree_n_ideal(subset, 2)
             assert recursive_linear_check(P) == has_linear_resolution(P.inner)
 
     def test_branches_without_containment_can_be_linear(self):
@@ -180,7 +184,8 @@ def dense_degree_5_ideal():
     """
     removed = {m("x2*x3*x4*x5*y1", 5), m("x1*x3*x4*x5*y2", 5)}
     return validate_polarized_neural(
-        minimalize([g for g in degree_n_universe(5) if g not in removed], 5))
+        minimalize([g for g in degree_n_ideal((1 << 32) - 1, 5).inner.gens
+                    if g not in removed], 5))
 
 
 class TestDenseTail:

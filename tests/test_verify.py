@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from neuralideals import codes
+from neuralideals.monomials import degree_n_ideal
 from neuralideals.verify import (
+    VerificationReport,
     check_degree_n_ideal,
-    degree_n_universe,
+    code_suite,
     enumerate_degree_n_subsets,
-    ideal_from_subset,
     run_verification,
     sample_degree_n_subsets,
 )
@@ -16,11 +18,11 @@ from neuralideals.verify import (
 
 class TestEnumeration:
     def test_universe_sizes(self):
-        assert len(degree_n_universe(2)) == 4
-        assert len(degree_n_universe(3)) == 8
+        assert len(degree_n_ideal(0b1111, 2).inner.gens) == 4
+        assert len(degree_n_ideal(0xFF, 3).inner.gens) == 8
 
     def test_universe_is_pair_excluding_full_degree(self):
-        for mono in degree_n_universe(3):
+        for mono in degree_n_ideal(0xFF, 3).inner.gens:
             assert mono.degree == 3
             assert mono.pair_violation() is None
 
@@ -33,17 +35,27 @@ class TestEnumeration:
         assert sample_degree_n_subsets(4, 50, 7) != sample_degree_n_subsets(4, 50, 8)
 
     def test_ideal_from_subset(self):
-        universe = degree_n_universe(2)
-        P = ideal_from_subset(universe, 0b0011)
-        assert len(P.inner.gens) == 2
+        P = degree_n_ideal(0b0011, 2)
+        assert [str(g) for g in P.inner.gens] == ["x1*x2", "x2*y1"]
 
 
 class TestPerIdealChecks:
     def test_clean_on_known_linear_ideal(self):
-        universe = degree_n_universe(2)
         for subset in (1, 0b1111, 0b0110):
-            results = check_degree_n_ideal(ideal_from_subset(universe, subset))
+            results = check_degree_n_ideal(degree_n_ideal(subset, 2))
             assert all(not fails for fails in results.values()), results
+
+
+class TestCodeSuite:
+    def test_empty_code_and_zero_word_code_have_distinct_subjects(self, monkeypatch):
+        # a pipeline that always returns the zero ideal fails every code
+        # but the full one; at n = 1 the draws include {} and {0}
+        monkeypatch.setattr(codes, "code_to_polarized_ideal",
+                            lambda code: degree_n_ideal(0, code.n))
+        report = VerificationReport(n=1, mode="sample", seed=0)
+        code_suite(report, trials=40, seed=3, n_max=1)
+        subjects = {c.subject for c in report.counterexamples}
+        assert {"{}", "0"} <= subjects
 
 
 class TestRunVerification:
