@@ -176,17 +176,18 @@ def cmd_check_linear(args) -> int:
 
 
 def _load_code(args):
+    """The code in args.file and its polarized neural ideal; exit 2 when either fails."""
     text = _read_text(args.file)
     try:
-        return parse_code(text)
+        code = parse_code(text)
+        return code, code_to_polarized_ideal(code).inner
     except (CodeParseError, NeuronCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 
 def cmd_from_code(args) -> int:
-    code = _load_code(args)
-    ideal = code_to_polarized_ideal(code).inner
+    code, ideal = _load_code(args)
     if ideal.is_zero:
         if args.json:
             _emit_json({"schema": 1, "n": code.n, "ideal": [], "zero": True})
@@ -209,8 +210,7 @@ def cmd_from_code(args) -> int:
 
 
 def cmd_polarize(args) -> int:
-    code = _load_code(args)
-    ideal = code_to_polarized_ideal(code).inner
+    code, ideal = _load_code(args)
     if args.json:
         _emit_json({"schema": 1, "n": code.n,
                     "ideal": [str(g) for g in ideal.gens]})

@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .monomials import PolarizedNeuralIdeal, _check_n, degree_n_ideal
+from .monomials import NeuronCountError, PolarizedNeuralIdeal, _check_n, degree_n_ideal
+
+# The pipeline visits all 2^n words and may build 2^n generators.
+MAX_CODE_NEURONS = 16
 
 
 class LengthMismatchError(ValueError):
@@ -89,8 +92,12 @@ def code_to_polarized_ideal(code: NeuralCode) -> PolarizedNeuralIdeal:
 
     It is the polarized indicator pseudomonomial of v, so it vanishes on
     the whole code; the ideal has 2^n - |code| generators, and the full
-    code yields the zero ideal.
+    code yields the zero ideal.  Refuses codes on more than
+    MAX_CODE_NEURONS neurons.
     """
+    if code.n > MAX_CODE_NEURONS:
+        raise NeuronCountError(f"a code on {code.n} neurons exceeds the "
+                               f"{MAX_CODE_NEURONS}-neuron limit of the code pipeline")
     full = (1 << code.n) - 1
     table = 0
     for v in range(1 << code.n):

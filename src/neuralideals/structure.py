@@ -27,7 +27,6 @@ from .monomials import (
     intersect,
     is_equigenerated,
     minimalize,
-    scale,
     truth_table,
     validate_polarized_neural,
 )
@@ -94,8 +93,11 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
         reg I = max(reg J + 1, reg K + 1, reg(J ∩ K) + 1)
 
     and termwise beta_{i,b}(I) = beta_{i,b}(x_iJ) + beta_{i,b}(y_iK)
-    + beta_{i-1,b}(x_iJ ∩ y_iK).  Refuses (rather than guesses) when
-    the hypothesis fails.
+    + beta_{i-1,b}(x_iJ ∩ y_iK).  J and K carry no bit of pair i, so
+    x_iJ ∩ y_iK = x_iy_i(J ∩ K), and multiplying by a new variable
+    shifts every multidegree by it: the three tables are those of J, K
+    and J ∩ K with their multidegrees lifted.  Refuses (rather than
+    guesses) when the hypothesis fails.
     """
     J, K = split.J, split.K
     if not (J.is_proper_nonzero and K.is_proper_nonzero):
@@ -103,23 +105,17 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     tj = betti_table(J, field_tag)
     if not has_linear_resolution(J, field_tag, table=tj):
         raise JNotLinearError(f"J branch {J} does not have linear resolution")
-    n = ideal.n
-    x = Monomial.x(split.pivot, n)
-    y = Monomial.y(split.pivot, n)
-    xJ = scale(x, J)
-    yK = scale(y, K)
-    meet = intersect(xJ, yK)
     tk = betti_table(K, field_tag)
     tm = betti_table(intersect(J, K), field_tag)
     pd_pred = max(tj.pd, tk.pd, tm.pd + 1)
     reg_pred = max(tj.reg + 1, tk.reg + 1, tm.reg + 1)
+    x = 1 << (split.pivot - 1)
+    y = 1 << (ideal.n + split.pivot - 1)
     fine: dict[tuple[int, int], int] = {}
-    for (i, b), r in betti_table(xJ, field_tag).fine.items():
-        fine[(i, b)] = fine.get((i, b), 0) + r
-    for (i, b), r in betti_table(yK, field_tag).fine.items():
-        fine[(i, b)] = fine.get((i, b), 0) + r
-    for (i, b), r in betti_table(meet, field_tag).fine.items():
-        fine[(i + 1, b)] = fine.get((i + 1, b), 0) + r
+    for shift, table, lift in ((0, tj, x), (0, tk, y), (1, tm, x | y)):
+        for (i, b), r in table.fine.items():
+            key = (i + shift, b | lift)
+            fine[key] = fine.get(key, 0) + r
     return SplitPrediction(pd_pred, reg_pred, fine)
 
 
@@ -128,19 +124,17 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
 
     In an order g_1, ..., g_q every colon (g_1, ..., g_{j-1}) : g_j must
     be generated by variables; the colon depends only on the set placed
-    before g_j.  Call a generator set R orderable when |R| <= 1 or some
-    c in R is admissible after R - {c} and R - {c} is orderable.
+    before g_j.
 
     When the generators share one degree, the search first refuses any
     ideal that is not linearly related (`_linearly_related`), a test
-    polynomial in q that needs no Betti table.  Otherwise it decides
-    whether the full set is orderable by peeling admissible last
-    generators off it, memoizing the sets found not orderable; this
-    peel is exponential in q on some ideals.  Only when the full set is
-    orderable does it build the order: a forward backtracking over
-    prefix sets, memoizing dead prefixes, that returns the
-    lexicographically least admissible order under the canonical
-    generator order.
+    polynomial in q that needs no Betti table.  Otherwise one forward
+    backtracking over prefix sets decides the question: it tries the
+    generators in canonical order at each step, so the first complete
+    order it reaches is the lexicographically least admissible one, and
+    it memoizes dead prefixes by their set, which is sound because
+    whether a prefix can be completed depends only on the set placed.
+    It is exponential in q on some ideals.
 
     Sets are bit masks of generator indices.  The colon S : c is
     generated by the quotients g_u & ~c over u in S, and is generated
@@ -180,25 +174,7 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
                 covered |= cover
         return placed & ~covered == 0
 
-    not_orderable: set[int] = set()
-
-    def orderable(r: int) -> bool:
-        if r & (r - 1) == 0:
-            return True
-        if r in not_orderable:
-            return False
-        rest = r
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if admissible(r ^ bit, bit.bit_length() - 1) and orderable(r ^ bit):
-                return True
-        not_orderable.add(r)
-        return False
-
     full = (1 << q) - 1
-    if not orderable(full):
-        return None
     order: list[int] = []
     dead: set[int] = set()
 
@@ -217,7 +193,8 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
                 dead.add(used | bit)
         return False
 
-    extend(0)
+    if not extend(0):
+        return None
     return tuple(gens[i] for i in order)
 
 

@@ -5,7 +5,8 @@ replaced: loops over all 2^q generator subsets, over all submasks of a
 multidegree or of the generators' lcm, over pairwise lcms until nothing new appears, over sorted
 vertex tuples of faces, over the columns of a dense matrix of
 fractions, over every prefix of a generator order, over the
-`Monomial` generators of each branch of a pivot split, over a sorted
+`Monomial` generators of each branch of a pivot split, over the six
+Betti tables of a split and its scaled branches, over a sorted
 list of all 2^n degree-n monomials, or over the indicator
 pseudomonomials of a code's non-codewords.  They are exact and
 obviously correct, and only usable for small inputs.
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from neuralideals.betti import BettiTable
+from neuralideals import betti
+from neuralideals.betti import BettiTable, has_linear_resolution
 from neuralideals.codes import LengthMismatchError, NeuralCode
 from neuralideals.homology import FieldTag, SimplicialComplex, rank_f2
 from neuralideals.homology import rank_rational as sparse_rank_rational
@@ -24,10 +26,18 @@ from neuralideals.monomials import (
     Monomial,
     MonomialIdeal,
     PolarizedNeuralIdeal,
+    UnitOrZeroIdealError,
+    intersect,
     minimalize,
+    scale,
     validate_polarized_neural,
 )
-from neuralideals.structure import split_at_neuron
+from neuralideals.structure import (
+    JNotLinearError,
+    NeuronSplit,
+    SplitPrediction,
+    split_at_neuron,
+)
 
 
 def _subset_lcms(ideal: MonomialIdeal):
@@ -296,6 +306,30 @@ def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> 
     branch with `drop_neuron` and testing every pairwise lcm against the
     shared generators.  Expects a degree-n pair-excluding ideal."""
     return _recursive_check(ideal.inner, pivot)
+
+
+def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
+                            field_tag: FieldTag = FieldTag.F2) -> SplitPrediction:
+    """The splitting prediction from six Betti tables: J, K and J ∩ K for
+    pd and reg, and the scaled branches x_iJ, y_iK and their intersection
+    x_iJ ∩ y_iK for the fine table."""
+    J, K = split.J, split.K
+    if not (J.is_proper_nonzero and K.is_proper_nonzero):
+        raise UnitOrZeroIdealError("splitting prediction needs proper nonzero J and K")
+    tj = betti.betti_table(J, field_tag)
+    if not has_linear_resolution(J, field_tag, table=tj):
+        raise JNotLinearError(f"J branch {J} does not have linear resolution")
+    n = ideal.n
+    xJ = scale(Monomial.x(split.pivot, n), J)
+    yK = scale(Monomial.y(split.pivot, n), K)
+    tk = betti.betti_table(K, field_tag)
+    tm = betti.betti_table(intersect(J, K), field_tag)
+    fine: dict[tuple[int, int], int] = {}
+    for shift, scaled in ((0, xJ), (0, yK), (1, intersect(xJ, yK))):
+        for (i, b), r in betti.betti_table(scaled, field_tag).fine.items():
+            fine[(i + shift, b)] = fine.get((i + shift, b), 0) + r
+    return SplitPrediction(max(tj.pd, tk.pd, tm.pd + 1),
+                           max(tj.reg + 1, tk.reg + 1, tm.reg + 1), fine)
 
 
 def degree_n_universe(n: int) -> list[Monomial]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,17 @@ class TestCodeCommands:
         code, _, err = run_cli(capsys, command, str(path))
         assert code == 2
         assert err.startswith("error: ") and "33" in err
+
+    @pytest.mark.parametrize("command", ["from-code", "polarize"])
+    @pytest.mark.parametrize("length", [17, 32])
+    def test_word_past_code_pipeline_limit_exit_2(self, capsys, tmp_path, command, length):
+        path = tmp_path / "wide.txt"
+        path.write_text("1" * length + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"{length} neurons" in err
 
     def test_polarize(self, capsys, tmp_path):
         path = tmp_path / "code.txt"

@@ -6,7 +6,8 @@ table, the rank over Q, the linear-quotient search and the recursive
 linearity check each have a slow reference in `brute_force`; the
 package's kernels must agree with it exactly.  So do the truth-table
 codec and the code pipeline, against the sorted degree-n universe and
-the pseudomonomial pipeline.  The linearly-related refusal in the
+the pseudomonomial pipeline, and the splitting prediction against the
+one built from six Betti tables.  The linearly-related refusal in the
 linear-quotient search must never refuse an ideal for which the
 reference finds an order.
 """
@@ -33,6 +34,7 @@ from neuralideals.monomials import (
     NeuronCountError,
     NotSplittableError,
     PairViolationError,
+    UnitOrZeroIdealError,
     _lcm_levels,
     degree_n_ideal,
     lcm_closure,
@@ -42,9 +44,11 @@ from neuralideals.monomials import (
     truth_table,
 )
 from neuralideals.structure import (
+    JNotLinearError,
     _halves,
     _linearly_related,
     _most_even_bit,
+    betti_splitting_predict,
     family_thm36,
     linear_quotients_search,
     recursive_linear_check,
@@ -408,6 +412,40 @@ class TestRecursiveCheckAgainstReference:
         P = family_thm36(5, 5)
         assert recursive_linear_check(P, "smallest") is True
         assert brute_force.recursive_linear_check(P, "smallest") is True
+
+
+def splitting_outcome(predict, P, pivot, field):
+    """(pd, reg, fine) of a prediction, or the type and text of its refusal."""
+    try:
+        pred = predict(P.inner, split_at_neuron(P, pivot), field)
+    except (JNotLinearError, UnitOrZeroIdealError) as exc:
+        return type(exc), str(exc)
+    return pred.pd, pred.reg, pred.fine
+
+
+class TestSplittingPredictAgainstSixTables:
+    """Lifting the tables of J, K and J ∩ K by the pivot variables gives the
+    prediction the tables of x_iJ, y_iK and x_iJ ∩ y_iK give, and the same
+    refusals."""
+
+    @staticmethod
+    def assert_agree(ideals, n, field):
+        refusals = predictions = 0
+        for P in ideals:
+            for pivot in range(1, n + 1):
+                outcome = splitting_outcome(betti_splitting_predict, P, pivot, field)
+                assert outcome == splitting_outcome(
+                    brute_force.betti_splitting_predict, P, pivot, field)
+                refusals += outcome[0] is JNotLinearError
+                predictions += isinstance(outcome[0], int)
+        assert refusals and predictions
+
+    @pytest.mark.parametrize("field", [FieldTag.F2, FieldTag.RATIONALS])
+    def test_every_degree_3_ideal_and_pivot(self, field):
+        self.assert_agree(degree_n_ideals(3), 3, field)
+
+    def test_sampled_degree_4_ideals(self):
+        self.assert_agree(degree_n_ideals(4, 200, seed=23), 4, FieldTag.F2)
 
 
 class TestTruthTableCodec:

@@ -3,6 +3,7 @@
 import random
 import time
 
+import brute_force
 import pytest
 from brute_force import drop_neuron
 
@@ -195,6 +196,17 @@ class TestDenseTail:
         start = time.perf_counter()
         assert linear_quotients_search(I) is None
         assert time.perf_counter() - start < 2.0
+
+    # dense degree-5 ideals (q = 27, 28, 31) that pass the linearly-related
+    # refusal and have linear quotients
+    @pytest.mark.parametrize("table", [0xffefff4d, 0xf7ff37ff, 0xfbffffff])
+    def test_passing_the_refusal(self, table):
+        I = degree_n_ideal(table, 5).inner
+        start = time.perf_counter()
+        order = linear_quotients_search(I)
+        assert time.perf_counter() - start < 2.0
+        assert order is not None
+        assert order == brute_force.linear_quotients_search(I)
 
     def test_not_linear(self):
         P = dense_degree_5_ideal()
