@@ -9,6 +9,7 @@ linear quotients, the recursive linearity test, witness families).
 
 from .betti import (
     BettiTable,
+    LcmDegreeError,
     NotDominantError,
     betti_table,
     dominant_check,
@@ -28,7 +29,6 @@ from .monomials import (
     PolarizedNeuralIdeal,
     UnitOrZeroIdealError,
     ZeroIdealError,
-    colon,
     degree_n_ideal,
     intersect,
     is_equigenerated,

@@ -32,8 +32,18 @@ from .monomials import (
 )
 
 
+# The membership table of an ideal whose lcm has degree s takes about
+# 6 * 2^s bytes while it is built: 110 MB at s = 24.
+MAX_LCM_DEGREE = 24
+
+
 class NotDominantError(ValueError):
     """The generating set is not dominant, closed-form invariants unavailable."""
+
+
+class LcmDegreeError(ValueError):
+    """An ideal of three or more generators whose lcm has degree above
+    MAX_LCM_DEGREE: its Betti table would build a 2^deg-cell membership table."""
 
 
 def _require_proper_nonzero(ideal: MonomialIdeal) -> None:
@@ -41,6 +51,19 @@ def _require_proper_nonzero(ideal: MonomialIdeal) -> None:
         raise UnitOrZeroIdealError("operation undefined for the zero ideal")
     if ideal.is_unit:
         raise UnitOrZeroIdealError("operation undefined for the unit ideal")
+
+
+def _require_small_lcm(ideal: MonomialIdeal) -> None:
+    """Refuse, before any 2^s work, an ideal whose table would be too large.
+
+    Three or more generators all divide the top lcm, so its complex is
+    built and with it the membership table over the 2^s submasks of top.
+    """
+    q = len(ideal.gens)
+    if q >= 3 and (s := ideal.lcm_of_gens().degree) > MAX_LCM_DEGREE:
+        raise LcmDegreeError(
+            f"{q} generators whose lcm has degree {s}: a Betti table needs "
+            f"2^{s} membership cells, above the limit 2^{MAX_LCM_DEGREE}")
 
 
 class _Membership:
@@ -57,6 +80,7 @@ class _Membership:
     """
 
     def __init__(self, ideal: MonomialIdeal):
+        _require_small_lcm(ideal)
         top = 0
         for g in ideal.gens:
             top |= g.mask
@@ -87,14 +111,17 @@ def _bit_clear_patterns(s: int) -> tuple[int, ...]:
     """For k < s, the 2^s-bit int whose bit c is set iff bit k of c is clear.
 
     Bit k of the index is clear in runs of 2^k indices that repeat with
-    period 2^(k+1), so each pattern is one run times a repunit.
+    period 2^(k+1), so each pattern is one run doubled until it fills
+    2^s bits by s - k - 1 shift-ORs, with no big-int division.
     """
     size = 1 << s
     out = []
     for k in range(s):
-        period = 2 << k
-        repunit = ((1 << size) - 1) // ((1 << period) - 1)
-        out.append(((1 << (1 << k)) - 1) * repunit)
+        pattern, width = (1 << (1 << k)) - 1, 2 << k
+        while width < size:
+            pattern |= pattern << width
+            width <<= 1
+        out.append(pattern)
     return tuple(out)
 
 
@@ -208,9 +235,11 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     so beta_{1,b} = 1.  Both hold over any field.  Every other b builds
     its complex with `upper_koszul`; homology results are memoized per
     call keyed by the exact face set (a frozenset of face masks), since
-    the same complex recurs across multidegrees.
+    the same complex recurs across multidegrees.  Raises LcmDegreeError
+    for three or more generators with deg lcm(gens) > MAX_LCM_DEGREE.
     """
     _require_proper_nonzero(ideal)
+    _require_small_lcm(ideal)
     table = BettiTable(ideal.n)
     gens = [g.mask for g in ideal.gens]
     memo: dict[frozenset[int], dict[int, int]] = {}

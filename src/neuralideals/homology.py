@@ -46,10 +46,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.faces
 
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.faces == {0}
-
 
 def rank_f2(rows: list[int]) -> int:
     """Rank of a matrix whose rows are bit masks, over F2."""

@@ -86,16 +86,6 @@ class Monomial:
     def one(cls, n: int) -> "Monomial":
         return cls(0, n)
 
-    @classmethod
-    def x(cls, i: int, n: int) -> "Monomial":
-        """The variable x_i (1-indexed)."""
-        return cls(1 << (i - 1), n)
-
-    @classmethod
-    def y(cls, i: int, n: int) -> "Monomial":
-        """The variable y_i (1-indexed)."""
-        return cls(1 << (n + i - 1), n)
-
     @property
     def degree(self) -> int:
         return self.mask.bit_count()
@@ -122,10 +112,6 @@ class Monomial:
                 f"{variable_name((shared & -shared).bit_length() - 1, self.n)})"
             )
         return Monomial(self.mask | other.mask, self.n)
-
-    def quotient_by_gcd(self, u: "Monomial") -> "Monomial":
-        """self / gcd(self, u)."""
-        return Monomial(self.mask & ~u.mask, self.n)
 
     def pair_violation(self) -> Optional[int]:
         """The least neuron i with both x_i and y_i dividing self, if any."""
@@ -201,10 +187,6 @@ class MonomialIdeal:
     def is_proper_nonzero(self) -> bool:
         return bool(self.gens) and not self.is_unit
 
-    def contains(self, m: Monomial) -> bool:
-        """Monomial membership: m lies in the ideal iff some generator divides it."""
-        return any(g.divides(m) for g in self.gens)
-
     def max_degree(self) -> int:
         if self.is_zero:
             raise ZeroIdealError("the zero ideal has no generator degrees")
@@ -243,11 +225,6 @@ def minimalize(gens: Iterable[Monomial], n: int) -> MonomialIdeal:
     out = [Monomial(m, n) for m in minimal]
     out.sort(key=Monomial.sort_key)
     return MonomialIdeal(n, tuple(out))
-
-
-def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """The colon ideal I : u, via m -> m / gcd(u, m) over the minimal generators."""
-    return minimalize((g.quotient_by_gcd(u) for g in ideal.gens), ideal.n)
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -120,9 +120,12 @@ def sample_degree_n_subsets(n: int, count: int, seed: int) -> list[int]:
 
 def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
                          field_tag: FieldTag = FieldTag.F2,
-                         restriction_closure: bool = True,
-                         field_compare: bool = False) -> dict[str, list[str]]:
-    """Run every per-ideal suite; returns suite name -> list of failures."""
+                         exhaustive: bool = True) -> dict[str, list[str]]:
+    """Run every per-ideal suite; returns suite name -> list of failures.
+
+    `exhaustive` adds the two suites that only exhaustive runs afford:
+    restriction closure and the F2-against-Q table comparison.
+    """
     inner = ideal.inner
     n = inner.n
     results: dict[str, list[str]] = {}
@@ -168,7 +171,7 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
         fails.append("recursive check depends on the pivot rule")
     results["agreement"] = fails
 
-    if restriction_closure:
+    if exhaustive:
         fails = []
         if lr or lq is not None:
             for m in lcm_closure(inner):
@@ -198,27 +201,19 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
                 fails.append("termwise Betti splitting identity fails")
     results["splitting"] = fails
 
-    if field_compare:
+    if exhaustive:
         other = betti_table(inner, FieldTag.RATIONALS if field_tag is FieldTag.F2
                             else FieldTag.F2)
-        if other.fine != table.fine:
-            results.setdefault("field-compare", []).append(
-                "Betti table differs between F2 and the rationals"
-            )
-        else:
-            results.setdefault("field-compare", [])
+        results["field-compare"] = (["Betti table differs between F2 and the rationals"]
+                                    if other.fine != table.fine else [])
 
     return results
 
 
 def _check_subset(args) -> tuple[str, dict[str, list[str]]]:
-    n, subset, field_value, restriction, field_compare = args
+    n, subset, field_value, exhaustive = args
     ideal = degree_n_ideal(subset, n)
-    results = check_degree_n_ideal(
-        ideal, FieldTag(field_value),
-        restriction_closure=restriction, field_compare=field_compare,
-    )
-    return str(ideal), results
+    return str(ideal), check_degree_n_ideal(ideal, FieldTag(field_value), exhaustive)
 
 
 def random_polarized_ideal(rng: random.Random, n: int,
@@ -373,15 +368,14 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
     if mode == "sample" and count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     report = VerificationReport(n=n, mode=mode, seed=seed, field_tag=field_tag.value)
-    restriction = mode == "exhaustive"
-    field_compare = mode == "exhaustive"
+    exhaustive = mode == "exhaustive"
 
     t0 = time.perf_counter()
-    if mode == "exhaustive":
+    if exhaustive:
         subsets = list(enumerate_degree_n_subsets(n))
     else:
         subsets = sample_degree_n_subsets(n, count, seed)
-    args = [(n, s, field_tag.value, restriction, field_compare) for s in subsets]
+    args = [(n, s, field_tag.value, exhaustive) for s in subsets]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_check_subset, args, chunksize=16))
@@ -403,14 +397,13 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
         code_suite(report, trials=100, seed=seed + 3, n_max=min(n, 4))
         report.timings["code-pipeline"] = time.perf_counter() - t0
 
-    if mode == "exhaustive" and n >= 3:
+    if exhaustive and n >= 3:
         t0 = time.perf_counter()
         report.findings.extend(lr_lq_witness_findings(n, n - 1, trials=100, seed=seed + 4))
         report.timings["lr-lq-witness"] = time.perf_counter() - t0
-    if field_compare:
-        if not any(c.suite == "field-compare" for c in report.counterexamples):
-            report.findings.append(
-                f"Betti tables agree between F2 and the rationals on all "
-                f"{report.examined} degree-{n} ideals"
-            )
+    if exhaustive and not any(c.suite == "field-compare" for c in report.counterexamples):
+        report.findings.append(
+            f"Betti tables agree between F2 and the rationals on all "
+            f"{report.examined} degree-{n} ideals"
+        )
     return report

@@ -3,13 +3,16 @@
 Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
 multidegree or of the generators' lcm, over pairwise lcms until nothing new appears, over sorted
-vertex tuples of faces, over the columns of a dense matrix of
+vertex tuples of faces, over the generators of an ideal, over the columns of a dense matrix of
 fractions, over every prefix of a generator order, over the
 `Monomial` generators of each branch of a pivot split, over the six
 Betti tables of a split and its scaled branches, over a sorted
 list of all 2^n degree-n monomials, or over the indicator
 pseudomonomials of a code's non-codewords.  They are exact and
-obviously correct, and only usable for small inputs.
+obviously correct, and only usable for small inputs.  Alongside them
+sit small helpers that `neuralideals` no longer needs and the tests
+still do: colon ideals, monomial membership, single variables, the
+irrelevant-complex test and the repunit form of the bit-clear patterns.
 """
 
 from collections import defaultdict
@@ -90,6 +93,43 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
                 break
             sub = (sub - 1) & b.mask
     return SimplicialComplex(b.mask, frozenset(faces))
+
+
+def x_var(i: int, n: int) -> Monomial:
+    """The variable x_i (1-indexed)."""
+    return Monomial(1 << (i - 1), n)
+
+
+def y_var(i: int, n: int) -> Monomial:
+    """The variable y_i (1-indexed)."""
+    return Monomial(1 << (n + i - 1), n)
+
+
+def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
+    """Monomial membership: m lies in the ideal iff some generator divides it."""
+    return any(g.divides(m) for g in ideal.gens)
+
+
+def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
+    """The colon ideal I : u, via m -> m / gcd(u, m) over the minimal generators."""
+    return minimalize((Monomial(g.mask & ~u.mask, ideal.n) for g in ideal.gens), ideal.n)
+
+
+def is_irrelevant(complex_: SimplicialComplex) -> bool:
+    """The complex {∅}: only the empty face."""
+    return complex_.faces == {0}
+
+
+def bit_clear_patterns(s: int) -> tuple[int, ...]:
+    """For k < s, the 2^s-bit int whose bit c is set iff bit k of c is clear:
+    one run of 2^k ones times the repunit of period 2^(k+1), by big-int division."""
+    size = 1 << s
+    out = []
+    for k in range(s):
+        period = 2 << k
+        repunit = ((1 << size) - 1) // ((1 << period) - 1)
+        out.append(((1 << (1 << k)) - 1) * repunit)
+    return tuple(out)
 
 
 def membership_table(ideal: MonomialIdeal) -> bytes:
@@ -320,8 +360,8 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     if not has_linear_resolution(J, field_tag, table=tj):
         raise JNotLinearError(f"J branch {J} does not have linear resolution")
     n = ideal.n
-    xJ = scale(Monomial.x(split.pivot, n), J)
-    yK = scale(Monomial.y(split.pivot, n), K)
+    xJ = scale(x_var(split.pivot, n), J)
+    yK = scale(y_var(split.pivot, n), K)
     tk = betti.betti_table(K, field_tag)
     tm = betti.betti_table(intersect(J, K), field_tag)
     fine: dict[tuple[int, int], int] = {}

@@ -2,9 +2,11 @@
 
 import random
 
+import brute_force
 import pytest
 
 from neuralideals.betti import (
+    LcmDegreeError,
     NotDominantError,
     betti_table,
     dominant_check,
@@ -39,7 +41,7 @@ def ideal(n, *texts):
 class TestUpperKoszul:
     def test_principal_generator_gives_irrelevant(self):
         K = upper_koszul(ideal(1, "x1"), m("x1", 1))
-        assert K.is_irrelevant
+        assert brute_force.is_irrelevant(K)
 
     def test_koszul_syzygy_two_vertices(self):
         K = upper_koszul(ideal(1, "x1", "y1"), m("x1*y1", 1))
@@ -86,6 +88,29 @@ class TestBettiTable:
         d = betti_table(ideal(1, "x1", "y1")).to_json_dict()
         assert set(d) == {"fine", "coarse", "pd", "reg"}
         assert d["fine"][0] == {"i": 0, "b": "x1", "rank": 1}
+
+
+def three_generators(n):
+    """x1*...*xn, x1*y2*...*yn and y1*...*yn: their lcm has degree 2n."""
+    full = (1 << n) - 1
+    return minimalize([Monomial(full, n), Monomial(1 | (full ^ 1) << n, n),
+                       Monomial(full << n, n)], n)
+
+
+class TestLcmDegreeLimit:
+    def test_three_generators_past_the_limit_refused(self):
+        big = three_generators(13)
+        with pytest.raises(LcmDegreeError, match="degree 26"):
+            betti_table(big)
+        with pytest.raises(LcmDegreeError):
+            upper_koszul(big, big.lcm_of_gens())
+
+    def test_two_generators_never_build_the_table(self):
+        pair = minimalize([Monomial((1 << 16) - 1, 16), Monomial(((1 << 16) - 1) << 16, 16)], 16)
+        assert invariants(pair) == (1, 31)
+
+    def test_below_the_limit_computed(self):
+        assert invariants(three_generators(8)) == (1, 14)
 
 
 class TestInvariants:

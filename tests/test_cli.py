@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_betti import three_generators
 
 import neuralideals
 from neuralideals import cli
@@ -219,11 +220,70 @@ class TestCodeCommands:
         code, out, _ = run_cli(capsys, "polarize", str(path))
         assert code == 0 and out == "x2*y1\nx1*y2\n"
 
+    @pytest.mark.parametrize("words", [["0", "1"], ["101"], ["00", "11"]],
+                             ids=["full", "one-word", "two-word"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_polarize_is_from_code(self, capsys, tmp_path, words, json_flag):
+        path = tmp_path / "code.txt"
+        path.write_text("".join(w + "\n" for w in words))
+        polarized = run_cli(capsys, "polarize", *json_flag, str(path))
+        assert polarized[0] == 0 and polarized[1]
+        assert polarized == run_cli(capsys, "from-code", *json_flag, str(path))
+
+    def test_full_code_json_marks_zero(self, capsys, tmp_path):
+        path = tmp_path / "full.txt"
+        path.write_text("0\n1\n")
+        for command in ("polarize", "from-code"):
+            code, out, _ = run_cli(capsys, command, "--json", str(path))
+            assert code == 0
+            assert json.loads(out) == {"schema": 1, "n": 1, "ideal": [], "zero": True}
+
     def test_roundtrip_through_parser(self, capsys, tmp_path):
         path = tmp_path / "code.txt"
         path.write_text("000\n101\n110\n")
         _, out, _ = run_cli(capsys, "from-code", str(path))
         assert render_ideal(parse_ideal(out)) == out
+
+
+def three_generator_file(tmp_path, n):
+    """Three generators whose lcm has all 2n variables, so the membership
+    table has 2^(2n) cells."""
+    path = tmp_path / f"three{n}.ideal"
+    path.write_text(render_ideal(three_generators(n)))
+    return str(path)
+
+
+class TestCostLimits:
+    """The membership table is capped at 2^24 cells; beyond it an ideal
+    of three or more generators exits 2 before any 2^s work."""
+
+    def timed(self, capsys, *argv):
+        start = time.perf_counter()
+        result = run_cli(capsys, *argv)
+        return result, time.perf_counter() - start
+
+    def test_n11_three_generators_fast(self, capsys, tmp_path):
+        (code, out, _), seconds = self.timed(
+            capsys, "invariants", "--json", three_generator_file(tmp_path, 11))
+        assert code == 0 and seconds < 1.0
+        assert (json.loads(out)["pd"], json.loads(out)["reg"]) == (1, 20)
+
+    def test_n12_three_generators_at_the_limit(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "betti", "--json", three_generator_file(tmp_path, 12))
+        assert code == 0 and json.loads(out)["reg"] == 22
+
+    def test_n13_three_generators_refused(self, capsys, tmp_path):
+        (code, out, err), seconds = self.timed(
+            capsys, "invariants", three_generator_file(tmp_path, 13))
+        assert code == 2 and out == "" and seconds < 1.0
+        assert err.startswith("error: ") and "degree 26" in err
+
+    def test_one_word_n14_code_refused(self, capsys, tmp_path):
+        path = tmp_path / "one.code"
+        path.write_text("1" * 14 + "\n")
+        (code, out, err), seconds = self.timed(capsys, "from-code", "--invariants", str(path))
+        assert code == 2 and out == "" and seconds < 1.0
+        assert err.startswith("error: 16383 generators") and "degree 28" in err
 
 
 class TestFamilyCommand:
@@ -341,13 +401,23 @@ class TestDeterminismAcrossHashSeeds:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
+    @pytest.fixture
+    def code_file(self, tmp_path):
+        path = tmp_path / "three.code"
+        path.write_text("000\n101\n110\n")
+        return str(path)
+
     @pytest.mark.parametrize("argv", [
-        ["invariants", "--json", "--field", "q"],
-        ["betti", "--json"],
+        ["invariants", "--json", "--field", "q", "IDEAL"],
+        ["betti", "--json", "IDEAL"],
+        ["check-linear", "--json", "IDEAL"],
+        ["from-code", "--invariants", "--json", "CODE"],
+        ["polarize", "--json", "CODE"],
+        ["family", "thm36", "--n", "3", "--k", "3", "--check", "--json"],
         ["verify", "--n", "2", "--json"],
-    ], ids=["invariants", "betti", "verify"])
-    def test_byte_identical_stdout(self, mixed_file, argv):
-        if argv[0] != "verify":
-            argv = argv + [mixed_file]
+    ], ids=["invariants", "betti", "check-linear", "from-code", "polarize", "family",
+            "verify"])
+    def test_byte_identical_stdout(self, mixed_file, code_file, argv):
+        argv = [{"IDEAL": mixed_file, "CODE": code_file}.get(a, a) for a in argv]
         first = self.stdout_under(0, argv)
         assert first and first == self.stdout_under(1, argv)

@@ -1,13 +1,13 @@
 """Differential tests: the package's kernels against brute force.
 
 The Euler check, the lcm-subset regularity bound, the lcm closure, the
-membership table, the upper Koszul complex, reduced homology, the Betti
-table, the rank over Q, the linear-quotient search and the recursive
-linearity check each have a slow reference in `brute_force`; the
-package's kernels must agree with it exactly.  So do the truth-table
-codec and the code pipeline, against the sorted degree-n universe and
-the pseudomonomial pipeline, and the splitting prediction against the
-one built from six Betti tables.  The linearly-related refusal in the
+bit-clear patterns, the membership table, the upper Koszul complex,
+reduced homology, the Betti table, the rank over Q, the linear-quotient
+search and the recursive linearity check each have a slow reference in
+`brute_force`; the package's kernels must agree with it exactly.  So do
+the truth-table codec and the code pipeline, against the sorted
+degree-n universe and the pseudomonomial pipeline, and the splitting
+prediction against the one built from six Betti tables.  The linearly-related refusal in the
 linear-quotient search must never refuse an ideal for which the
 reference finds an order.
 """
@@ -177,6 +177,10 @@ class TestBettiTableAgainstBruteForce:
     @example(family_thm36(5, 5).inner)
     def test_membership_table(self, ideal):
         assert _Membership(ideal).in_ideal == brute_force.membership_table(ideal)
+
+    @pytest.mark.parametrize("s", range(15))
+    def test_bit_clear_patterns(self, s):
+        assert betti._bit_clear_patterns(s) == brute_force.bit_clear_patterns(s)
 
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_every_degree_3_ideal(self, field):
