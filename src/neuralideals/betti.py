@@ -11,19 +11,19 @@ carry a nonzero Betti number, so the table scans exactly that set.
 Where one or two generators divide b, K^b is {∅} or two disjoint
 simplices and its homology is written down without building it; every
 other b gets its complex and a homology computation.  Membership
-b / tau ∈ I is looked up in a per-ideal table over the submasks of
-lcm(gens), which the Euler check reuses.
+b / tau ∈ I is looked up in the ideal's own table over the submasks of
+lcm(gens) (`MonomialIdeal._membership`), which the Euler check reuses.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .homology import FieldTag, SimplicialComplex, reduced_homology_ranks
 from .monomials import (
+    LcmDegreeError,
     Monomial,
     MonomialIdeal,
     UnitOrZeroIdealError,
@@ -32,18 +32,8 @@ from .monomials import (
 )
 
 
-# The membership table of an ideal whose lcm has degree s takes about
-# 6 * 2^s bytes while it is built: 110 MB at s = 24.
-MAX_LCM_DEGREE = 24
-
-
 class NotDominantError(ValueError):
     """The generating set is not dominant, closed-form invariants unavailable."""
-
-
-class LcmDegreeError(ValueError):
-    """An ideal of three or more generators whose lcm has degree above
-    MAX_LCM_DEGREE: its Betti table would build a 2^deg-cell membership table."""
 
 
 def _require_proper_nonzero(ideal: MonomialIdeal) -> None:
@@ -51,78 +41,6 @@ def _require_proper_nonzero(ideal: MonomialIdeal) -> None:
         raise UnitOrZeroIdealError("operation undefined for the zero ideal")
     if ideal.is_unit:
         raise UnitOrZeroIdealError("operation undefined for the unit ideal")
-
-
-def _require_small_lcm(ideal: MonomialIdeal) -> None:
-    """Refuse, before any 2^s work, an ideal whose table would be too large.
-
-    Three or more generators all divide the top lcm, so its complex is
-    built and with it the membership table over the 2^s submasks of top.
-    """
-    q = len(ideal.gens)
-    if q >= 3 and (s := ideal.lcm_of_gens().degree) > MAX_LCM_DEGREE:
-        raise LcmDegreeError(
-            f"{q} generators whose lcm has degree {s}: a Betti table needs "
-            f"2^{s} membership cells, above the limit 2^{MAX_LCM_DEGREE}")
-
-
-class _Membership:
-    """Ideal membership for every submask of the generators' lcm.
-
-    The s variables of top = lcm(gens) are renumbered to bits 0..s-1;
-    `weight` maps a variable's one-bit mask to its renumbered bit, and
-    `in_ideal[c]` is 1 iff the renumbered submask c lies in the ideal.
-    A monomial m is in the ideal iff its part inside top is, so every
-    membership query reduces to one lookup.  The table is built as one
-    2^s-bit int: a bit per generator, then s shift-ORs that each pass
-    membership from every submask c to c with one more renumbered bit k
-    set, so a submask ends up set iff some generator lies inside it.
-    """
-
-    def __init__(self, ideal: MonomialIdeal):
-        _require_small_lcm(ideal)
-        top = 0
-        for g in ideal.gens:
-            top |= g.mask
-        self.positions = tuple(p for p in range(top.bit_length()) if top >> p & 1)
-        self.weight = {1 << p: 1 << k for k, p in enumerate(self.positions)}
-        s = len(self.positions)
-        table = 0
-        for g in ideal.gens:
-            table |= 1 << self.compress(g.mask)
-        for k, clear in enumerate(_bit_clear_patterns(s)):
-            table |= (table & clear) << (1 << k)
-        self.in_ideal = format(table, f"0{1 << s}b")[::-1].encode().translate(_DIGITS)
-
-    def compress(self, mask: int) -> int:
-        """The renumbered part of `mask` inside top."""
-        return sum(w for bit, w in self.weight.items() if mask & bit)
-
-    def expand(self, c: int) -> int:
-        """The bit mask of the renumbered submask c."""
-        return sum(1 << p for k, p in enumerate(self.positions) if c >> k & 1)
-
-
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-@functools.cache
-def _bit_clear_patterns(s: int) -> tuple[int, ...]:
-    """For k < s, the 2^s-bit int whose bit c is set iff bit k of c is clear.
-
-    Bit k of the index is clear in runs of 2^k indices that repeat with
-    period 2^(k+1), so each pattern is one run doubled until it fills
-    2^s bits by s - k - 1 shift-ORs, with no big-int division.
-    """
-    size = 1 << s
-    out = []
-    for k in range(s):
-        pattern, width = (1 << (1 << k)) - 1, 2 << k
-        while width < size:
-            pattern |= pattern << width
-            width <<= 1
-        out.append(pattern)
-    return tuple(out)
 
 
 def _mobius_transform(values: list[int]) -> None:
@@ -141,11 +59,6 @@ def _mobius_transform(values: list[int]) -> None:
         step *= 2
 
 
-@functools.lru_cache(maxsize=8)
-def _membership(ideal: MonomialIdeal) -> _Membership:
-    return _Membership(ideal)
-
-
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     """The upper Koszul complex of `ideal` at the squarefree multidegree b.
 
@@ -157,7 +70,7 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     extended.
     """
     _require_proper_nonzero(ideal)
-    member = _membership(ideal)
+    member = ideal._membership
     in_ideal = member.in_ideal
     bits = []
     rest = b.mask
@@ -239,7 +152,9 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     for three or more generators with deg lcm(gens) > MAX_LCM_DEGREE.
     """
     _require_proper_nonzero(ideal)
-    _require_small_lcm(ideal)
+    if len(ideal.gens) >= 3:
+        # the complex at lcm(gens) needs the membership table: build or refuse it first
+        ideal._membership
     table = BettiTable(ideal.n)
     gens = [g.mask for g in ideal.gens]
     memo: dict[frozenset[int], dict[int, int]] = {}
@@ -349,7 +264,7 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     coeff: dict[int, int] = {}
     for (i, m), rank in table.fine.items():
         coeff[m] = coeff.get(m, 0) + (-1) ** i * rank
-    member = _membership(ideal)
+    member = ideal._membership
     signed = list(member.in_ideal)
     _mobius_transform(signed)
     for c, count in enumerate(signed):

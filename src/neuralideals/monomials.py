@@ -3,9 +3,12 @@
 A monomial is a bit set over the 2n variables: bit i-1 holds x_i, bit
 n+i-1 holds y_i.  An ideal whose generators are all degree-n and
 pair-excluding is also a 2^n-bit truth table, one bit per generator;
-`degree_n_ideal` and `truth_table` convert between the two.  All
-operations are exact and purely combinatorial.  Everything here is an
-immutable value; functions never mutate their arguments.
+`degree_n_ideal` and `truth_table` convert between the two.  The
+kernels on 2^m-bit tables live here too, among them the membership
+table that an ideal builds on first use and frees with itself; no table
+exceeds 2^MAX_LCM_DEGREE bits.  All operations are exact and purely
+combinatorial.  Everything here is an immutable value; functions never
+mutate their arguments.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 MAX_NEURONS = 32  # 2n must fit a single machine word
+
+# A table over 2^s cells, a membership table or a truth table on s
+# neurons, takes about 6 * 2^s bytes while it is built: 110 MB at s = 24.
+MAX_LCM_DEGREE = 24
 
 
 class NeuronCountError(ValueError):
@@ -56,6 +63,18 @@ class ZeroIdealError(ValueError):
 
 class UnitOrZeroIdealError(ValueError):
     """Operation undefined on the unit ideal or the zero ideal."""
+
+
+class LcmDegreeError(ValueError):
+    """A table of 2^s cells with s above MAX_LCM_DEGREE: the membership
+    table of an ideal whose lcm has degree s, or a truth table on s neurons."""
+
+
+def _require_table_size(s: int, subject: str) -> None:
+    """Refuse, before any 2^s work, a table above the budget."""
+    if s > MAX_LCM_DEGREE:
+        raise LcmDegreeError(
+            f"{subject} needs 2^{s} table cells, above the limit 2^{MAX_LCM_DEGREE}")
 
 
 def _check_n(n: int) -> None:
@@ -167,13 +186,10 @@ class MonomialIdeal:
     n: int
     gens: tuple[Monomial, ...]
 
-    def __hash__(self) -> int:
-        return self._hash
-
     @functools.cached_property
-    def _hash(self) -> int:
-        # computed once per ideal: per-ideal caches hash it on every lookup
-        return hash((self.n, self.gens))
+    def _membership(self) -> "_Membership":
+        # built on first use and freed with the ideal
+        return _Membership(self)
 
     @property
     def is_zero(self) -> bool:
@@ -330,6 +346,7 @@ def degree_n_ideal(table: int, n: int) -> PolarizedNeuralIdeal:
     are the minimal ones as built.
     """
     _check_n(n)
+    _require_table_size(n, f"a truth table on {n} neurons")
     if table < 0 or table.bit_length() > 1 << n:
         raise ValueError(f"truth table {table:#x} does not fit 2^{n} bits")
     full = (1 << n) - 1
@@ -345,6 +362,7 @@ def truth_table(ideal: MonomialIdeal) -> int:
     (least such i); one divisible by both raises PairViolationError.
     """
     n = ideal.n
+    _require_table_size(n, f"a truth table on {n} neurons")
     full = (1 << n) - 1
     table = 0
     for g in ideal.gens:
@@ -356,6 +374,73 @@ def truth_table(ideal: MonomialIdeal) -> int:
             raise PairViolationError(g.pair_violation(), g)
         table |= 1 << c
     return table
+
+
+def _bit_clear_patterns(s: int) -> tuple[int, ...]:
+    """For k < s, the 2^s-bit int whose bit c is set iff bit k of c is clear.
+
+    Bit k of the index is clear in runs of 2^k indices that repeat with
+    period 2^(k+1), so each pattern is one run doubled until it fills
+    2^s bits by s - k - 1 shift-ORs, with no big-int division.  The low
+    2^m bits of each pattern are the pattern for m < s, so one tuple
+    serves every table of at most 2^s bits.
+    """
+    size = 1 << s
+    out = []
+    for k in range(s):
+        pattern, width = (1 << (1 << k)) - 1, 2 << k
+        while width < size:
+            pattern |= pattern << width
+            width <<= 1
+        out.append(pattern)
+    return tuple(out)
+
+
+def _subcube_closure(table: int, patterns: tuple[int, ...], down: int = 0) -> int:
+    """The points of `table` closed under setting index bit k where bit k
+    of `down` is clear and clearing it where it is set, for each k below
+    len(patterns): one shift-OR per bit with its bit-clear pattern."""
+    for k, clear in enumerate(patterns):
+        if down >> k & 1:
+            table |= table >> (1 << k) & clear
+        else:
+            table |= (table & clear) << (1 << k)
+    return table
+
+
+class _Membership:
+    """Ideal membership for every submask of the generators' lcm.
+
+    The s variables of top = lcm(gens) are renumbered to bits 0..s-1;
+    `weight` maps a variable's one-bit mask to its renumbered bit, and
+    `in_ideal[c]` is 1 iff the renumbered submask c lies in the ideal.
+    A monomial m is in the ideal iff its part inside top is, so every
+    membership query reduces to one lookup.  The table is built as one
+    2^s-bit int: a bit per generator, then its subcube closure upward,
+    so a submask ends up set iff some generator lies inside it.
+    """
+
+    def __init__(self, ideal: MonomialIdeal):
+        top = 0
+        for g in ideal.gens:
+            top |= g.mask
+        self.positions = tuple(p for p in range(top.bit_length()) if top >> p & 1)
+        s = len(self.positions)
+        _require_table_size(
+            s, f"{len(ideal.gens)} generators whose lcm has degree {s}: a membership table")
+        self.weight = {1 << p: 1 << k for k, p in enumerate(self.positions)}
+        table = 0
+        for g in ideal.gens:
+            table |= 1 << sum(w for bit, w in self.weight.items() if g.mask & bit)
+        table = _subcube_closure(table, _bit_clear_patterns(s))
+        self.in_ideal = format(table, f"0{1 << s}b")[::-1].encode().translate(_DIGITS)
+
+    def expand(self, c: int) -> int:
+        """The bit mask of the renumbered submask c."""
+        return sum(1 << p for k, p in enumerate(self.positions) if c >> k & 1)
+
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def parse_ideal(text: str, n: Optional[int] = None) -> MonomialIdeal:

@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .betti import _bit_clear_patterns, _require_proper_nonzero, betti_table, has_linear_resolution
+from .betti import _require_proper_nonzero, betti_table, has_linear_resolution
 from .homology import FieldTag
 from .monomials import (
     Monomial,
@@ -24,6 +24,8 @@ from .monomials import (
     NotSplittableError,
     PolarizedNeuralIdeal,
     UnitOrZeroIdealError,
+    _bit_clear_patterns,
+    _subcube_closure,
     intersect,
     is_equigenerated,
     minimalize,
@@ -266,57 +268,51 @@ def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> 
     if pivot not in ("last", "smallest"):
         raise ValueError(f"unknown pivot rule {pivot!r}")
     table = truth_table(inner)
+    patterns = _bit_clear_patterns(n)  # their low 2^m bits serve level m
 
     @functools.cache  # one memo per call
     def linear(t: int, m: int) -> bool:
         if m == 1:
             return True  # subsets of {x1, y1} are variable ideals
-        j, k = _halves(t, m, m - 1 if pivot == "last" else _most_even_bit(t, m))
+        j, k = _halves(t, m, m - 1 if pivot == "last" else _most_even_bit(t, m, patterns),
+                       patterns)
         if not (j and k):
             return linear(j | k, m - 1)
-        return (_shared_divide_lcms(j, k, j & k, m - 1) and linear(j, m - 1)
+        return (_shared_divide_lcms(j, k, j & k, patterns[:m - 1]) and linear(j, m - 1)
                 and linear(k, m - 1) and linear(j & k, m - 1))
 
     return linear(table, n)
 
 
-def _most_even_bit(t: int, m: int) -> int:
-    """The lowest k minimizing |2 * (points with bit k clear) - q|."""
+def _most_even_bit(t: int, m: int, patterns: tuple[int, ...]) -> int:
+    """The lowest k < m minimizing |2 * (points with bit k clear) - q|, for
+    a 2^m-bit table t and bit-clear patterns of at least m levels."""
     q = t.bit_count()
-    clear = _bit_clear_patterns(m)
-    return min(range(m), key=lambda b: abs(2 * (t & clear[b]).bit_count() - q))
+    return min(range(m), key=lambda b: abs(2 * (t & patterns[b]).bit_count() - q))
 
 
-def _halves(t: int, m: int, k: int) -> tuple[int, int]:
+def _halves(t: int, m: int, k: int, patterns: tuple[int, ...]) -> tuple[int, int]:
     """The points of the 2^m-bit table t with bit k clear and with bit k set,
     each renumbered with bit k removed (swaps of neighbouring index bits
-    carry bit k to the top)."""
-    clear = _bit_clear_patterns(m)
+    carry bit k to the top); `patterns` has at least m levels."""
     for b in range(k, m - 1):
-        d = (t ^ t >> (1 << b)) & ~clear[b] & clear[b + 1]
+        d = (t ^ t >> (1 << b)) & ~patterns[b] & patterns[b + 1]
         t ^= d | d << (1 << b)
     half = 1 << (m - 1)
     return t & ((1 << half) - 1), t >> half
 
 
-def _shared_divide_lcms(j: int, k: int, shared: int, m: int) -> bool:
-    """Whether a shared generator divides every lcm(a, b), a in J, b in K.
+def _shared_divide_lcms(j: int, k: int, shared: int, patterns: tuple[int, ...]) -> bool:
+    """Whether a shared generator divides every lcm(a, b), a in J, b in K,
+    for tables of 2^len(patterns) bits.
 
     c divides lcm(a, b) iff b agrees with c wherever c differs from a, so the
     b that pass for a are the shared points closed under moving bits off a's."""
-    clear = _bit_clear_patterns(m)
     rest = j & ~shared
     while rest:
         low = rest & -rest
         rest ^= low
-        a = low.bit_length() - 1
-        reach = shared
-        for b, pattern in enumerate(clear):
-            if a >> b & 1:
-                reach |= reach >> (1 << b) & pattern
-            else:
-                reach |= (reach & pattern) << (1 << b)
-        if k & ~reach:
+        if k & ~_subcube_closure(shared, patterns, low.bit_length() - 1):
             return False
     return True
 

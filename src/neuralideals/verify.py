@@ -30,6 +30,7 @@ from .monomials import (
     MonomialIdeal,
     NeuronCountError,
     PolarizedNeuralIdeal,
+    _require_table_size,
     degree_n_ideal,
     lcm_closure,
     minimalize,
@@ -354,13 +355,14 @@ def lr_lq_witness_findings(n: int, degree: int, trials: int, seed: int) -> list[
 
 def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
                      count: int = 500, field_tag: FieldTag = FieldTag.F2,
-                     jobs: int = 1,
-                     with_random_suites: bool = True) -> VerificationReport:
+                     jobs: int = 1) -> VerificationReport:
     """Full verification pass; see the CLI `verify` subcommand."""
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= n <= MAX_NEURONS:
         raise NeuronCountError(f"neuron count must lie in [1, {MAX_NEURONS}], got {n}")
+    # generators that differ at every neuron have an lcm of degree 2n
+    _require_table_size(2 * n, f"verify at n = {n}, an lcm of degree {2 * n}")
     if mode == "exhaustive" and n > 3:
         raise ValueError("exhaustive mode is limited to n <= 3")
     if jobs < 1:
@@ -386,16 +388,15 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
     report.examined = len(subsets)
     report.timings["degree-n-ideals"] = time.perf_counter() - t0
 
-    if with_random_suites:
-        t0 = time.perf_counter()
-        scaling_suite(report, trials=100, seed=seed + 1, n=min(n, 3) if n >= 2 else 2)
-        report.timings["scaling"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dominant_suite(report, trials=200, seed=seed + 2, n_max=min(n, 4))
-        report.timings["dominant"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        code_suite(report, trials=100, seed=seed + 3, n_max=min(n, 4))
-        report.timings["code-pipeline"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scaling_suite(report, trials=100, seed=seed + 1, n=min(n, 3) if n >= 2 else 2)
+    report.timings["scaling"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    dominant_suite(report, trials=200, seed=seed + 2, n_max=min(n, 4))
+    report.timings["dominant"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    code_suite(report, trials=100, seed=seed + 3, n_max=min(n, 4))
+    report.timings["code-pipeline"] = time.perf_counter() - t0
 
     if exhaustive and n >= 3:
         t0 = time.perf_counter()

@@ -132,6 +132,14 @@ def bit_clear_patterns(s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def subcube_closure(table: int, m: int, down: int) -> int:
+    """The points c < 2^m above some point p of `table` in the order that
+    reverses bit k for each bit k of `down`: (p ^ down) inside (c ^ down)."""
+    points = [p for p in range(1 << m) if table >> p & 1]
+    return sum(1 << c for c in range(1 << m)
+               if any((p ^ down) & ~(c ^ down) == 0 for p in points))
+
+
 def membership_table(ideal: MonomialIdeal) -> bytes:
     """in_ideal[c] for every submask c of lcm(gens), its variables renumbered
     in increasing bit order: 1 iff some generator lies inside c."""

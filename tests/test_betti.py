@@ -1,6 +1,8 @@
 """The Betti oracle: upper Koszul complexes, tables, pd/reg, closed forms."""
 
+import gc
 import random
+import tracemalloc
 
 import brute_force
 import pytest
@@ -26,6 +28,7 @@ from neuralideals.monomials import (
     parse_monomial,
     restrict,
     lcm_closure,
+    truth_table,
 )
 from neuralideals.structure import family_prop32, family_prop33, family_thm36
 
@@ -111,6 +114,33 @@ class TestLcmDegreeLimit:
 
     def test_below_the_limit_computed(self):
         assert invariants(three_generators(8)) == (1, 14)
+
+    def test_truth_tables_past_the_limit_refused(self):
+        with pytest.raises(LcmDegreeError, match="25 neurons"):
+            degree_n_ideal(1, 25)
+        with pytest.raises(LcmDegreeError, match="25 neurons"):
+            truth_table(minimalize([Monomial((1 << 25) - 1, 25)], 25))
+        assert truth_table(minimalize([Monomial((1 << 24) - 1, 24)], 24)) == 1
+        assert degree_n_ideal(1, 24).inner.gens == (Monomial((1 << 24) - 1, 24),)
+
+
+class TestTablesFreedWithTheirIdeal:
+    def test_memory_comes_back(self):
+        # s = 20: the complex at the top lcm builds a 2^20-cell membership table
+        n, full, low = 10, (1 << 10) - 1, (1 << 5) - 1
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ideal = minimalize([Monomial(full, n), Monomial(full << n, n),
+                                Monomial(low | (full ^ low) << n, n)], n)
+            assert ideal.lcm_of_gens().degree == 20
+            betti_table(ideal)
+            del ideal
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20 // 2
 
 
 class TestInvariants:

@@ -254,8 +254,9 @@ def three_generator_file(tmp_path, n):
 
 
 class TestCostLimits:
-    """The membership table is capped at 2^24 cells; beyond it an ideal
-    of three or more generators exits 2 before any 2^s work."""
+    """Membership and truth tables are capped at 2^24 cells; beyond it an
+    ideal of three or more generators, a degree-n ideal on more than 24
+    neurons, or `verify` on more than 12 exits 2 before any 2^s work."""
 
     def timed(self, capsys, *argv):
         start = time.perf_counter()
@@ -277,6 +278,28 @@ class TestCostLimits:
             capsys, "invariants", three_generator_file(tmp_path, 13))
         assert code == 2 and out == "" and seconds < 1.0
         assert err.startswith("error: ") and "degree 26" in err
+
+    @pytest.mark.parametrize("command", ["invariants", "check-linear"])
+    @pytest.mark.parametrize("letter", ["x", "y"])
+    def test_n28_one_monomial_refused(self, capsys, tmp_path, command, letter):
+        # one generator needs no membership table, but its truth table has 2^28 bits
+        path = tmp_path / "one.ideal"
+        path.write_text("*".join(f"{letter}{i}" for i in range(1, 29)) + "\n")
+        (code, out, err), seconds = self.timed(capsys, command, str(path))
+        assert code == 2 and out == "" and seconds < 2.0
+        assert err.startswith("error: ") and "28 neurons" in err
+
+    def test_n24_one_monomial_at_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "one.ideal"
+        path.write_text("*".join(f"x{i}" for i in range(1, 25)) + "\n")
+        code, out, _ = run_cli(capsys, "check-linear", "--json", str(path))
+        assert code == 0 and json.loads(out)["recursive_linear_check"] is True
+
+    def test_verify_past_the_limit_refused_before_sampling(self, capsys):
+        (code, out, err), seconds = self.timed(
+            capsys, "verify", "--n", "22", "--mode", "sample", "--count", "1")
+        assert code == 2 and out == "" and seconds < 2.0
+        assert err.startswith("error: ") and "degree 44" in err
 
     def test_one_word_n14_code_refused(self, capsys, tmp_path):
         path = tmp_path / "one.code"

@@ -1,10 +1,11 @@
 """Differential tests: the package's kernels against brute force.
 
 The Euler check, the lcm-subset regularity bound, the lcm closure, the
-bit-clear patterns, the membership table, the upper Koszul complex,
-reduced homology, the Betti table, the rank over Q, the linear-quotient
-search and the recursive linearity check each have a slow reference in
-`brute_force`; the package's kernels must agree with it exactly.  So do
+bit-clear patterns, the subcube closure, the membership table, the
+upper Koszul complex, reduced homology, the Betti table, the rank over
+Q, the linear-quotient search and the recursive linearity check each
+have a slow reference in `brute_force`; the package's kernels must
+agree with it exactly.  So do
 the truth-table codec and the code pipeline, against the sorted
 degree-n universe and the pseudomonomial pipeline, and the splitting
 prediction against the one built from six Betti tables.  The linearly-related refusal in the
@@ -22,7 +23,6 @@ from neuralideals import homology
 from neuralideals import betti
 from neuralideals.codes import NeuralCode, code_to_polarized_ideal
 from neuralideals.betti import (
-    _Membership,
     betti_table,
     euler_discrepancy,
     reg_upper_bound_lcm,
@@ -35,7 +35,10 @@ from neuralideals.monomials import (
     NotSplittableError,
     PairViolationError,
     UnitOrZeroIdealError,
+    _bit_clear_patterns,
     _lcm_levels,
+    _Membership,
+    _subcube_closure,
     degree_n_ideal,
     lcm_closure,
     minimalize,
@@ -180,7 +183,22 @@ class TestBettiTableAgainstBruteForce:
 
     @pytest.mark.parametrize("s", range(15))
     def test_bit_clear_patterns(self, s):
-        assert betti._bit_clear_patterns(s) == brute_force.bit_clear_patterns(s)
+        assert _bit_clear_patterns(s) == brute_force.bit_clear_patterns(s)
+
+    def test_patterns_hold_every_lower_level(self):
+        # the recursive check reads the level-m patterns off the level-n ones
+        top = _bit_clear_patterns(8)
+        for m in range(9):
+            low = (1 << (1 << m)) - 1
+            assert tuple(p & low for p in top[:m]) == _bit_clear_patterns(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(0, (1 << (1 << m)) - 1), st.integers(0, (1 << m) - 1))))
+    def test_subcube_closure(self, case):
+        m, table, down = case
+        assert (_subcube_closure(table, _bit_clear_patterns(m), down)
+                == brute_force.subcube_closure(table, m, down))
 
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_every_degree_3_ideal(self, field):
@@ -404,13 +422,14 @@ class TestRecursiveCheckAgainstReference:
     def test_split_and_pivot_of_every_ideal(self, n):
         # both pivot rules give the same answer, so these are the tests
         # that see a wrong split or a wrong "smallest" pivot
+        patterns = _bit_clear_patterns(n)
         for P in degree_n_ideals(n):
             table = truth_table(P.inner)
-            assert _most_even_bit(table, n) + 1 == brute_force._pick_pivot(P.inner, "smallest")
+            assert _most_even_bit(table, n, patterns) + 1 == brute_force._pick_pivot(P.inner, "smallest")
             for i in range(1, n + 1):
                 split = split_at_neuron(P, i)
                 J, K = (brute_force.drop_neuron(b, i) for b in (split.J, split.K))
-                assert _halves(table, n, i - 1) == (truth_table(J), truth_table(K))
+                assert _halves(table, n, i - 1, patterns) == (truth_table(J), truth_table(K))
 
     def test_thm36_is_linear(self):
         P = family_thm36(5, 5)

@@ -88,7 +88,6 @@ class TestRunVerification:
             assert report.suite_checked[suite] == report.examined
 
     def test_parallel_matches_serial(self):
-        serial = run_verification(2, "exhaustive", seed=1, with_random_suites=False)
-        parallel = run_verification(2, "exhaustive", seed=1, jobs=2,
-                                    with_random_suites=False)
+        serial = run_verification(2, "exhaustive", seed=1)
+        parallel = run_verification(2, "exhaustive", seed=1, jobs=2)
         assert serial.to_json_dict()["suites"] == parallel.to_json_dict()["suites"]
