@@ -4,21 +4,28 @@ The oracle: for a proper nonzero monomial ideal I and a squarefree
 multidegree b, the Betti number in homological index i at b is the rank
 of reduced homology H_{i-1} of the upper Koszul complex
 
-    K^b(I) = { tau ⊆ supp(b) : b / tau ∈ I }.
+    K^b(I) = { tau ⊆ supp(b) : b / tau ∈ I },
 
-Only multidegrees in the lcm closure of the minimal generators can
-carry a nonzero Betti number, so the table scans exactly that set.
-Where one or two generators divide b, K^b is {∅} or two disjoint
-simplices and its homology is written down without building it; every
-other b gets its complex and a homology computation.  Membership
-b / tau ∈ I is looked up in the ideal's own table over the submasks of
-lcm(gens) (`MonomialIdeal._membership`), which the Euler check reuses.
+whose facets are b / g for the generators g dividing b (Miller-Sturmfels,
+Combinatorial Commutative Algebra, Thm 1.34).  Only multidegrees in the
+lcm closure of the minimal generators can carry a nonzero Betti number,
+so the table scans exactly that set, and there b is the lcm of its
+divisors: no vertex lies in every facet.  Up to three facets, the ranks
+are those of the nerve, read off which pairs of facets meet.  Otherwise
+K^b is shrunk to its strong-collapse core by deleting dominated vertices
+(Barmak-Minian, "Strong homotopy types, nerves and collapses", DCG
+2012), which keeps the homotopy type and so the homology over every
+field, and only a core that is not a simplex gets its faces built and a
+homology computation.  Cores recur across multidegrees, so their ranks
+are memoized for one call, keyed by the renumbered facets.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from typing import Optional
 
 from .homology import FieldTag, SimplicialComplex, reduced_homology_ranks
@@ -28,7 +35,13 @@ from .monomials import (
     MonomialIdeal,
     UnitOrZeroIdealError,
     ZeroIdealError,
+    _bit_clear_patterns,
+    _compress,
+    _expand,
     _lcm_levels,
+    _positions,
+    _require_table_size,
+    _subcube_closure,
 )
 
 
@@ -59,40 +72,76 @@ def _mobius_transform(values: list[int]) -> None:
         step *= 2
 
 
+def _koszul_facets(gens: list[int], b: int) -> set[int]:
+    """The facets b / g of K^b, one per generator mask g dividing b; none
+    when b lies outside the ideal."""
+    return {b & ~g for g in gens if g | b == b}
+
+
+def _faces_below(facets: int, v: int) -> frozenset[int]:
+    """Every subset of a facet, as a mask over v vertices, where bit f of
+    the 2^v-bit int `facets` is set for each facet f: the downward subcube
+    closure of that table."""
+    bits = format(_subcube_closure(facets, _bit_clear_patterns(v), (1 << v) - 1), "b")
+    top = len(bits) - 1
+    faces = []
+    at = bits.find("1")
+    while at >= 0:
+        faces.append(top - at)
+        at = bits.find("1", at + 1)
+    return frozenset(faces)
+
+
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     """The upper Koszul complex of `ideal` at the squarefree multidegree b.
 
     A subset tau of supp(b) is a face iff b with tau removed still lies
-    in the ideal.  Void when b itself is outside the ideal.  Faces are
-    int submasks of b.mask, grown one vertex bit at a time from the
-    empty face 0, each candidate tested by one lookup in the ideal's
-    membership table; downward closure means a non-face is never
-    extended.
+    in the ideal, that is iff tau lies inside a facet b / g with g a
+    generator dividing b.  Void when no generator divides b.  Faces are
+    int submasks of b.mask: the downward closure of the facets over the
+    deg(b) variables of b renumbered, expanded back.  Raises
+    LcmDegreeError when deg(b) exceeds MAX_LCM_DEGREE and b is in the
+    ideal.
     """
     _require_proper_nonzero(ideal)
-    member = ideal._membership
-    in_ideal = member.in_ideal
-    bits = []
-    rest = b.mask
-    while rest:
-        low = rest & -rest
-        bits.append(low)
-        rest ^= low
-    weights = [member.weight.get(bit, 0) for bit in bits]
-    inside = sum(weights)
-    if not in_ideal[inside]:
+    facets = _koszul_facets([g.mask for g in ideal.gens], b.mask)
+    if not facets:
         return SimplicialComplex(b.mask, frozenset())
-    faces = []
-    # (face mask, renumbered part of b / face inside top, first vertex to add)
-    stack = [(0, inside, 0)]
-    while stack:
-        face, rest, start = stack.pop()
-        faces.append(face)
-        for k in range(start, len(bits)):
-            smaller = rest & ~weights[k]
-            if in_ideal[smaller]:
-                stack.append((face | bits[k], smaller, k + 1))
-    return SimplicialComplex(b.mask, frozenset(faces))
+    positions = _positions(b.mask)
+    s = len(positions)
+    _require_table_size(s, f"the upper Koszul complex at a multidegree of degree {s}")
+    table = 0
+    for f in facets:
+        table |= 1 << _compress(f, positions)
+    return SimplicialComplex(
+        b.mask, frozenset(_expand(c, positions) for c in _faces_below(table, s)))
+
+
+def _strong_core(facets: set[int]) -> set[int]:
+    """Facets of a strong-collapse core of the complex they generate.
+
+    A vertex u is dominated when the facets containing u share another
+    vertex; deleting u from every facet is then a strong collapse, which
+    keeps the homotopy type (Barmak-Minian 2012).  A round tests each
+    vertex once, in one pass over the facets, and deletes it at once if
+    it is dominated; then the facets that shrank into others are dropped,
+    as a facet that is not maximal can hide a domination, though never
+    fake one.  Rounds repeat until one deletes nothing, which leaves an
+    antichain of facets with no dominated vertex.
+    """
+    deleted = True
+    while deleted:
+        deleted = False
+        rest = reduce(or_, facets)
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            if reduce(and_, [f for f in facets if f & u]) != u:
+                facets = {f & ~u for f in facets}
+                deleted = True
+        if deleted:
+            facets = {f for f in facets if not any(f | g == g != f for g in facets)}
+    return facets
 
 
 @dataclass
@@ -134,42 +183,68 @@ class BettiTable:
         }
 
 
-# reduced homology of {∅} and of two disjoint nonempty simplices
-_GENERATOR_RANKS = {-1: 1}
-_TWO_SIMPLICES_RANKS = {0: 1}
+# reduced homology of the nerve of at most three facets that share no
+# vertex all together, by (facet count, pairs of facets that meet): {∅},
+# two disjoint simplices, and three facets whose nerve is three points, a
+# point and an edge, a path, or a hollow triangle
+_NERVE_RANKS = {
+    (1, 0): {-1: 1},
+    (2, 0): {0: 1},
+    (3, 0): {0: 2},
+    (3, 1): {0: 1},
+    (3, 2): {},
+    (3, 3): {1: 1},
+}
+
+
+def _koszul_ranks(facets: set[int], field_tag: FieldTag,
+                  memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
+    """Reduced homology ranks of the complex generated by `facets`, which
+    share no vertex all together; `memo` maps a core's key to its ranks."""
+    if len(facets) <= 3:
+        f = list(facets)
+        meets = sum(bool(f[i] & f[j]) for i in range(len(f)) for j in range(i))
+        return _NERVE_RANKS[len(f), meets]
+    facets = _strong_core(facets)
+    if len(facets) == 1:  # a simplex
+        return {}
+    vertices = reduce(or_, facets)
+    positions = _positions(vertices)
+    v = len(positions)
+    key = (v, reduce(or_, [1 << _compress(f, positions) for f in facets]))
+    ranks = memo.get(key)
+    if ranks is None:
+        complex_ = SimplicialComplex((1 << v) - 1, _faces_below(key[1], v))
+        ranks = memo[key] = reduced_homology_ranks(complex_, field_tag)
+    return ranks
 
 
 def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:
     """Complete multigraded Betti table via upper Koszul homology.
 
-    A closure element b that is a generator has K^b = {∅}, so beta_{0,b}
-    = 1.  One that exactly two generators g, h divide is their lcm, and
-    K^b is the two simplices on b - g and b - h, disjoint and nonempty,
-    so beta_{1,b} = 1.  Both hold over any field.  Every other b builds
-    its complex with `upper_koszul`; homology results are memoized per
-    call keyed by the exact face set (a frozenset of face masks), since
-    the same complex recurs across multidegrees.  Raises LcmDegreeError
-    for three or more generators with deg lcm(gens) > MAX_LCM_DEGREE.
+    Each closure element b takes its divisors' facets b / g once.  One
+    facet is the empty face, K^b = {∅}, so beta_{0,b} = 1.  Two are
+    disjoint simplices, so beta_{1,b} = 1.  Three give the ranks of their
+    nerve: with e of the three pairs of divisors having lcm other than b,
+    e = 0, 1, 2, 3 give beta_{1,b} = 2, beta_{1,b} = 1, nothing and
+    beta_{2,b} = 1.  All of these hold over any field.  More facets are
+    shrunk to their strong-collapse core; a core that is one simplex is
+    acyclic, and any other is renumbered to vertices 0..v-1 and looked up
+    by (v, bitset of its facets) in a memo that lives for this call,
+    where a miss builds its faces and computes their homology.  Raises
+    LcmDegreeError for three or more generators with deg lcm(gens) >
+    MAX_LCM_DEGREE.
     """
     _require_proper_nonzero(ideal)
-    if len(ideal.gens) >= 3:
-        # the complex at lcm(gens) needs the membership table: build or refuse it first
-        ideal._membership
-    table = BettiTable(ideal.n)
     gens = [g.mask for g in ideal.gens]
-    memo: dict[frozenset[int], dict[int, int]] = {}
-    for b, level in _lcm_levels(ideal).items():
-        if level == 1:
-            ranks = _GENERATOR_RANKS
-        elif level == 2 and len([g for g in gens if g | b == b]) == 2:
-            ranks = _TWO_SIMPLICES_RANKS
-        else:
-            complex_ = upper_koszul(ideal, Monomial(b, ideal.n))
-            key = complex_.faces
-            ranks = memo.get(key)
-            if ranks is None:
-                ranks = reduced_homology_ranks(complex_, field_tag)
-                memo[key] = ranks
+    if len(gens) >= 3:
+        s = ideal.lcm_of_gens().degree
+        _require_table_size(
+            s, f"{len(gens)} generators whose lcm has degree {s}: the complex at their lcm")
+    table = BettiTable(ideal.n)
+    memo: dict[tuple[int, int], dict[int, int]] = {}
+    for b in _lcm_levels(ideal):
+        ranks = _koszul_ranks(_koszul_facets(gens, b), field_tag, memo)
         j = b.bit_count()
         for dim, rank in ranks.items():
             i = dim + 1
@@ -269,6 +344,6 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     _mobius_transform(signed)
     for c, count in enumerate(signed):
         if count:
-            m = member.expand(c)
+            m = _expand(c, member.positions)
             coeff[m] = coeff.get(m, 0) - count
     return {m: c for m, c in coeff.items() if c}

@@ -67,7 +67,8 @@ class UnitOrZeroIdealError(ValueError):
 
 class LcmDegreeError(ValueError):
     """A table of 2^s cells with s above MAX_LCM_DEGREE: the membership
-    table of an ideal whose lcm has degree s, or a truth table on s neurons."""
+    table or an upper Koszul complex of an ideal whose lcm has degree s,
+    or a truth table on s neurons."""
 
 
 def _require_table_size(s: int, subject: str) -> None:
@@ -408,36 +409,47 @@ def _subcube_closure(table: int, patterns: tuple[int, ...], down: int = 0) -> in
     return table
 
 
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask, ascending: bit k of a renumbered mask
+    stands for the k-th of them."""
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+def _compress(mask: int, positions: tuple[int, ...]) -> int:
+    """The part of mask on `positions`, renumbered to bits 0..len - 1."""
+    return sum(1 << k for k, p in enumerate(positions) if mask >> p & 1)
+
+
+def _expand(c: int, positions: tuple[int, ...]) -> int:
+    """Inverse of `_compress`: the bit mask of the renumbered c."""
+    return sum(1 << p for k, p in enumerate(positions) if c >> k & 1)
+
+
 class _Membership:
     """Ideal membership for every submask of the generators' lcm.
 
-    The s variables of top = lcm(gens) are renumbered to bits 0..s-1;
-    `weight` maps a variable's one-bit mask to its renumbered bit, and
-    `in_ideal[c]` is 1 iff the renumbered submask c lies in the ideal.
-    A monomial m is in the ideal iff its part inside top is, so every
-    membership query reduces to one lookup.  The table is built as one
-    2^s-bit int: a bit per generator, then its subcube closure upward,
-    so a submask ends up set iff some generator lies inside it.
+    The s variables of top = lcm(gens) are renumbered to bits 0..s-1
+    (`_compress`), and `in_ideal[c]` is 1 iff the renumbered submask c
+    lies in the ideal.  A monomial m is in the ideal iff its part inside
+    top is, so every membership query reduces to one lookup.  The table
+    is built as one 2^s-bit int: a bit per generator, then its subcube
+    closure upward, so a submask ends up set iff some generator lies
+    inside it.
     """
 
     def __init__(self, ideal: MonomialIdeal):
         top = 0
         for g in ideal.gens:
             top |= g.mask
-        self.positions = tuple(p for p in range(top.bit_length()) if top >> p & 1)
+        self.positions = _positions(top)
         s = len(self.positions)
         _require_table_size(
             s, f"{len(ideal.gens)} generators whose lcm has degree {s}: a membership table")
-        self.weight = {1 << p: 1 << k for k, p in enumerate(self.positions)}
         table = 0
         for g in ideal.gens:
-            table |= 1 << sum(w for bit, w in self.weight.items() if g.mask & bit)
+            table |= 1 << _compress(g.mask, self.positions)
         table = _subcube_closure(table, _bit_clear_patterns(s))
         self.in_ideal = format(table, f"0{1 << s}b")[::-1].encode().translate(_DIGITS)
-
-    def expand(self, c: int) -> int:
-        """The bit mask of the renumbered submask c."""
-        return sum(1 << p for k, p in enumerate(self.positions) if c >> k & 1)
 
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")

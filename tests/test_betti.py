@@ -126,7 +126,7 @@ class TestLcmDegreeLimit:
 
 class TestTablesFreedWithTheirIdeal:
     def test_memory_comes_back(self):
-        # s = 20: the complex at the top lcm builds a 2^20-cell membership table
+        # s = 20: a 2^20-cell membership table, as the Euler check builds it
         n, full, low = 10, (1 << 10) - 1, (1 << 5) - 1
         gc.collect()
         tracemalloc.start()
@@ -135,12 +135,20 @@ class TestTablesFreedWithTheirIdeal:
                                 Monomial(low | (full ^ low) << n, n)], n)
             assert ideal.lcm_of_gens().degree == 20
             betti_table(ideal)
+            assert len(ideal._membership.in_ideal) == 2**20
             del ideal
             gc.collect()
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert held < 2**20 // 2
+
+    def test_only_the_euler_check_builds_the_membership_table(self):
+        ideal = three_generators(5)
+        table = betti_table(ideal)
+        assert "_membership" not in ideal.__dict__
+        assert euler_discrepancy(ideal, table) == {}
+        assert "_membership" in ideal.__dict__
 
 
 class TestInvariants:

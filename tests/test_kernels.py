@@ -10,8 +10,12 @@ the truth-table codec and the code pipeline, against the sorted
 degree-n universe and the pseudomonomial pipeline, and the splitting
 prediction against the one built from six Betti tables.  The linearly-related refusal in the
 linear-quotient search must never refuse an ideal for which the
-reference finds an order.
+reference finds an order.  The strong-collapse core and the nerve rule
+for at most three facets must give the homology of the whole complex.
 """
+
+from functools import reduce
+from operator import and_, or_
 
 import brute_force
 import pytest
@@ -223,17 +227,133 @@ class TestBettiTableAgainstBruteForce:
         ideal = minimalize([parse_monomial(t, n) for t in ("x1*x2", "x2*x3", "x1*x3")], n)
         b = parse_monomial("x1*x2*x3", n)
         assert _lcm_levels(ideal)[b.mask] == 2
-        built = []
-
-        def recording(ideal, b):
-            built.append(b)
-            return upper_koszul(ideal, b)
-
-        monkeypatch.setattr(betti, "upper_koszul", recording)
+        built = record_complexes(monkeypatch)
         table = betti_table(ideal)
         assert table == brute_force.betti_table(ideal)
         assert table.fine[(1, b.mask)] == 2
-        assert built == [b]  # the three generators take the closed form
+        assert built == []  # the three-divisor rule reads K^b off its nerve
+
+
+def record_complexes(monkeypatch):
+    """Every complex `betti` builds from here on, by either of its two builders."""
+    built = []
+
+    def recording(build):
+        def wrapper(*args):
+            built.append(args)
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(betti, "upper_koszul", recording(upper_koszul))
+    monkeypatch.setattr(betti, "reduced_homology_ranks", recording(reduced_homology_ranks))
+    return built
+
+
+def all_faces(facets):
+    """The complex generated by the facet masks, every face listed."""
+    return test_homology.complex_of(
+        *([k for k in range(f.bit_length()) if f >> k & 1] for f in facets))
+
+
+def dominated(facets):
+    """The vertices u such that the facets containing u share another vertex."""
+    vertices = reduce(or_, facets)
+    return [u for u in range(vertices.bit_length()) if vertices >> u & 1
+            and reduce(and_, [f for f in facets if f >> u & 1]) != 1 << u]
+
+
+@st.composite
+def facet_antichains(draw, max_vertices=8):
+    """The maximal sets among a few nonempty vertex sets on at most
+    max_vertices vertices."""
+    v = draw(st.integers(1, max_vertices))
+    drawn = draw(st.lists(st.integers(1, (1 << v) - 1), min_size=1, max_size=12))
+    return {f for f in drawn if not any(f | g == g != f for g in drawn)}
+
+
+# the 6-vertex real projective plane, with vertex k at bit k - 1
+RP2_FACETS = {sum(1 << (k - 1) for k in face) for face in test_homology.TestProjectivePlane.FACES}
+RP2_TOP = (1 << 6) - 1
+
+
+class TestKoszulCoreAgainstFullComplex:
+    """The strong-collapse core and the three-facet nerve rule against the
+    homology of the whole complex."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(facet_antichains())
+    def test_core_keeps_homology(self, facets):
+        core = betti._strong_core(facets)
+        assert dominated(core) == []
+        assert not any(f | g == g != f for f in core for g in core)
+        for field in FieldTag:
+            assert reduced_homology_ranks(all_faces(core), field) == \
+                reduced_homology_ranks(all_faces(facets), field)
+
+    @settings(max_examples=300, deadline=None)
+    @given(facet_antichains(), st.sampled_from(list(FieldTag)))
+    def test_ranks_without_a_common_vertex(self, facets, field):
+        # the facets of K^b at an lcm-closure multidegree share no vertex;
+        # one facet then is the empty face, K^b = {∅}
+        common = reduce(and_, facets)
+        facets = {f & ~common for f in facets}
+        assert betti._koszul_ranks(facets, field, {}) == \
+            brute_force.reduced_homology_ranks(all_faces(facets), field)
+
+    @staticmethod
+    def projective_plane_ideal(n):
+        """The complements of the RP^2 triangles in its six vertices, so that
+        K^b at b = their lcm is RP^2 itself."""
+        return minimalize([Monomial(RP2_TOP & ~f, n) for f in RP2_FACETS], n)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_projective_plane_keeps_its_torsion(self, field):
+        ideal = self.projective_plane_ideal(3)
+        assert len(ideal.gens) == 10 and ideal.lcm_of_gens().mask == RP2_TOP
+        assert betti._strong_core(set(RP2_FACETS)) == RP2_FACETS
+        table = betti_table(ideal, field)
+        assert table == brute_force.betti_table(ideal, field)
+        top = {i: r for (i, b), r in table.fine.items() if b == RP2_TOP}
+        assert top == ({2: 1, 3: 1} if field is FieldTag.F2 else {})
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_cone_over_projective_plane(self, field):
+        # at b = lcm * y3, the one variable no generator uses is in every
+        # facet: K^b is the cone over RP^2, which collapses to one simplex
+        n = 4
+        ideal = self.projective_plane_ideal(n)
+        b = Monomial(RP2_TOP | 1 << 6, n)
+        cone = upper_koszul(ideal, b)
+        assert cone == brute_force.upper_koszul(ideal, b)
+        facets = betti._koszul_facets(masks_of(ideal), b.mask)
+        assert facets == {f | 1 << 6 for f in RP2_FACETS}
+        assert len(betti._strong_core(facets)) == 1
+        assert reduced_homology_ranks(cone, field) == {}
+        table = betti_table(ideal, field)
+        assert table == brute_force.betti_table(ideal, field)
+        assert not any(m == b.mask for _, m in table.fine)
+
+    @pytest.mark.parametrize("texts, ranks", [
+        # e = number of divisor pairs with lcm other than b = x1*x2*x3*x4;
+        # the facets b / g: three points, a point and an edge, a path, a
+        # hollow triangle
+        (("x2*x3*x4", "x1*x3*x4", "x1*x2*x4"), {0: 2}),
+        (("x3*x4", "x1*x4", "x1*x2*x3"), {0: 1}),
+        (("x3*x4", "x1*x4", "x1*x2"), {}),
+        (("x1*x4", "x2*x4", "x3*x4"), {1: 1}),
+    ])
+    def test_three_divisor_rule(self, monkeypatch, texts, ranks):
+        n = 4
+        ideal = minimalize([parse_monomial(t, n) for t in texts], n)
+        b = (1 << n) - 1
+        assert ideal.lcm_of_gens().mask == b
+        built = record_complexes(monkeypatch)
+        for field in FieldTag:
+            table = betti_table(ideal, field)
+            assert table == brute_force.betti_table(ideal, field)
+            assert {i: r for (i, m), r in table.fine.items() if m == b} == \
+                {dim + 1: r for dim, r in ranks.items()}
+        assert built == []
 
 
 class TestRationalRankAgainstFractions:
