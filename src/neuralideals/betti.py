@@ -15,9 +15,9 @@ are those of the nerve, read off which pairs of facets meet.  Otherwise
 K^b is shrunk to its strong-collapse core by deleting dominated vertices
 (Barmak-Minian, "Strong homotopy types, nerves and collapses", DCG
 2012), which keeps the homotopy type and so the homology over every
-field, and only a core that is not a simplex gets its faces built and a
-homology computation.  Cores recur across multidegrees, so their ranks
-are memoized for one call, keyed by the renumbered facets.
+field, and only a core of more than three facets gets its faces built
+and a homology computation.  Cores recur across multidegrees, so their
+ranks are memoized for one call, keyed by the renumbered facets.
 """
 
 from __future__ import annotations
@@ -200,14 +200,18 @@ _NERVE_RANKS = {
 def _koszul_ranks(facets: set[int], field_tag: FieldTag,
                   memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
     """Reduced homology ranks of the complex generated by `facets`, which
-    share no vertex all together; `memo` maps a core's key to its ranks."""
+    share no vertex all together; `memo` maps a core's key to its ranks.
+    A core of two or more facets shares no vertex either, as a common
+    vertex would dominate every other one, so a core of two or three
+    facets also goes to the nerve."""
+    if len(facets) > 3:
+        facets = _strong_core(facets)
+        if len(facets) == 1:  # a simplex
+            return {}
     if len(facets) <= 3:
         f = list(facets)
         meets = sum(bool(f[i] & f[j]) for i in range(len(f)) for j in range(i))
         return _NERVE_RANKS[len(f), meets]
-    facets = _strong_core(facets)
-    if len(facets) == 1:  # a simplex
-        return {}
     vertices = reduce(or_, facets)
     positions = _positions(vertices)
     v = len(positions)
@@ -229,7 +233,8 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     e = 0, 1, 2, 3 give beta_{1,b} = 2, beta_{1,b} = 1, nothing and
     beta_{2,b} = 1.  All of these hold over any field.  More facets are
     shrunk to their strong-collapse core; a core that is one simplex is
-    acyclic, and any other is renumbered to vertices 0..v-1 and looked up
+    acyclic, a core of two or three facets goes to the same nerve rule,
+    and any other is renumbered to vertices 0..v-1 and looked up
     by (v, bitset of its facets) in a memo that lives for this call,
     where a miss builds its faces and computes their homology.  Raises
     LcmDegreeError for three or more generators with deg lcm(gens) >

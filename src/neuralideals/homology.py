@@ -6,8 +6,18 @@ masks with one set bit cleared.  Homology is computed from boundary
 matrices of the augmented chain complex, with exact rank computation:
 bit-packed Gaussian elimination over F2, and over the rationals
 fraction-free elimination on sparse integer rows (cross-multiplication,
-then division by the row's gcd).  No floating point and no modular
-reduction anywhere.
+then division by the row's gcd).  No floating point anywhere.
+
+Every boundary rank is taken over F2 first, and over Q most of them are
+already exact: a boundary matrix has integer entries, and its rank over
+Q is at least its rank mod 2, since a minor that is odd is nonzero.  With
+e_k >= 0 the excess of the Q rank of map k over its F2 rank, the ranks
+over the two fields are related by b^Q_j = b^F2_j - e_j - e_{j+1}.  Both
+sides are >= 0, so an F2 group of rank 0 forces e = 0 on the two maps
+beside it, and only a map flanked by two nonzero F2 groups can differ
+over Q.  Only those maps are eliminated again over the integers; this is
+where torsion shows, as in the real projective plane, whose reduced
+homology is {1: 1, 2: 1} over F2 and zero over Q.
 """
 
 from __future__ import annotations
@@ -136,7 +146,10 @@ def reduced_homology_ranks(complex_: SimplicialComplex,
     """Ranks of the reduced homology groups, nonzero entries only.
 
     Dimension -1 is included: it has rank 1 exactly for the irrelevant
-    complex {∅}.  The void complex has no homology at all.
+    complex {∅}.  The void complex has no homology at all.  Over Q only
+    the maps between two nonzero F2 groups are ranked again by
+    `rank_rational` (see the module docstring); every other rank is the
+    F2 rank.
     """
     if complex_.is_void:
         return {}
@@ -150,10 +163,11 @@ def reduced_homology_ranks(complex_: SimplicialComplex,
         same.append(f)
     # boundary[k]: rank of the map from size-k chains to size-(k-1) chains;
     # k = 1 is the augmentation
-    boundary = [0] + [_boundary_rank(upper, index, field) for upper in by_size[1:]] + [0]
-    out: dict[int, int] = {}
-    for k, same in enumerate(by_size):
-        rank = len(same) - boundary[k] - boundary[k + 1]
-        if rank:
-            out[k - 1] = rank
-    return out
+    boundary = [0] + [_boundary_rank(upper, index, FieldTag.F2) for upper in by_size[1:]] + [0]
+    ranks = [len(same) - boundary[k] - boundary[k + 1] for k, same in enumerate(by_size)]
+    if field is FieldTag.RATIONALS:
+        for k in range(1, len(by_size)):
+            if ranks[k - 1] and ranks[k]:
+                boundary[k] = _boundary_rank(by_size[k], index, field)
+        ranks = [len(same) - boundary[k] - boundary[k + 1] for k, same in enumerate(by_size)]
+    return {k - 1: rank for k, rank in enumerate(ranks) if rank}

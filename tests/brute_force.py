@@ -24,7 +24,6 @@ from neuralideals import betti
 from neuralideals.betti import BettiTable, has_linear_resolution
 from neuralideals.codes import LengthMismatchError, NeuralCode
 from neuralideals.homology import FieldTag, SimplicialComplex, rank_f2
-from neuralideals.homology import rank_rational as sparse_rank_rational
 from neuralideals.monomials import (
     Monomial,
     MonomialIdeal,
@@ -160,6 +159,7 @@ def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]],
 
     Faces are given as sorted vertex tuples; `lower` holds the faces one
     dimension down (possibly the single empty face for the augmentation).
+    Over Q every map is ranked as a dense matrix of Fractions.
     """
     if not upper or not lower:
         return 0
@@ -173,10 +173,13 @@ def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]],
                 row |= 1 << index[sub]
             rows.append(row)
         return rank_f2(rows)
-    return sparse_rank_rational([
-        {index[face[:k] + face[k + 1:]]: -1 if k % 2 else 1 for k in range(len(face))}
-        for face in upper
-    ])
+    rows = []
+    for face in upper:
+        row = [0] * len(lower)
+        for k in range(len(face)):
+            row[index[face[:k] + face[k + 1:]]] = -1 if k % 2 else 1
+        rows.append(row)
+    return rank_rational(rows)
 
 
 def reduced_homology_ranks(complex_: SimplicialComplex,

@@ -32,7 +32,12 @@ from neuralideals.betti import (
     reg_upper_bound_lcm,
     upper_koszul,
 )
-from neuralideals.homology import FieldTag, rank_rational, reduced_homology_ranks
+from neuralideals.homology import (
+    FieldTag,
+    SimplicialComplex,
+    rank_rational,
+    reduced_homology_ranks,
+)
 from neuralideals.monomials import (
     Monomial,
     NeuronCountError,
@@ -378,6 +383,9 @@ class TestRationalRankAgainstFractions:
         assert rank_rational(sparse(rows)) == brute_force.rank_rational(rows) == rank
 
     def test_every_degree_3_boundary_matrix(self, monkeypatch):
+        # homology hands `rank_rational` only the maps between two nonzero
+        # F2 groups, so every boundary map of every K^b in the degree-3
+        # tables is ranked here directly
         ranks = []
 
         def checked(rows):
@@ -390,7 +398,14 @@ class TestRationalRankAgainstFractions:
 
         monkeypatch.setattr(homology, "rank_rational", checked)
         for ideal in degree_3_ideals():
-            betti_table(ideal, FieldTag.RATIONALS)
+            for b in lcm_closure(ideal):
+                by_size: dict[int, list[int]] = {}
+                for face in upper_koszul(ideal, b).faces:
+                    by_size.setdefault(face.bit_count(), []).append(face)
+                index = {f: i for same in by_size.values() for i, f in enumerate(same)}
+                for size, upper in by_size.items():
+                    if size:
+                        homology._boundary_rank(upper, index, FieldTag.RATIONALS)
         assert len(ranks) > 255
 
 
@@ -686,6 +701,64 @@ class TestHomologyAgainstTuples:
         table = betti_table(ideal, field)
         assert table == brute_force.betti_table(ideal, field)
         assert (table.pd, table.reg) == (5, 5)
+
+
+def count_rational_ranks(monkeypatch):
+    """Every matrix handed to `homology.rank_rational` from here on."""
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return rank_rational(rows)
+
+    monkeypatch.setattr(homology, "rank_rational", counted)
+    return calls
+
+
+class TestRationalHomologyFromF2:
+    """Over Q only a map between two nonzero F2 groups is ranked again;
+    every result against dense Fraction elimination of every map."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(facet_antichains(), st.sampled_from(list(FieldTag)))
+    @example({0b011, 0b110, 0b101, 0b1110000, 0b1101000, 0b1011000, 0b0111000},
+             FieldTag.RATIONALS)
+    @example(RP2_FACETS | {0b11000000}, FieldTag.RATIONALS)  # RP^2 beside an edge
+    def test_facet_sets_on_eight_vertices(self, facets, field):
+        K = all_faces(facets)
+        assert reduced_homology_ranks(K, field) == brute_force.reduced_homology_ranks(K, field)
+
+    def test_projective_plane_needs_one_rational_rank(self, monkeypatch):
+        # F2 {1: 1, 2: 1}: only the map from triangles to edges sits between
+        # two nonzero groups, and over Q its rank grows by one
+        calls = count_rational_ranks(monkeypatch)
+        K = all_faces(RP2_FACETS)
+        assert reduced_homology_ranks(K, FieldTag.RATIONALS) == {}
+        assert len(calls) == 1
+
+    def test_adjacent_degrees_without_torsion(self, monkeypatch):
+        # a hollow triangle beside a hollow tetrahedron: both flanked maps
+        # are ranked again, and neither gains rank over Q
+        calls = count_rational_ranks(monkeypatch)
+        triangle = [0b011, 0b110, 0b101]
+        tetrahedron = [0b1110000, 0b1101000, 0b1011000, 0b0111000]
+        K = all_faces(triangle + tetrahedron)
+        assert reduced_homology_ranks(K, FieldTag.F2) == {0: 1, 1: 1, 2: 1}
+        assert calls == []
+        assert reduced_homology_ranks(K, FieldTag.RATIONALS) == {0: 1, 1: 1, 2: 1}
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("K, ranks", [
+        (all_faces([0b1110, 0b1101, 0b1011, 0b0111]), {2: 1}),  # 2-sphere
+        (all_faces([0b011, 0b110, 0b101]), {1: 1}),  # circle
+        (SimplicialComplex(0, frozenset()), {}),  # void
+        (SimplicialComplex(0, frozenset({0})), {-1: 1}),  # {∅}
+    ])
+    def test_no_rational_rank_without_two_nonzero_neighbours(self, monkeypatch, K, ranks):
+        calls = count_rational_ranks(monkeypatch)
+        assert reduced_homology_ranks(K, FieldTag.RATIONALS) == ranks == \
+            brute_force.reduced_homology_ranks(K, FieldTag.RATIONALS)
+        assert calls == []
 
 
 class TestEulerFlagsCorruption:
