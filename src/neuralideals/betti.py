@@ -35,6 +35,7 @@ from .monomials import (
     MonomialIdeal,
     UnitOrZeroIdealError,
     ZeroIdealError,
+    _Membership,
     _bit_clear_patterns,
     _compress,
     _expand,
@@ -54,22 +55,6 @@ def _require_proper_nonzero(ideal: MonomialIdeal) -> None:
         raise UnitOrZeroIdealError("operation undefined for the zero ideal")
     if ideal.is_unit:
         raise UnitOrZeroIdealError("operation undefined for the unit ideal")
-
-
-def _mobius_transform(values: list[int]) -> None:
-    """In place, values[c] <- sum over submasks d of c of (-1)^|c-d| * values[d].
-
-    The inverse of the zeta transform over the subset lattice.
-    len(values) must be a power of two, 2^s; the cost is s * 2^(s-1)
-    subtractions.
-    """
-    size = len(values)
-    step = 1
-    while step < size:
-        for base in range(step, size, 2 * step):
-            for c in range(base, base + step):
-                values[c] -= values[c - step]
-        step *= 2
 
 
 def _koszul_facets(gens: list[int], b: int) -> set[int]:
@@ -330,25 +315,101 @@ def dominant_invariants(ideal: MonomialIdeal) -> tuple[int, int]:
     return q - 1, ideal.lcm_of_gens().degree - q + 1
 
 
+def _lanes(values: dict[int, int], width: int, s: int) -> int:
+    """values[c] in lane c of 2^s lanes of `width` bytes, little-endian."""
+    lanes = bytearray(width << s)
+    for c, value in values.items():
+        lanes[c * width:(c + 1) * width] = value.to_bytes(width, "little")
+    return int.from_bytes(lanes, "little")
+
+
+def _signed_counts(member: _Membership, masks: list[int]) -> dict[int, int]:
+    """The signed count sum over d ⊆ b of (-1)^|b - d| in_ideal[d] at each
+    b of `masks`, in their order, where it is nonzero.
+
+    The membership bytes become one 2^s-bit int, and an int with bit c
+    set iff c has even popcount splits it by parity.  The submasks of b
+    are a 2^s-bit int grown by one shift-OR per bit of b, so each count
+    is two popcounts.
+    """
+    s = len(member.positions)
+    table = int(member.in_ideal[::-1].translate(_ASCII_DIGITS), 2)
+    even = 1
+    for k in range(s):
+        even |= (~even & (1 << (1 << k)) - 1) << (1 << k)
+    counts = {}
+    for b in masks:
+        c = _compress(b, member.positions)
+        below = 1
+        for k in range(s):
+            if c >> k & 1:
+                below |= below << (1 << k)
+        inside = table & below
+        count = 2 * (inside & even).bit_count() - inside.bit_count()
+        if count:
+            counts[b] = -count if c.bit_count() & 1 else count
+    return counts
+
+
+_ASCII_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]:
     """Alternating Betti sum minus the inclusion-exclusion lcm sum, per multidegree.
 
     Empty iff the table satisfies the Euler identity: for every
-    multidegree b, sum_i (-1)^i beta_{i,b} equals the signed count
-    sum over generator subsets A with lcm(A) = b of (-1)^(|A|-1).
-    Summed over all b inside c that count is 1 if c lies in the ideal
-    and 0 otherwise, so the counts are the subset Mobius transform of
-    the membership table: 2^s cells with s = deg lcm(gens), not 2^q
-    subsets.
+    multidegree b, e(b) = sum_i (-1)^i beta_{i,b} equals the signed count
+    mu(b) = sum over generator subsets A with lcm(A) = b of (-1)^(|A|-1).
+    Summed over all b inside c, mu is 1 if c lies in the ideal and 0
+    otherwise: the zeta transform of mu over the 2^s submasks of the
+    generators' lcm, s = deg lcm(gens), is the membership table.  The
+    zeta transform is invertible, so e = mu on all 2^s cells iff
+    zeta(e) is the membership table, and e must vanish off them.
+
+    The check runs in the zeta direction on byte lanes.  e splits into
+    its positive part P and negative part N, each packed into one big
+    int with lane c holding its value at c, and s passes of
+    x += (x & clear_k) << (one lane times 2^k) add lane c into lane
+    c + 2^k wherever bit k of c is clear.  The lanes are wide enough to
+    hold max(sum P, sum N + 1) and every entry is nonnegative, so no
+    partial sum exceeds its lane and no carry crosses into the next:
+    the passes compute zeta(P) and zeta(N) exactly, and
+    zeta(P) == zeta(N) + membership is one int comparison covering
+    every cell.  That costs s big-int passes, about s * w * 2^s bytes
+    of traffic for w-byte lanes.
+
+    On a mismatch the nonzero e(b) - mu(b) are returned, the table's
+    multidegrees first in table order and then the others ascending.
+    mu is evaluated only on the lcm closure: off it no generator subset
+    has lcm b, so mu(b) = 0.
     """
     coeff: dict[int, int] = {}
     for (i, m), rank in table.fine.items():
-        coeff[m] = coeff.get(m, 0) + (-1) ** i * rank
+        coeff[m] = coeff.get(m, 0) + (-rank if i & 1 else rank)
     member = ideal._membership
-    signed = list(member.in_ideal)
-    _mobius_transform(signed)
-    for c, count in enumerate(signed):
-        if count:
-            m = _expand(c, member.positions)
-            coeff[m] = coeff.get(m, 0) - count
-    return {m: c for m, c in coeff.items() if c}
+    positions = member.positions
+    s = len(positions)
+    top = _expand((1 << s) - 1, positions)
+    plus: dict[int, int] = {}
+    minus: dict[int, int] = {}
+    for m, e in coeff.items():
+        if e and m | top == top:
+            c = _compress(m, positions)
+            if e > 0:
+                plus[c] = e
+            else:
+                minus[c] = -e
+    width = (max(sum(plus.values()), sum(minus.values()) + 1).bit_length() + 7) // 8
+    p, n = _lanes(plus, width, s), _lanes(minus, width, s)
+    for k in range(s):
+        run = width << k
+        clear = int.from_bytes((b"\xff" * run + bytes(run)) * (1 << (s - k - 1)), "little")
+        p += (p & clear) << 8 * run
+        n += (n & clear) << 8 * run
+    lanes = bytearray(width << s)
+    lanes[::width] = member.in_ideal
+    if p == n + int.from_bytes(lanes, "little"):
+        return {m: e for m, e in coeff.items() if e and m | top != top}
+    for b, count in _signed_counts(member, sorted(_lcm_levels(ideal))).items():
+        coeff[b] = coeff.get(b, 0) - count
+    return {m: e for m, e in coeff.items() if e}

@@ -262,8 +262,12 @@ def scale(u: Monomial, ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def restrict(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """The subideal generated by the minimal generators dividing m."""
-    return minimalize((g for g in ideal.gens if g.divides(m)), ideal.n)
+    """The subideal generated by the minimal generators dividing m.
+
+    A subset of a sorted antichain is a sorted antichain, so the kept
+    generators are already the minimal ones, in canonical order.
+    """
+    return MonomialIdeal(ideal.n, tuple(g for g in ideal.gens if g.divides(m)))
 
 
 def is_equigenerated(ideal: MonomialIdeal) -> Optional[int]:
@@ -416,7 +420,13 @@ def _positions(mask: int) -> tuple[int, ...]:
 
 
 def _compress(mask: int, positions: tuple[int, ...]) -> int:
-    """The part of mask on `positions`, renumbered to bits 0..len - 1."""
+    """The part of mask on `positions`, renumbered to bits 0..len - 1.
+
+    Ascending positions whose last is len - 1 are 0..len - 1 themselves,
+    and renumbering them changes nothing.
+    """
+    if not positions or positions[-1] == len(positions) - 1:
+        return mask & (1 << len(positions)) - 1
     return sum(1 << k for k, p in enumerate(positions) if mask >> p & 1)
 
 

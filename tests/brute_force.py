@@ -2,7 +2,8 @@
 
 Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
-multidegree or of the generators' lcm, over pairwise lcms until nothing new appears, over sorted
+multidegree or of the generators' lcm, over a list of 2^s ints for the
+subset Mobius transform, over pairwise lcms until nothing new appears, over sorted
 vertex tuples of faces, over the generators of an ideal, over the columns of a dense matrix of
 fractions, over every prefix of a generator order, over the
 `Monomial` generators of each branch of a pivot split, over the six
@@ -13,6 +14,9 @@ obviously correct, and only usable for small inputs.  Alongside them
 sit small helpers that `neuralideals` no longer needs and the tests
 still do: colon ideals, monomial membership, single variables, the
 irrelevant-complex test and the repunit form of the bit-clear patterns.
+`restrict` reduces the kept generators again with `minimalize`, which
+the package's version skips, and `compress` is the bit loop that
+`_compress` skips for positions 0..len - 1.
 """
 
 from collections import defaultdict
@@ -60,6 +64,36 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     for s, m in _subset_lcms(ideal):
         sign = -1 if s.bit_count() % 2 == 0 else 1
         coeff[m] = coeff.get(m, 0) - sign
+    return {m: c for m, c in coeff.items() if c}
+
+
+def mobius_transform(values: list[int]) -> None:
+    """In place, values[c] <- sum over submasks d of c of (-1)^|c-d| * values[d]:
+    the inverse of the zeta transform over the subset lattice, by s * 2^(s-1)
+    subtractions on a list of 2^s ints."""
+    size = len(values)
+    step = 1
+    while step < size:
+        for base in range(step, size, 2 * step):
+            for c in range(base, base + step):
+                values[c] -= values[c - step]
+        step *= 2
+
+
+def mobius_euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]:
+    """Alternating Betti sum minus the Mobius transform of the membership
+    table, which is the signed count of generator subsets with each lcm,
+    at every one of the 2^s submasks of lcm(gens)."""
+    coeff: dict[int, int] = {}
+    for (i, m), rank in table.fine.items():
+        coeff[m] = coeff.get(m, 0) + (-1) ** i * rank
+    member = ideal._membership
+    signed = list(member.in_ideal)
+    mobius_transform(signed)
+    for c, count in enumerate(signed):
+        if count:
+            m = sum(1 << p for k, p in enumerate(member.positions) if c >> k & 1)
+            coeff[m] = coeff.get(m, 0) - count
     return {m: c for m, c in coeff.items() if c}
 
 
@@ -112,6 +146,16 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The colon ideal I : u, via m -> m / gcd(u, m) over the minimal generators."""
     return minimalize((Monomial(g.mask & ~u.mask, ideal.n) for g in ideal.gens), ideal.n)
+
+
+def restrict(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """The generators dividing m, reduced again to a minimal antichain."""
+    return minimalize((g for g in ideal.gens if g.divides(m)), ideal.n)
+
+
+def compress(mask: int, positions: tuple[int, ...]) -> int:
+    """Bit k set iff mask has the k-th of `positions` set."""
+    return sum(1 << k for k, p in enumerate(positions) if mask >> p & 1)
 
 
 def is_irrelevant(complex_: SimplicialComplex) -> bool:

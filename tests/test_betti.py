@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import tracemalloc
 
 import brute_force
@@ -149,6 +150,32 @@ class TestTablesFreedWithTheirIdeal:
         assert "_membership" not in ideal.__dict__
         assert euler_discrepancy(ideal, table) == {}
         assert "_membership" in ideal.__dict__
+
+
+class TestEulerCheckAtLargeLcmDegree:
+    """s = 20 and s = 22: the check makes s passes over 2^s byte lanes,
+    and a failing check evaluates only the lcm closure, not all 2^s
+    cells.  The Mobius loop in `brute_force`, a Python step per cell
+    and bit, takes seconds at s = 22."""
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_correct_table_passes(self, n):
+        ideal = three_generators(n)
+        table = betti_table(ideal)
+        start = time.perf_counter()
+        assert euler_discrepancy(ideal, table) == {}
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_corrupted_top_entry_found(self, n):
+        ideal = three_generators(n)
+        table = betti_table(ideal)
+        top = ideal.lcm_of_gens().mask
+        assert all(b != top for _, b in table.fine)  # beta vanishes at the lcm
+        table.fine[(1, top)] = 1
+        start = time.perf_counter()
+        assert euler_discrepancy(ideal, table) == {top: -1}
+        assert time.perf_counter() - start < 3
 
 
 class TestInvariants:

@@ -1,6 +1,8 @@
 """Differential tests: the package's kernels against brute force.
 
-The Euler check, the lcm-subset regularity bound, the lcm closure, the
+The Euler check (against both the 2^q subset count and the Mobius
+transform of the membership table), the restriction to a multidegree,
+the lcm-subset regularity bound, the lcm closure, the
 bit-clear patterns, the subcube closure, the membership table, the
 upper Koszul complex, reduced homology, the Betti table, the rank over
 Q, the linear-quotient search and the recursive linearity check each
@@ -27,6 +29,7 @@ from neuralideals import homology
 from neuralideals import betti
 from neuralideals.codes import NeuralCode, code_to_polarized_ideal
 from neuralideals.betti import (
+    BettiTable,
     betti_table,
     euler_discrepancy,
     reg_upper_bound_lcm,
@@ -45,6 +48,7 @@ from neuralideals.monomials import (
     PairViolationError,
     UnitOrZeroIdealError,
     _bit_clear_patterns,
+    _compress,
     _lcm_levels,
     _Membership,
     _subcube_closure,
@@ -778,6 +782,161 @@ class TestEulerFlagsCorruption:
         outside = parse_monomial("x3", n).mask
         table.fine[(1, outside)] = 1
         assert euler_discrepancy(ideal, table) == {outside: -1}
+
+
+def lane_widths(monkeypatch):
+    """Record the lane width of every `betti._lanes` call."""
+    widths = []
+    pack = betti._lanes
+
+    def spy(values, width, s):
+        widths.append(width)
+        return pack(values, width, s)
+
+    monkeypatch.setattr(betti, "_lanes", spy)
+    return widths
+
+
+def decode_calls(monkeypatch):
+    """Record every `betti._signed_counts` call: the decode after a mismatch."""
+    calls = []
+    decode = betti._signed_counts
+    monkeypatch.setattr(betti, "_signed_counts",
+                        lambda *args: calls.append(args) or decode(*args))
+    return calls
+
+
+def both_references(ideal, table):
+    """The discrepancy by 2^q generator subsets and by the Mobius transform
+    of the membership table, which must agree with each other."""
+    subsets = brute_force.euler_discrepancy(ideal, table)
+    assert brute_force.mobius_euler_discrepancy(ideal, table) == subsets
+    return subsets
+
+
+class TestEulerLanes:
+    """The zeta-direction check on byte lanes against both references:
+    lanes of one, two and three bytes, signs on either side, and entries
+    outside the lcm of the generators."""
+
+    @pytest.mark.parametrize("delta, width", [
+        (200, 1), (300, 2), (-300, 2), (65_000, 2), (70_000, 3), (-70_000, 3)])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_wide_perturbations(self, monkeypatch, i, delta, width):
+        ideal = degree_3_ideals()[200]
+        table = betti_table(ideal)
+        b = max(b for _, b in table.fine)
+        table.fine[(i, b)] = table.fine.get((i, b), 0) + delta
+        before = dict(table.fine)
+        widths = lane_widths(monkeypatch)
+        out = euler_discrepancy(ideal, table)
+        assert out == both_references(ideal, table) == {b: (-1) ** i * delta}
+        assert list(out.items()) == list(
+            brute_force.mobius_euler_discrepancy(ideal, table).items())
+        assert widths == [width, width]
+        assert table.fine == before and list(table.fine) == list(before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polarized_ideals(), st.data())
+    def test_signed_perturbations(self, ideal, data):
+        table = betti_table(ideal)
+        closure = list(_lcm_levels(ideal))
+        top = ideal.lcm_of_gens().mask
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, 2 * ideal.n))
+            b = data.draw(st.one_of(st.sampled_from(closure),
+                                    st.integers(0, top), st.integers(0, (1 << 2 * ideal.n) - 1)))
+            delta = data.draw(st.sampled_from([-70_000, -300, -2, -1, 1, 2, 300, 70_000]))
+            table.fine[(i, b)] = table.fine.get((i, b), 0) + delta
+        before = dict(table.fine)
+        out = euler_discrepancy(ideal, table)
+        assert out == both_references(ideal, table)
+        assert list(out.items()) == list(
+            brute_force.mobius_euler_discrepancy(ideal, table).items())
+        assert table.fine == before and list(table.fine) == list(before)
+
+    def test_only_a_mismatch_decodes(self, monkeypatch):
+        # the decode alone gives the right dict, so a wrong lane transform
+        # would show only as a decode on a correct table
+        decoded = decode_calls(monkeypatch)
+        for ideal in degree_3_ideals():
+            assert euler_discrepancy(ideal, betti_table(ideal)) == {}
+        for n in range(1, 6):
+            ideal = degree_n_ideal((1 << (1 << n)) - 1, n).inner
+            assert euler_discrepancy(ideal, betti_table(ideal)) == {}
+        assert decoded == []
+        ideal = degree_3_ideals()[200]
+        table = betti_table(ideal)
+        table.fine[max(table.fine)] += 1
+        assert euler_discrepancy(ideal, table)
+        assert len(decoded) == 1
+
+    def test_entries_outside_the_lcm(self):
+        n = 3
+        ideal = minimalize([parse_monomial("x1*x2", n), parse_monomial("y1*x2", n)], n)
+        table = betti_table(ideal)
+        outside = parse_monomial("x2*y3", n).mask
+        # an outside entry that cancels across i is no discrepancy
+        table.fine[(0, outside)] = 5
+        table.fine[(1, outside)] = 5
+        assert euler_discrepancy(ideal, table) == both_references(ideal, table) == {}
+        table.fine[(2, outside)] = 300
+        assert euler_discrepancy(ideal, table) == both_references(ideal, table) \
+            == {outside: 300}
+
+    def test_two_byte_lanes_on_a_correct_table(self, monkeypatch):
+        # all 64 degree-6 generators: the positive part of the alternating
+        # sums adds up to 365, and a correct table must still pass
+        ideal = degree_n_ideal((1 << 64) - 1, 6).inner
+        table = betti_table(ideal)
+        widths = lane_widths(monkeypatch)
+        decoded = decode_calls(monkeypatch)
+        assert euler_discrepancy(ideal, table) == {}
+        assert widths == [2, 2] and decoded == []
+        key = max(table.fine)
+        table.fine[key] += 1
+        assert euler_discrepancy(ideal, table) == brute_force.mobius_euler_discrepancy(
+            ideal, table) == {key[1]: (-1) ** key[0]}
+
+    def test_zero_and_unit_ideals(self):
+        for gens in ([], [Monomial(0, 2)]):
+            ideal = minimalize(gens, 2)
+            table = BettiTable(2)
+            assert euler_discrepancy(ideal, table) == \
+                brute_force.mobius_euler_discrepancy(ideal, table)
+            table.fine[(0, 0)] = 1
+            assert euler_discrepancy(ideal, table) == \
+                brute_force.mobius_euler_discrepancy(ideal, table)
+
+
+class TestCompress:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, (1 << 20) - 1), st.integers(0, (1 << 12) - 1), st.booleans())
+    def test_against_the_bit_loop(self, mask, chosen, low):
+        # positions 0..len-1 take the shortcut, any others the bit loop
+        positions = tuple(range(chosen.bit_count())) if low else \
+            tuple(p for p in range(12) if chosen >> p & 1)
+        assert _compress(mask, positions) == brute_force.compress(mask, positions)
+
+
+class TestRestrictAgainstMinimalize:
+    """`restrict` keeps the generators dividing m as they stand; the
+    reference reduces them again with `minimalize`."""
+
+    def test_every_degree_3_ideal_and_its_lcm_closure(self):
+        pairs = 0
+        for ideal in degree_3_ideals():
+            for m in lcm_closure(ideal):
+                assert restrict(ideal, m) == brute_force.restrict(ideal, m)
+                pairs += 1
+        assert pairs > 255
+
+    @settings(max_examples=150, deadline=None)
+    @given(polarized_ideals(), st.data())
+    def test_mixed_degree_ideals(self, ideal, data):
+        anywhere = Monomial(data.draw(st.integers(0, (1 << 2 * ideal.n) - 1)), ideal.n)
+        for m in lcm_closure(ideal) + [anywhere]:
+            assert restrict(ideal, m) == brute_force.restrict(ideal, m)
 
 
 class TestUpperKoszulOutsideSupport:
