@@ -35,7 +35,6 @@ from .monomials import (
     MonomialIdeal,
     UnitOrZeroIdealError,
     ZeroIdealError,
-    _Membership,
     _bit_clear_patterns,
     _compress,
     _expand,
@@ -43,6 +42,7 @@ from .monomials import (
     _positions,
     _require_table_size,
     _subcube_closure,
+    is_equigenerated,
 )
 
 
@@ -259,14 +259,14 @@ def has_linear_resolution(ideal: MonomialIdeal,
     only defined in the equigenerated case.
     """
     _require_proper_nonzero(ideal)
-    degrees = {g.degree for g in ideal.gens}
-    if len(degrees) != 1:
+    degree = is_equigenerated(ideal)
+    if degree is None:
         warnings.warn("linear resolution queried on a non-equigenerated ideal",
                       stacklevel=2)
         return False
     if table is None:
         table = betti_table(ideal, field_tag)
-    return table.reg == degrees.pop()
+    return table.reg == degree
 
 
 def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:
@@ -323,35 +323,31 @@ def _lanes(values: dict[int, int], width: int, s: int) -> int:
     return int.from_bytes(lanes, "little")
 
 
-def _signed_counts(member: _Membership, masks: list[int]) -> dict[int, int]:
-    """The signed count sum over d ⊆ b of (-1)^|b - d| in_ideal[d] at each
+def _signed_counts(member: int, positions: tuple[int, ...], masks: list[int]) -> dict[int, int]:
+    """The signed count sum over d ⊆ b of (-1)^|b - d| member[d] at each
     b of `masks`, in their order, where it is nonzero.
 
-    The membership bytes become one 2^s-bit int, and an int with bit c
-    set iff c has even popcount splits it by parity.  The submasks of b
-    are a 2^s-bit int grown by one shift-OR per bit of b, so each count
-    is two popcounts.
+    Bit c of `member` is set iff the submask c renumbered over `positions`
+    lies in the ideal, and an int with bit c set iff c has even popcount
+    splits it by parity.  The submasks of b are a 2^s-bit int grown by
+    one shift-OR per bit of b, so each count is two popcounts.
     """
-    s = len(member.positions)
-    table = int(member.in_ideal[::-1].translate(_ASCII_DIGITS), 2)
+    s = len(positions)
     even = 1
     for k in range(s):
         even |= (~even & (1 << (1 << k)) - 1) << (1 << k)
     counts = {}
     for b in masks:
-        c = _compress(b, member.positions)
+        c = _compress(b, positions)
         below = 1
         for k in range(s):
             if c >> k & 1:
                 below |= below << (1 << k)
-        inside = table & below
+        inside = member & below
         count = 2 * (inside & even).bit_count() - inside.bit_count()
         if count:
             counts[b] = -count if c.bit_count() & 1 else count
     return counts
-
-
-_ASCII_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]:
@@ -366,17 +362,19 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     zeta transform is invertible, so e = mu on all 2^s cells iff
     zeta(e) is the membership table, and e must vanish off them.
 
-    The check runs in the zeta direction on byte lanes.  e splits into
-    its positive part P and negative part N, each packed into one big
-    int with lane c holding its value at c, and s passes of
+    The check runs in the zeta direction on byte lanes, over the s
+    variables of the lcm renumbered to bits 0..s-1.  e splits into its
+    positive part P and negative part N, each packed into one big int
+    with lane c holding its value at c, and s passes of
     x += (x & clear_k) << (one lane times 2^k) add lane c into lane
     c + 2^k wherever bit k of c is clear.  The lanes are wide enough to
     hold max(sum P, sum N + 1) and every entry is nonnegative, so no
-    partial sum exceeds its lane and no carry crosses into the next:
-    the passes compute zeta(P) and zeta(N) exactly, and
+    carry crosses into the next lane: the passes compute zeta(P) and
+    zeta(N) exactly.  The same passes with |= for += spread a 1 in each
+    generator's lane into the membership table; OR never carries.  Then
     zeta(P) == zeta(N) + membership is one int comparison covering
-    every cell.  That costs s big-int passes, about s * w * 2^s bytes
-    of traffic for w-byte lanes.
+    every cell, about s * w * 2^s bytes of traffic for w-byte lanes.
+    s above MAX_LCM_DEGREE raises LcmDegreeError.
 
     On a mismatch the nonzero e(b) - mu(b) are returned, the table's
     multidegrees first in table order and then the others ascending.
@@ -386,10 +384,12 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     coeff: dict[int, int] = {}
     for (i, m), rank in table.fine.items():
         coeff[m] = coeff.get(m, 0) + (-rank if i & 1 else rank)
-    member = ideal._membership
-    positions = member.positions
+    top = reduce(or_, [g.mask for g in ideal.gens], 0)
+    positions = _positions(top)
     s = len(positions)
-    top = _expand((1 << s) - 1, positions)
+    _require_table_size(
+        s, f"{len(ideal.gens)} generators whose lcm has degree {s}: the Euler check")
+    corners = [_compress(g.mask, positions) for g in ideal.gens]
     plus: dict[int, int] = {}
     minus: dict[int, int] = {}
     for m, e in coeff.items():
@@ -401,15 +401,16 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
                 minus[c] = -e
     width = (max(sum(plus.values()), sum(minus.values()) + 1).bit_length() + 7) // 8
     p, n = _lanes(plus, width, s), _lanes(minus, width, s)
+    member = _lanes(dict.fromkeys(corners, 1), width, s)
     for k in range(s):
         run = width << k
         clear = int.from_bytes((b"\xff" * run + bytes(run)) * (1 << (s - k - 1)), "little")
         p += (p & clear) << 8 * run
         n += (n & clear) << 8 * run
-    lanes = bytearray(width << s)
-    lanes[::width] = member.in_ideal
-    if p == n + int.from_bytes(lanes, "little"):
+        member |= (member & clear) << 8 * run
+    if p == n + member:
         return {m: e for m, e in coeff.items() if e and m | top != top}
-    for b, count in _signed_counts(member, sorted(_lcm_levels(ideal))).items():
+    member = _subcube_closure(sum(1 << c for c in corners), _bit_clear_patterns(s))
+    for b, count in _signed_counts(member, positions, sorted(_lcm_levels(ideal))).items():
         coeff[b] = coeff.get(b, 0) - count
     return {m: e for m, e in coeff.items() if e}

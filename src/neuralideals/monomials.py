@@ -4,24 +4,23 @@ A monomial is a bit set over the 2n variables: bit i-1 holds x_i, bit
 n+i-1 holds y_i.  An ideal whose generators are all degree-n and
 pair-excluding is also a 2^n-bit truth table, one bit per generator;
 `degree_n_ideal` and `truth_table` convert between the two.  The
-kernels on 2^m-bit tables live here too, among them the membership
-table that an ideal builds on first use and frees with itself; no table
-exceeds 2^MAX_LCM_DEGREE bits.  All operations are exact and purely
+kernels on 2^m-bit tables live here too: bit-clear patterns, the subcube
+closure and the renumbering of a mask's bits; no table exceeds
+2^MAX_LCM_DEGREE cells.  All operations are exact and purely
 combinatorial.  Everything here is an immutable value; functions never
 mutate their arguments.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 MAX_NEURONS = 32  # 2n must fit a single machine word
 
-# A table over 2^s cells, a membership table or a truth table on s
-# neurons, takes about 6 * 2^s bytes while it is built: 110 MB at s = 24.
+# A table over 2^s cells, the Euler check's byte lanes or a truth table
+# on s neurons: the check peaks near 6.4 * 2^s bytes, 102 MB at s = 24.
 MAX_LCM_DEGREE = 24
 
 
@@ -66,9 +65,9 @@ class UnitOrZeroIdealError(ValueError):
 
 
 class LcmDegreeError(ValueError):
-    """A table of 2^s cells with s above MAX_LCM_DEGREE: the membership
-    table or an upper Koszul complex of an ideal whose lcm has degree s,
-    or a truth table on s neurons."""
+    """A table of 2^s cells with s above MAX_LCM_DEGREE: the Euler check
+    or an upper Koszul complex of an ideal whose lcm has degree s, or a
+    truth table on s neurons."""
 
 
 def _require_table_size(s: int, subject: str) -> None:
@@ -186,11 +185,6 @@ class MonomialIdeal:
 
     n: int
     gens: tuple[Monomial, ...]
-
-    @functools.cached_property
-    def _membership(self) -> "_Membership":
-        # built on first use and freed with the ideal
-        return _Membership(self)
 
     @property
     def is_zero(self) -> bool:
@@ -333,11 +327,10 @@ class PolarizedNeuralIdeal:
 
 def validate_polarized_neural(ideal: MonomialIdeal) -> PolarizedNeuralIdeal:
     """Wrap `ideal` after checking pair exclusion; report the first offending pair."""
-    n = ideal.n
     for g in ideal.gens:
-        both = g.mask & (g.mask >> n)
-        if both:
-            raise PairViolationError((both & -both).bit_length(), g)
+        neuron = g.pair_violation()
+        if neuron is not None:
+            raise PairViolationError(neuron, g)
     return PolarizedNeuralIdeal(ideal)
 
 
@@ -433,36 +426,6 @@ def _compress(mask: int, positions: tuple[int, ...]) -> int:
 def _expand(c: int, positions: tuple[int, ...]) -> int:
     """Inverse of `_compress`: the bit mask of the renumbered c."""
     return sum(1 << p for k, p in enumerate(positions) if c >> k & 1)
-
-
-class _Membership:
-    """Ideal membership for every submask of the generators' lcm.
-
-    The s variables of top = lcm(gens) are renumbered to bits 0..s-1
-    (`_compress`), and `in_ideal[c]` is 1 iff the renumbered submask c
-    lies in the ideal.  A monomial m is in the ideal iff its part inside
-    top is, so every membership query reduces to one lookup.  The table
-    is built as one 2^s-bit int: a bit per generator, then its subcube
-    closure upward, so a submask ends up set iff some generator lies
-    inside it.
-    """
-
-    def __init__(self, ideal: MonomialIdeal):
-        top = 0
-        for g in ideal.gens:
-            top |= g.mask
-        self.positions = _positions(top)
-        s = len(self.positions)
-        _require_table_size(
-            s, f"{len(ideal.gens)} generators whose lcm has degree {s}: a membership table")
-        table = 0
-        for g in ideal.gens:
-            table |= 1 << _compress(g.mask, self.positions)
-        table = _subcube_closure(table, _bit_clear_patterns(s))
-        self.in_ideal = format(table, f"0{1 << s}b")[::-1].encode().translate(_DIGITS)
-
-
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def parse_ideal(text: str, n: Optional[int] = None) -> MonomialIdeal:

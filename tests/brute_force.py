@@ -87,12 +87,12 @@ def mobius_euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[in
     coeff: dict[int, int] = {}
     for (i, m), rank in table.fine.items():
         coeff[m] = coeff.get(m, 0) + (-1) ** i * rank
-    member = ideal._membership
-    signed = list(member.in_ideal)
+    signed = list(membership_table(ideal))
     mobius_transform(signed)
+    positions = lcm_positions(ideal)
     for c, count in enumerate(signed):
         if count:
-            m = sum(1 << p for k, p in enumerate(member.positions) if c >> k & 1)
+            m = sum(1 << p for k, p in enumerate(positions) if c >> k & 1)
             coeff[m] = coeff.get(m, 0) - count
     return {m: c for m, c in coeff.items() if c}
 
@@ -183,13 +183,18 @@ def subcube_closure(table: int, m: int, down: int) -> int:
                if any((p ^ down) & ~(c ^ down) == 0 for p in points))
 
 
-def membership_table(ideal: MonomialIdeal) -> bytes:
-    """in_ideal[c] for every submask c of lcm(gens), its variables renumbered
-    in increasing bit order: 1 iff some generator lies inside c."""
+def lcm_positions(ideal: MonomialIdeal) -> list[int]:
+    """The variables of lcm(gens), as bit positions in increasing order."""
     top = 0
     for g in ideal.gens:
         top |= g.mask
-    positions = [p for p in range(top.bit_length()) if top >> p & 1]
+    return [p for p in range(top.bit_length()) if top >> p & 1]
+
+
+def membership_table(ideal: MonomialIdeal) -> bytes:
+    """Byte c for every submask c of lcm(gens), its variables renumbered
+    in increasing bit order: 1 iff some generator lies inside c."""
+    positions = lcm_positions(ideal)
     out = []
     for c in range(1 << len(positions)):
         mask = sum(1 << p for k, p in enumerate(positions) if c >> k & 1)

@@ -113,6 +113,11 @@ class TestLcmDegreeLimit:
         pair = minimalize([Monomial((1 << 16) - 1, 16), Monomial(((1 << 16) - 1) << 16, 16)], 16)
         assert invariants(pair) == (1, 31)
 
+    def test_euler_check_past_the_limit_refused_for_two_generators(self):
+        pair = minimalize([Monomial((1 << 13) - 1, 13), Monomial(((1 << 13) - 1) << 13, 13)], 13)
+        with pytest.raises(LcmDegreeError, match="degree 26"):
+            euler_discrepancy(pair, betti_table(pair))
+
     def test_below_the_limit_computed(self):
         assert invariants(three_generators(8)) == (1, 14)
 
@@ -127,29 +132,26 @@ class TestLcmDegreeLimit:
 
 class TestTablesFreedWithTheirIdeal:
     def test_memory_comes_back(self):
-        # s = 20: a 2^20-cell membership table, as the Euler check builds it
+        # s = 20: the check builds 2^20-cell tables and keeps none of them
         n, full, low = 10, (1 << 10) - 1, (1 << 5) - 1
+        ideal = minimalize([Monomial(full, n), Monomial(full << n, n),
+                            Monomial(low | (full ^ low) << n, n)], n)
+        assert ideal.lcm_of_gens().degree == 20
+        table = betti_table(ideal)
         gc.collect()
         tracemalloc.start()
         try:
-            ideal = minimalize([Monomial(full, n), Monomial(full << n, n),
-                                Monomial(low | (full ^ low) << n, n)], n)
-            assert ideal.lcm_of_gens().degree == 20
-            betti_table(ideal)
-            assert len(ideal._membership.in_ideal) == 2**20
-            del ideal
+            assert euler_discrepancy(ideal, table) == {}
             gc.collect()
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < 2**20 // 2
+        assert peak >= 2**20 and held < 2**19
 
-    def test_only_the_euler_check_builds_the_membership_table(self):
+    def test_the_ideal_caches_nothing(self):
         ideal = three_generators(5)
-        table = betti_table(ideal)
-        assert "_membership" not in ideal.__dict__
-        assert euler_discrepancy(ideal, table) == {}
-        assert "_membership" in ideal.__dict__
+        assert euler_discrepancy(ideal, betti_table(ideal)) == {}
+        assert set(vars(ideal)) == {"n", "gens"}
 
 
 class TestEulerCheckAtLargeLcmDegree:

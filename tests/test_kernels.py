@@ -50,7 +50,6 @@ from neuralideals.monomials import (
     _bit_clear_patterns,
     _compress,
     _lcm_levels,
-    _Membership,
     _subcube_closure,
     degree_n_ideal,
     lcm_closure,
@@ -186,13 +185,22 @@ class TestAgainstBruteForce:
 
 class TestBettiTableAgainstBruteForce:
     """Closed forms at one- and two-generator multidegrees, and the
-    shift-OR membership table, against full enumeration."""
+    membership table built in the Euler check's lane passes, against full
+    enumeration."""
 
     @settings(max_examples=150, deadline=None)
     @given(polarized_ideals())
     @example(family_thm36(5, 5).inner)
     def test_membership_table(self, ideal):
-        assert _Membership(ideal).in_ideal == brute_force.membership_table(ideal)
+        # the Euler check builds the membership table in its own lane
+        # passes: a correct table must pass, and a bumped entry at the top
+        # multidegree must give the Mobius transform of the reference table
+        table = betti_table(ideal)
+        assert euler_discrepancy(ideal, table) == {}
+        top = ideal.lcm_of_gens().mask
+        table.fine[(1, top)] = table.fine.get((1, top), 0) + 1
+        assert euler_discrepancy(ideal, table) == \
+            brute_force.mobius_euler_discrepancy(ideal, table) == {top: -1}
 
     @pytest.mark.parametrize("s", range(15))
     def test_bit_clear_patterns(self, s):
@@ -833,7 +841,7 @@ class TestEulerLanes:
         assert out == both_references(ideal, table) == {b: (-1) ** i * delta}
         assert list(out.items()) == list(
             brute_force.mobius_euler_discrepancy(ideal, table).items())
-        assert widths == [width, width]
+        assert widths == [width] * 3
         assert table.fine == before and list(table.fine) == list(before)
 
     @settings(max_examples=100, deadline=None)
@@ -892,7 +900,7 @@ class TestEulerLanes:
         widths = lane_widths(monkeypatch)
         decoded = decode_calls(monkeypatch)
         assert euler_discrepancy(ideal, table) == {}
-        assert widths == [2, 2] and decoded == []
+        assert widths == [2] * 3 and decoded == []
         key = max(table.fine)
         table.fine[key] += 1
         assert euler_discrepancy(ideal, table) == brute_force.mobius_euler_discrepancy(
