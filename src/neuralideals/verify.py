@@ -8,6 +8,7 @@ correct implementation produces a report with zero counterexamples.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,11 +31,10 @@ from .monomials import (
     MonomialIdeal,
     NeuronCountError,
     PolarizedNeuralIdeal,
+    _lcm_levels,
     _require_table_size,
     degree_n_ideal,
-    lcm_closure,
     minimalize,
-    restrict,
     scale,
 )
 from .structure import (
@@ -121,11 +121,15 @@ def sample_degree_n_subsets(n: int, count: int, seed: int) -> list[int]:
 
 def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
                          field_tag: FieldTag = FieldTag.F2,
-                         exhaustive: bool = True) -> dict[str, list[str]]:
+                         exhaustive: bool = True,
+                         verdict: Optional[list[bool]] = None) -> dict[str, list[str]]:
     """Run every per-ideal suite; returns suite name -> list of failures.
 
-    `exhaustive` adds the two suites that only exhaustive runs afford:
-    restriction closure and the F2-against-Q table comparison.
+    `exhaustive` adds the F2-against-Q table comparison, which only
+    exhaustive runs afford.  A `verdict` list, when given, receives the
+    ideal's linear resolution and linear quotients verdicts, in that
+    order: `run_verification` decides the restriction suite from them
+    once every ideal is checked.
     """
     inner = ideal.inner
     n = inner.n
@@ -172,18 +176,8 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
         fails.append("recursive check depends on the pivot rule")
     results["agreement"] = fails
 
-    if exhaustive:
-        fails = []
-        if lr or lq is not None:
-            for m in lcm_closure(inner):
-                sub = restrict(inner, m)
-                if not sub.is_proper_nonzero or sub == inner:
-                    continue
-                if lr and not has_linear_resolution(sub, field_tag):
-                    fails.append(f"restriction to {m} loses linear resolution")
-                if lq is not None and linear_quotients_search(sub) is None:
-                    fails.append(f"restriction to {m} loses linear quotients")
-        results["restriction"] = fails
+    if verdict is not None:
+        verdict[:] = lr, lq is not None
 
     fails = []
     split = split_at_neuron(ideal, n)
@@ -211,10 +205,58 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
     return results
 
 
-def _check_subset(args) -> tuple[str, dict[str, list[str]]]:
+def _check_subset(args) -> tuple[str, dict[str, list[str]], Optional[list[bool]]]:
+    """(subject, suite failures, verdicts): the (LR, LQ) verdicts in
+    exhaustive runs, None in sampled ones."""
     n, subset, field_value, exhaustive = args
     ideal = degree_n_ideal(subset, n)
-    return str(ideal), check_degree_n_ideal(ideal, FieldTag(field_value), exhaustive)
+    verdict = [] if exhaustive else None
+    results = check_degree_n_ideal(ideal, FieldTag(field_value), exhaustive, verdict)
+    return str(ideal), results, verdict
+
+
+def _divisor_tables(n: int) -> list[int]:
+    """For each mask m over the 2n variables, the truth table of the degree-n
+    generators that divide m: the restriction I_{<=m} of the ideal with
+    table T has table T & divisors[m]."""
+    gens = degree_n_ideal((1 << (1 << n)) - 1, n).inner.gens
+    return [sum(1 << c for c, g in enumerate(gens) if g.mask | m == m)
+            for m in range(1 << 2 * n)]
+
+
+def _restriction_failures(table: int, n: int, verdicts: dict[int, list[bool]],
+                          divisors: list[int]) -> list[str]:
+    """The restriction suite of the ideal I with truth table `table`: linear
+    resolution and linear quotients pass to I_{<=m} for each m in the lcm
+    closure, taken in canonical (degree, mask) order.
+
+    `verdicts` maps every nonzero degree-n table to the (LR, LQ) verdicts
+    of its own check and `divisors` is `_divisor_tables(n)`, so each
+    restriction's verdicts are looked up, not decided again.
+    """
+    lr, lq = verdicts[table]
+    fails = []
+    if not (lr or lq):
+        return fails
+    levels = _lcm_levels(degree_n_ideal(table, n).inner)
+    for m in sorted(levels, key=lambda m: (m.bit_count(), m)):
+        # m is an lcm of generators, so the restriction is nonzero
+        sub = table & divisors[m]
+        if sub == table:
+            continue
+        sub_lr, sub_lq = verdicts[sub]
+        if lr and not sub_lr:
+            fails.append(f"restriction to {Monomial(m, n)} loses linear resolution")
+        if lq and not sub_lq:
+            fails.append(f"restriction to {Monomial(m, n)} loses linear quotients")
+    return fails
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def random_polarized_ideal(rng: random.Random, n: int,
@@ -378,13 +420,23 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
     else:
         subsets = sample_degree_n_subsets(n, count, seed)
     args = [(n, s, field_tag.value, exhaustive) for s in subsets]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the output does not depend on the worker count, and a pool forks
+    # all its workers up front
+    workers = min(jobs, len(args), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_check_subset, args, chunksize=16))
     else:
         outcomes = [_check_subset(a) for a in args]
-    for subject, results in outcomes:
+    if exhaustive:
+        # every nonzero table is checked, so every restriction is looked up
+        verdicts = {s: verdict for s, (_, _, verdict) in zip(subsets, outcomes)}
+        divisors = _divisor_tables(n)
+    for s, (subject, results, _) in zip(subsets, outcomes):
         report.merge_results(subject, results)
+        if exhaustive:
+            report.record("restriction", subject,
+                          _restriction_failures(s, n, verdicts, divisors))
     report.examined = len(subsets)
     report.timings["degree-n-ideals"] = time.perf_counter() - t0
 

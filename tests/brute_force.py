@@ -16,7 +16,9 @@ still do: colon ideals, monomial membership, single variables, the
 irrelevant-complex test and the repunit form of the bit-clear patterns.
 `restrict` reduces the kept generators again with `minimalize`, which
 the package's version skips, and `compress` is the bit loop that
-`_compress` skips for positions 0..len - 1.
+`_compress` skips for positions 0..len - 1.  `restriction_failures`
+recomputes the Betti table and the linear-quotient search of every
+restriction, which `verify` looks up among the verdicts of its own run.
 """
 
 from collections import defaultdict
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from neuralideals import betti
+from neuralideals import betti, structure
 from neuralideals.betti import BettiTable, has_linear_resolution
 from neuralideals.codes import LengthMismatchError, NeuralCode
 from neuralideals.homology import FieldTag, SimplicialComplex, rank_f2
@@ -151,6 +153,25 @@ def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
 def restrict(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """The generators dividing m, reduced again to a minimal antichain."""
     return minimalize((g for g in ideal.gens if g.divides(m)), ideal.n)
+
+
+def restriction_failures(ideal: MonomialIdeal,
+                         field_tag: FieldTag = FieldTag.F2) -> list[str]:
+    """The restriction suite: LR and LQ must pass to I_{<=m} for each m in the
+    lcm closure, both decided again for every restriction."""
+    lr = has_linear_resolution(ideal, field_tag)
+    lq = structure.linear_quotients_search(ideal) is not None
+    fails = []
+    if lr or lq:
+        for m in lcm_closure(ideal):
+            sub = restrict(ideal, m)
+            if not sub.is_proper_nonzero or sub == ideal:
+                continue
+            if lr and not has_linear_resolution(sub, field_tag):
+                fails.append(f"restriction to {m} loses linear resolution")
+            if lq and structure.linear_quotients_search(sub) is None:
+                fails.append(f"restriction to {m} loses linear quotients")
+    return fails
 
 
 def compress(mask: int, positions: tuple[int, ...]) -> int:

@@ -1,12 +1,17 @@
 """The verification harness itself: enumeration, sampling, reporting."""
 
 import json
+import sys
+from collections import defaultdict
 
+import brute_force
 import pytest
 
-from neuralideals import codes
+from neuralideals import betti, codes, structure, verify
+from neuralideals.homology import FieldTag
 from neuralideals.monomials import degree_n_ideal
 from neuralideals.verify import (
+    Counterexample,
     VerificationReport,
     check_degree_n_ideal,
     code_suite,
@@ -14,6 +19,63 @@ from neuralideals.verify import (
     run_verification,
     sample_degree_n_subsets,
 )
+
+
+def _replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Patch every package module, and the reference, that holds `original`."""
+    holders = [m for name, m in list(sys.modules.items())
+               if name == "neuralideals" or name.startswith("neuralideals.")]
+    for module in holders + [brute_force]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.fixture
+def planted_faults(monkeypatch):
+    """At n = 2 and n = 3, a wrong oracle on each ideal of two generators
+    that differ at one neuron, all of them LR: it gives the table of two
+    generators that differ at every neuron.  A linear-quotient ideal of
+    three generators gets a search that finds no order."""
+    wrong_table, no_order = {}, set()
+    for n in (2, 3):
+        non_lr = degree_n_ideal(1 | 1 << (1 << n) - 1, n).inner
+        for c in range(1 << n):
+            for k in range(n):
+                wrong_table[degree_n_ideal(1 << c | 1 << (c ^ 1 << k), n).inner] = non_lr
+        no_order.add(degree_n_ideal(0b0111, n).inner)
+    oracle, search = betti.betti_table, structure.linear_quotients_search
+
+    def faulty_oracle(ideal, field_tag=FieldTag.F2):
+        return oracle(wrong_table.get(ideal, ideal), field_tag)
+
+    def faulty_search(ideal):
+        return None if ideal in no_order else search(ideal)
+
+    _replace_everywhere(monkeypatch, oracle, faulty_oracle)
+    _replace_everywhere(monkeypatch, search, faulty_search)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for an in-process one; lists each pool's max_workers."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestEnumeration:
@@ -70,6 +132,7 @@ class TestRunVerification:
         report = run_verification(4, "sample", seed=3, count=20)
         assert report.ok
         assert report.examined == 20
+        assert "restriction" not in report.suite_checked
 
     def test_exhaustive_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -87,7 +150,72 @@ class TestRunVerification:
         for suite in ("bounds", "oracle", "agreement", "splitting"):
             assert report.suite_checked[suite] == report.examined
 
-    def test_parallel_matches_serial(self):
-        serial = run_verification(2, "exhaustive", seed=1)
-        parallel = run_verification(2, "exhaustive", seed=1, jobs=2)
-        assert serial.to_json_dict()["suites"] == parallel.to_json_dict()["suites"]
+    def test_parallel_matches_serial(self, monkeypatch):
+        # two workers even on a one-CPU machine, so that the pool runs
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        serial = run_verification(3, "exhaustive", seed=1).to_json_dict()
+        parallel = run_verification(3, "exhaustive", seed=1, jobs=2).to_json_dict()
+        serial.pop("timings")
+        parallel.pop("timings")
+        assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, cpus, mode, expected", [
+        (100_000, 4, "exhaustive", [4]),
+        (100_000, 64, "exhaustive", [15]),
+        (100_000, 64, "sample", [5]),
+        (3, 64, "exhaustive", [3]),
+        (2, 1, "exhaustive", []),
+    ])
+    def test_pool_is_capped(self, monkeypatch, pool_sizes, jobs, cpus, mode, expected):
+        """min(jobs, ideals, CPUs) workers; a single one runs in process, with no pool."""
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        report = run_verification(2, mode, seed=0, count=5, jobs=jobs)
+        assert pool_sizes == expected
+        assert report.ok
+
+
+class TestRestrictionSuite:
+    """The suite looks each restriction's verdicts up among the run's own;
+    `brute_force.restriction_failures` decides them again."""
+
+    @staticmethod
+    def reference(n: int) -> dict[str, list[str]]:
+        out = {}
+        for table in enumerate_degree_n_subsets(n):
+            ideal = degree_n_ideal(table, n)
+            fails = brute_force.restriction_failures(ideal.inner)
+            if fails:
+                out[str(ideal)] = fails
+        return out
+
+    @pytest.mark.parametrize("n, faulty", [(2, False), (3, False), (2, True), (3, True)])
+    def test_matches_reference_on_every_ideal(self, request, n, faulty):
+        if faulty:
+            request.getfixturevalue("planted_faults")
+        report = run_verification(n, "exhaustive", seed=0)
+        got = defaultdict(list)
+        for c in report.counterexamples:
+            if c.suite == "restriction":
+                got[c.subject].append(c.detail)
+        want = self.reference(n)
+        assert dict(got) == want
+        assert bool(want) == faulty
+        assert report.suite_checked["restriction"] == report.examined
+
+    def test_planted_faults_give_the_reference_counterexamples(self, planted_faults):
+        report = run_verification(3, "exhaustive", seed=0)
+        # the suites outside the degree-n loop are not part of the change
+        want = [c for c in report.counterexamples
+                if c.suite in ("scaling", "dominant", "code-pipeline")]
+        for table in enumerate_degree_n_subsets(3):
+            ideal = degree_n_ideal(table, 3)
+            results = check_degree_n_ideal(ideal)
+            results["restriction"] = brute_force.restriction_failures(ideal.inner)
+            want += [Counterexample(suite, str(ideal), f)
+                     for suite, fails in results.items() for f in fails]
+
+        def key(c):
+            return c.suite, c.subject, c.detail
+
+        assert sorted(report.counterexamples, key=key) == sorted(want, key=key)
+        assert any(c.suite == "restriction" for c in want)
