@@ -43,6 +43,7 @@ from .monomials import (
     _require_table_size,
     _subcube_closure,
     is_equigenerated,
+    mask_text,
 )
 
 
@@ -134,7 +135,9 @@ class BettiTable:
     """Fine (multigraded) and coarse Betti numbers of one ideal.
 
     fine maps (homological index i, multidegree mask) -> rank;
-    coarse aggregates by total degree: (i, j) -> rank.
+    coarse aggregates by total degree: (i, j) -> rank.  The JSON form
+    and the `betti` text list the fine entries in `fine_entries` order,
+    each multidegree named from its mask by `mask_text`.
     """
 
     n: int
@@ -149,15 +152,17 @@ class BettiTable:
     def reg(self) -> int:
         return max(j - i for i, j in self.coarse)
 
-    def fine_entries(self) -> list[tuple[int, Monomial, int]]:
-        out = [(i, Monomial(m, self.n), r) for (i, m), r in self.fine.items()]
-        out.sort(key=lambda t: (t[0], t[1].sort_key()))
-        return out
+    def fine_entries(self) -> list[tuple[int, int, int]]:
+        """(i, multidegree mask, rank) of every fine entry, sorted by i,
+        then by the multidegree's degree and mask."""
+        return sorted(((i, m, r) for (i, m), r in self.fine.items()),
+                      key=lambda t: (t[0], t[1].bit_count(), t[1]))
 
     def to_json_dict(self) -> dict:
         return {
             "fine": [
-                {"i": i, "b": str(m), "rank": r} for i, m, r in self.fine_entries()
+                {"i": i, "b": mask_text(m, self.n), "rank": r}
+                for i, m, r in self.fine_entries()
             ],
             "coarse": [
                 {"i": i, "j": j, "rank": r}

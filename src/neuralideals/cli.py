@@ -11,11 +11,16 @@ text on stdout, then the notes on stderr.  A command refuses its input
 by raising `_Refused`; the Betti oracle refuses a too-large ideal with
 `LcmDegreeError`.  `main` prints either as `error: <message>` on
 stderr, with nothing on stdout.
+
+The argument parser is built once per process, on the first `main`
+call, and reused by every later call; importing the module builds
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,6 +32,7 @@ from .monomials import (
     NeuronCountError,
     PairViolationError,
     is_equigenerated,
+    mask_text,
     parse_ideal,
     validate_polarized_neural,
     variable_name,
@@ -134,7 +140,8 @@ def cmd_betti(args):
     ideal = _load_ideal(args)
     table = betti_table(ideal, FieldTag(args.field))
     text = "\n".join([f"pd {table.pd}, reg {table.reg}",
-                      *(f"  i={i} b={m}  rank {r}" for i, m, r in table.fine_entries())])
+                      *(f"  i={i} b={mask_text(m, ideal.n)}  rank {r}"
+                        for i, m, r in table.fine_entries())])
     return 0, {"schema": 1, "n": ideal.n, **table.to_json_dict()}, text, []
 
 
@@ -241,6 +248,7 @@ _SHARED_ARGUMENTS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neuralideals",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional
 
 MAX_NEURONS = 32  # 2n must fit a single machine word
@@ -89,6 +90,18 @@ def variable_name(bit: int, n: int) -> str:
     return f"x{bit + 1}" if bit < n else f"y{bit - n + 1}"
 
 
+@cache
+def _variable_names(n: int) -> tuple[str, ...]:
+    """The names of the 2n variables, by bit position (one tuple per n)."""
+    return tuple(variable_name(b, n) for b in range(2 * n))
+
+
+def mask_text(mask: int, n: int) -> str:
+    """The text of the squarefree monomial `mask` over n neurons: `x1*y2`, or `1`."""
+    names = _variable_names(n)
+    return "*".join([names[b] for b in _positions(mask)]) or "1"
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A squarefree monomial over x_1..x_n, y_1..y_n, stored as a bit mask."""
@@ -143,9 +156,7 @@ class Monomial:
         return (self.degree, self.mask)
 
     def __str__(self) -> str:
-        if self.mask == 0:
-            return "1"
-        return "*".join(variable_name(b, self.n) for b in self.support())
+        return mask_text(self.mask, self.n)
 
 
 _TOKEN_RE = re.compile(r"^([xy])(\d+)$")

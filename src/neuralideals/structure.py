@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .betti import _require_proper_nonzero, betti_table, has_linear_resolution
+from .codes import MAX_CODE_NEURONS
 from .homology import FieldTag
 from .monomials import (
     Monomial,
@@ -370,19 +371,23 @@ def family_prop34_reg(n: int, j: int) -> PolarizedNeuralIdeal:
 
 
 def family_thm36(n: int, k: int) -> PolarizedNeuralIdeal:
-    """The product (x_1,y_1)(x_2,y_2)...(x_k,y_k): 2^k degree-k generators, pd = reg = k."""
+    """The product (x_1,y_1)(x_2,y_2)...(x_k,y_k): 2^k degree-k generators, pd = reg = k.
+
+    k is capped at MAX_CODE_NEURONS, the code pipeline's cap on its 2^n
+    generators.
+    """
     if not 1 <= k <= n:
         raise FamilyParameterError(f"need 1 <= k <= n, got k = {k}, n = {n}")
-    gens = []
-    for choice in range(1 << k):
-        mask = 0
-        for i in range(1, k + 1):
-            if choice >> (i - 1) & 1:
-                mask |= 1 << (n + i - 1)
-            else:
-                mask |= 1 << (i - 1)
-        gens.append(Monomial(mask, n))
-    return validate_polarized_neural(minimalize(gens, n))
+    if k > MAX_CODE_NEURONS:
+        raise FamilyParameterError(
+            f"k = {k} would give 2^{k} generators, above the limit k <= {MAX_CODE_NEURONS}")
+    # generator `choice` takes y_i where bit i-1 of choice is set and x_i
+    # elsewhere.  Distinct monomials of one degree are an antichain, and the
+    # y bits `choice << n` sit above every x bit, so ascending choice is the
+    # canonical (degree, mask) order: no `minimalize` needed
+    low = (1 << k) - 1
+    gens = tuple(Monomial(choice << n | low & ~choice, n) for choice in range(1 << k))
+    return validate_polarized_neural(MonomialIdeal(n, gens))
 
 
 FAMILIES = {

@@ -19,6 +19,10 @@ the package's version skips, and `compress` is the bit loop that
 `_compress` skips for positions 0..len - 1.  `restriction_failures`
 recomputes the Betti table and the linear-quotient search of every
 restriction, which `verify` looks up among the verdicts of its own run.
+`betti_json_dict` and `betti_text` render a Betti table through one
+`Monomial` per fine entry, named by the loop over its support that
+`Monomial.__str__` replaced, and `family_thm36` reduces its generators
+with `minimalize`, which the package's version skips.
 """
 
 from collections import defaultdict
@@ -39,6 +43,7 @@ from neuralideals.monomials import (
     minimalize,
     scale,
     validate_polarized_neural,
+    variable_name,
 )
 from neuralideals.structure import (
     JNotLinearError,
@@ -289,6 +294,42 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     return table
 
 
+def monomial_text(m: Monomial) -> str:
+    """`x1*y2` text of m, one `variable_name` per variable of its support."""
+    if m.mask == 0:
+        return "1"
+    return "*".join(variable_name(b, m.n) for b in m.support())
+
+
+def fine_entries(table: BettiTable) -> list[tuple[int, Monomial, int]]:
+    """The fine entries with one `Monomial` each, by i, then `Monomial.sort_key`."""
+    out = [(i, Monomial(m, table.n), r) for (i, m), r in table.fine.items()]
+    out.sort(key=lambda t: (t[0], t[1].sort_key()))
+    return out
+
+
+def betti_json_dict(table: BettiTable) -> dict:
+    """`BettiTable.to_json_dict`, rendered through `fine_entries` above."""
+    return {
+        "fine": [
+            {"i": i, "b": monomial_text(m), "rank": r} for i, m, r in fine_entries(table)
+        ],
+        "coarse": [
+            {"i": i, "j": j, "rank": r}
+            for (i, j), r in sorted(table.coarse.items())
+        ],
+        "pd": table.pd,
+        "reg": table.reg,
+    }
+
+
+def betti_text(table: BettiTable) -> str:
+    """What `neuralideals betti` prints without --json, through `fine_entries`."""
+    return "\n".join([f"pd {table.pd}, reg {table.reg}",
+                      *(f"  i={i} b={monomial_text(m)}  rank {r}"
+                        for i, m, r in fine_entries(table))])
+
+
 def rank_rational(rows: list[list[int]]) -> int:
     """Rank over the rationals of a dense matrix, by Gauss-Jordan on Fractions."""
     if not rows:
@@ -463,6 +504,20 @@ def degree_n_universe(n: int) -> list[Monomial]:
         out.append(Monomial(mask, n))
     out.sort(key=Monomial.sort_key)
     return out
+
+
+def family_thm36(n: int, k: int) -> PolarizedNeuralIdeal:
+    """(x_1,y_1)...(x_k,y_k), one bit per variable, reduced by `minimalize`."""
+    gens = []
+    for choice in range(1 << k):
+        mask = 0
+        for i in range(1, k + 1):
+            if choice >> (i - 1) & 1:
+                mask |= 1 << (n + i - 1)
+            else:
+                mask |= 1 << (i - 1)
+        gens.append(Monomial(mask, n))
+    return validate_polarized_neural(minimalize(gens, n))
 
 
 def ideal_from_subset(universe: list[Monomial], subset: int) -> PolarizedNeuralIdeal:

@@ -2,18 +2,25 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import brute_force
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_betti import three_generators
 
 import neuralideals
 from neuralideals import cli
+from neuralideals.betti import betti_table
 from neuralideals.cli import main
+from neuralideals.homology import FieldTag
 from neuralideals.monomials import degree_n_ideal, parse_ideal, render_ideal
+from neuralideals.verify import random_polarized_ideal
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +118,86 @@ class TestBettiCommand:
     def test_rational_field_flag(self, capsys, koszul_file):
         code, out, _ = run_cli(capsys, "betti", "--field", "q", "--json", koszul_file)
         assert code == 0 and json.loads(out)["pd"] == 1
+
+
+# the 6-vertex real projective plane as K^b at the top multidegree: it has
+# 2-torsion, so its Betti tables over F2 and Q differ
+RP2_IDEAL = ("x1*x2*y1\nx2*x3*y1\nx1*x2*y2\nx1*x3*y2\nx3*y1*y2\n"
+             "x1*x3*y3\nx2*x3*y3\nx1*y1*y3\nx2*y2*y3\ny1*y2*y3\n")
+
+
+def indented(payload):
+    return json.dumps(payload, indent=2)
+
+
+class TestBettiRenderingAgainstMonomials:
+    """Betti entries named from int masks print the same bytes as the
+    reference that builds one `Monomial` per entry."""
+
+    def test_every_degree_3_ideal(self, capsys, tmp_path):
+        path = tmp_path / "d3.ideal"
+        for subset in range(1, 256):
+            ideal = degree_n_ideal(subset, 3).inner
+            table = betti_table(ideal)
+            assert indented(table.to_json_dict()) == indented(brute_force.betti_json_dict(table))
+            path.write_text(render_ideal(ideal))
+            code, out, _ = run_cli(capsys, "betti", "-n", "3", str(path))
+            assert code == 0 and out == brute_force.betti_text(table) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 2 ** 32))
+    def test_random_polarized_ideals(self, n, seed):
+        table = betti_table(random_polarized_ideal(random.Random(seed), n))
+        assert indented(table.to_json_dict()) == indented(brute_force.betti_json_dict(table))
+
+    @pytest.mark.parametrize("field", ["f2", "q"])
+    def test_projective_plane(self, capsys, tmp_path, field):
+        path = tmp_path / "rp2.ideal"
+        path.write_text(RP2_IDEAL)
+        table = betti_table(parse_ideal(RP2_IDEAL), FieldTag(field))
+        code, out, _ = run_cli(capsys, "betti", "--raw", "--json", "--field", field, str(path))
+        assert code == 0
+        assert out == indented({"schema": 1, "n": 3, **brute_force.betti_json_dict(table)}) + "\n"
+        code, out, _ = run_cli(capsys, "betti", "--raw", "--field", field, str(path))
+        assert code == 0 and out == brute_force.betti_text(table) + "\n"
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        """(how `main` ended, stdout, stderr): ("return", status) or ("exit", code)."""
+        try:
+            ended = ("return", main(argv))
+        except SystemExit as exc:
+            ended = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return ended, captured.out, captured.err
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys, koszul_file, tmp_path):
+        code_file = tmp_path / "two.code"
+        code_file.write_text("00\n11\n")
+        sequence = [
+            ["invariants", "--json", koszul_file],
+            ["invariants", "--field", "r", koszul_file],
+            ["betti", koszul_file],
+            ["polarize", str(code_file)],
+            ["from-code", "--invariants", "--json", str(code_file)],
+            ["family", "thm36", "--n", "3", "--k", "3", "--check"],
+        ]
+        reused = [self.outcome(capsys, argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert reused == fresh
+        assert [ended for ended, _, _ in reused] == [
+            ("return", 0), ("exit", 2), ("return", 0), ("return", 0), ("return", 0),
+            ("return", 0)]
+        _, out, err = reused[1]
+        assert out == "" and err.startswith("usage: neuralideals invariants")
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestCheckLinear:
@@ -336,6 +423,11 @@ class TestFamilyCommand:
     def test_neuron_count_too_large_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "family", "prop32", "--n", "40", "--k", "1")
         assert code == 2 and "neuron count" in err
+
+    def test_thm36_above_the_generator_cap_exit_2(self, capsys):
+        # 2^32 generators: refused before any is built
+        code, out, err = run_cli(capsys, "family", "thm36", "--n", "32", "--k", "32")
+        assert code == 2 and out == "" and err.startswith("error: k = 32")
 
     def test_json_check_uses_one_table(self, capsys, monkeypatch):
         real_betti_table, tables = cli.betti_table, []

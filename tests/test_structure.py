@@ -234,6 +234,20 @@ class TestFamilies:
     def test_thm36_expansion(self):
         assert family_thm36(2, 2).inner == ideal(2, "x1*x2", "x1*y2", "y1*x2", "y1*y2")
 
+    def test_thm36_against_minimalize(self):
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                assert family_thm36(n, k) == brute_force.family_thm36(n, k)
+
+    def test_thm36_at_the_generator_cap(self):
+        gens = family_thm36(16, 16).inner.gens
+        assert len(gens) == 1 << 16
+        assert list(gens) == sorted(set(gens), key=lambda g: g.sort_key())
+
+    def test_thm36_above_the_generator_cap(self):
+        with pytest.raises(FamilyParameterError, match="2\\^17"):
+            family_thm36(17, 17)
+
     def test_expected_invariants_small(self):
         assert invariants(family_prop32(3, 2).inner)[0] == 1
         assert invariants(family_prop33(3, 2).inner)[1] == 4
