@@ -18,6 +18,28 @@ K^b is shrunk to its strong-collapse core by deleting dominated vertices
 field, and only a core of more than three facets gets its faces built
 and a homology computation.  Cores recur across multidegrees, so their
 ranks are memoized for one call, keyed by the renumbered facets.
+
+The cubical side.  When every generator is a transversal of one neuron
+set N, as for a degree-n ideal, its pivot halves J and K, thm36 and the
+ideal of any code, a generator is a point of the cube {0,1}^N (y_i or
+x_i at each neuron), T is the set of generator points and W = {0,1}^N ∖ T
+the codewords.  A closure multidegree b with k free neurons, those
+with both x_i and y_i in b, is a k-dimensional subcube, and the facets
+b / g are facets of the boundary of the k-dimensional cross-polytope,
+a (k-1)-sphere.  Alexander duality in that sphere (Björner-Tancer,
+"Combinatorial Alexander duality", DCG 2009) gives
+
+    beta_{i,b}(I) = dim H̃_{k-1-i}(□(W ∩ b)),
+
+where □(W ∩ b) is the cubical complex of the subcubes of b whose points
+are all codewords, and the empty complex has H̃_{-1} = 1.  So pd <= k
+<= n, and since deg b = |N| + k, reg = |N| + 1 + max{d : H̃_d(□(W ∩ b))
+!= 0} over the closure, which is >= |N|: the ideal has a linear
+resolution iff every □(W ∩ b) is empty or acyclic.  A multidegree with
+d_b >= 4 divisors takes the cubical side when |W ∩ b| = 2^k - d_b is at
+most 2 d_b, so the smaller of the two complexes is built; the nerve
+rule comes first, and every other multidegree and every other ideal
+takes the strong-core path.
 """
 
 from __future__ import annotations
@@ -28,7 +50,13 @@ from functools import reduce
 from operator import and_, or_
 from typing import Optional
 
-from .homology import FieldTag, SimplicialComplex, reduced_homology_ranks
+from .homology import (
+    FieldTag,
+    SimplicialComplex,
+    rank_f2,
+    rank_rational,
+    reduced_homology_ranks,
+)
 from .monomials import (
     LcmDegreeError,
     Monomial,
@@ -213,6 +241,165 @@ def _koszul_ranks(facets: set[int], field_tag: FieldTag,
     return ranks
 
 
+def _varying_neurons(gens: list[int], n: int) -> int:
+    """The neurons on which the generators differ, those with both x_i and
+    y_i in their lcm, as an n-bit mask, when every generator is a
+    transversal of one neuron set (one of x_i, y_i for each neuron of the
+    set and no other variable); 0 otherwise."""
+    full = (1 << n) - 1
+    support = (gens[0] | gens[0] >> n) & full
+    lcm = 0
+    for g in gens:
+        if g & g >> n or (g | g >> n) & full != support:
+            return 0
+        lcm |= g
+    return lcm & lcm >> n
+
+
+class _Codewords:
+    """The cubical side of the Betti table of an ideal whose generators
+    are transversals of one neuron set N.
+
+    Off the neurons V on which the generators differ they all agree, so
+    a generator is a point of {0,1}^V: bit k of the point is set iff it
+    takes y_i at the k-th neuron of V.  The generators are the points T
+    and the codewords are W = {0,1}^V ∖ T.  A closure multidegree b is
+    the subcube of the points that agree with b's y-letters off its
+    free neurons F, those with both x_i and y_i in b.  `cubes[G]` has
+    bit c set iff c has the bits of G clear and every point of the
+    subcube c + span(G) is a codeword.  It is built on first use from
+    cubes[G ∖ j] by one AND-shift with the bit-clear pattern of j, and
+    lives as long as this object, which lives for one `betti_table`
+    call.  Only a multidegree with four or more divisors builds one, and
+    then the table's lcm guard holds: deg lcm(gens) = |N| + |V| <=
+    MAX_LCM_DEGREE, so every table has at most 2^12 bits.
+    """
+
+    def __init__(self, gens: list[int], n: int, varying: int):
+        self.n = n
+        self.positions = _positions(varying)
+        v = len(self.positions)
+        # the bit-clear pattern of each index bit j, keyed by j itself
+        self.clear = {1 << k: p for k, p in enumerate(_bit_clear_patterns(v))}
+        table = 0
+        for g in gens:
+            table |= 1 << _compress(g >> n, self.positions)
+        self.cubes = {0: ~table & (1 << (1 << v)) - 1}
+
+    def ranks(self, b: int, field_tag: FieldTag) -> dict[int, int]:
+        """Reduced homology ranks of K^b, by Alexander duality in the
+        boundary of the k-dimensional cross-polytope, k = |F|:
+        H̃_{i-1}(K^b) = H̃_{k-1-i}(□(W ∩ b)), where □(W ∩ b) is the cubical
+        complex of the subcubes of b whose points are all codewords, and
+        the empty complex has H̃_{-1} = 1.  Cells are built dimension by
+        dimension: a subcube with free set G + j, j above the bits of G,
+        exists only if one with free set G does.  A complex with no square
+        is a graph, ranked by `_graph_ranks`.  Otherwise boundary ranks are
+        taken over F2, and over Q again with signed rows only between two
+        nonzero F2 groups, as in `homology.reduced_homology_ranks`."""
+        cubes, clear = self.cubes, self.clear
+        free = _compress(b & b >> self.n, self.positions)
+        cube = 1 << (_compress(b >> self.n, self.positions) & ~free)
+        bits = []
+        rest = free
+        while rest:
+            j = rest & -rest
+            rest ^= j
+            bits.append(j)
+            cube |= (cube & clear[j]) << j
+        k = len(bits)
+        points = cubes[0] & cube
+        if not points:  # K^b is the whole sphere
+            return {k - 1: 1}
+        # levels[d]: free set g of d bits -> the base points of the cells
+        # c + span(g) inside b, where there are any
+        levels = [{0: points}]
+        while True:
+            grown = {}
+            for g, bases in levels[-1].items():
+                for j in bits:
+                    if j > g:
+                        wide = cubes.get(g | j)
+                        if wide is None:
+                            c = cubes[g]
+                            wide = cubes[g | j] = c & c >> j & clear[j]
+                        if wide & cube:
+                            grown[g | j] = wide & cube
+            if not grown:
+                break
+            levels.append(grown)
+        if len(levels) <= 2:
+            return _graph_ranks(points, levels[1] if len(levels) == 2 else {}, k)
+        # by_dim[d]: the cells of dimension d, as (free set, base point)
+        by_dim: list[list[tuple[int, int]]] = []
+        for level in levels:
+            cells = []
+            for g, bases in level.items():
+                while bases:
+                    low = bases & -bases
+                    bases ^= low
+                    cells.append((g, low.bit_length() - 1))
+            by_dim.append(cells)
+        index = {cell: at for cells in by_dim for at, cell in enumerate(cells)}
+        # boundary[t]: the rank of the map from dimension t - 1 to t - 2;
+        # t = 1 is the augmentation onto the empty cell
+        boundary = [0, 1] + [rank_f2([_cube_row(g, c, index) for g, c in cells])
+                             for cells in by_dim[1:]] + [0]
+        sizes = [1] + [len(cells) for cells in by_dim]
+        homology = [size - boundary[t] - boundary[t + 1] for t, size in enumerate(sizes)]
+        if field_tag is FieldTag.RATIONALS:
+            for t in range(2, len(sizes)):
+                if homology[t - 1] and homology[t]:
+                    boundary[t] = rank_rational([_signed_cube_row(g, c, index)
+                                                 for g, c in by_dim[t - 1]])
+            homology = [size - boundary[t] - boundary[t + 1] for t, size in enumerate(sizes)]
+        return {k - 1 - t: rank for t, rank in enumerate(homology) if rank}
+
+
+def _graph_ranks(points: int, edges: dict[int, int], k: int) -> dict[int, int]:
+    """The ranks `_Codewords.ranks` returns for a cubical complex with no
+    square: a graph on `points`, with an edge from c to c + j for each
+    base point c of edges[j].  With V points, E edges and C components,
+    H̃_0 = C - 1 and H̃_1 = E - V + C over every field; each component is
+    grown from its lowest point by shifts along the edge sets."""
+    components, rest = 0, points
+    while rest:
+        component, reached = 0, rest & -rest
+        while reached != component:
+            component = reached
+            for j, lower in edges.items():
+                reached |= (component & lower) << j | component >> j & lower
+        rest &= ~component
+        components += 1
+    cycles = sum(map(int.bit_count, edges.values())) - points.bit_count() + components
+    return {dim: rank for dim, rank in ((k - 2, components - 1), (k - 3, cycles)) if rank}
+
+
+def _cube_row(g: int, c: int, index: dict[tuple[int, int], int]) -> int:
+    """The F2 boundary of the cell c + span(g): its 2|g| facets, each
+    fixing one free bit j of g to 0 or to 1, as a bit row over `index`."""
+    row, rest = 0, g
+    while rest:
+        j = rest & -rest
+        rest ^= j
+        row |= 1 << index[g ^ j, c] | 1 << index[g ^ j, c | j]
+    return row
+
+
+def _signed_cube_row(g: int, c: int, index: dict[tuple[int, int], int]) -> dict[int, int]:
+    """The integer boundary of the cell c + span(g): the t-th free bit,
+    counting from 0, gives its facet at 1 with sign (-1)^t and its facet
+    at 0 with the opposite sign."""
+    row, rest, sign = {}, g, 1
+    while rest:
+        j = rest & -rest
+        rest ^= j
+        row[index[g ^ j, c | j]] = sign
+        row[index[g ^ j, c]] = -sign
+        sign = -sign
+    return row
+
+
 def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:
     """Complete multigraded Betti table via upper Koszul homology.
 
@@ -226,9 +413,13 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     acyclic, a core of two or three facets goes to the same nerve rule,
     and any other is renumbered to vertices 0..v-1 and looked up
     by (v, bitset of its facets) in a memo that lives for this call,
-    where a miss builds its faces and computes their homology.  Raises
-    LcmDegreeError for three or more generators with deg lcm(gens) >
-    MAX_LCM_DEGREE.
+    where a miss builds its faces and computes their homology.  When the
+    generators are transversals of one neuron set, a multidegree with k
+    free neurons and d >= 4 divisors, 2^k <= 3d, takes its ranks from the
+    cubical complex of its codewords instead (see the module docstring),
+    whose cube sets are built on first use and live for this call.
+    Raises LcmDegreeError for three or more generators with
+    deg lcm(gens) > MAX_LCM_DEGREE.
     """
     _require_proper_nonzero(ideal)
     gens = [g.mask for g in ideal.gens]
@@ -236,10 +427,20 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
         s = ideal.lcm_of_gens().degree
         _require_table_size(
             s, f"{len(gens)} generators whose lcm has degree {s}: the complex at their lcm")
-    table = BettiTable(ideal.n)
+    n = ideal.n
+    table = BettiTable(n)
     memo: dict[tuple[int, int], dict[int, int]] = {}
+    varying = _varying_neurons(gens, n)
+    codewords: Optional[_Codewords] = None
     for b in _lcm_levels(ideal):
-        ranks = _koszul_ranks(_koszul_facets(gens, b), field_tag, memo)
+        facets = _koszul_facets(gens, b)
+        # 2^k points with k free neurons, of which len(facets) are generators
+        if len(facets) > 3 and varying and 1 << (b & b >> n).bit_count() <= 3 * len(facets):
+            if codewords is None:
+                codewords = _Codewords(gens, n, varying)
+            ranks = codewords.ranks(b, field_tag)
+        else:
+            ranks = _koszul_ranks(facets, field_tag, memo)
         j = b.bit_count()
         for dim, rank in ranks.items():
             i = dim + 1

@@ -90,7 +90,8 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
                             field_tag: FieldTag = FieldTag.F2) -> SplitPrediction:
     """Predict pd, reg and the fine Betti table of I from its pivot splitting.
 
-    Valid whenever the J branch has linear resolution: then
+    When the J branch has linear resolution this is a Betti splitting
+    (Francisco, Hà and Van Tuyl, Proc. AMS 2009):
 
         pd I  = max(pd J, pd K, pd(J ∩ K) + 1)
         reg I = max(reg J + 1, reg K + 1, reg(J ∩ K) + 1)
@@ -99,8 +100,18 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     + beta_{i-1,b}(x_iJ ∩ y_iK).  J and K carry no bit of pair i, so
     x_iJ ∩ y_iK = x_iy_i(J ∩ K), and multiplying by a new variable
     shifts every multidegree by it: the three tables are those of J, K
-    and J ∩ K with their multidegrees lifted.  Refuses (rather than
-    guesses) when the hypothesis fails.
+    and J ∩ K with their multidegrees lifted.
+
+    The J-linear hypothesis is sufficient, not necessary: the identity
+    holds for every split.  In the long exact Tor sequence of
+    0 -> x_iJ ∩ y_iK -> x_iJ ⊕ y_iK -> I -> 0, a squarefree multidegree
+    with x_i and y_i carries Betti numbers only of x_iJ ∩ y_iK, one with
+    x_i alone only of x_iJ, one with y_i alone only of y_iK, and one with
+    neither none at all.  So at every multidegree the map
+    Tor_i(x_iJ ∩ y_iK) -> Tor_i(x_iJ ⊕ y_iK) has a zero source or a zero
+    target, and a Betti splitting needs exactly these maps to vanish.
+    The refusal stays all the same, so that `verify`'s splitting suite
+    checks the statement with its hypothesis.
     """
     J, K = split.J, split.K
     if not (J.is_proper_nonzero and K.is_proper_nonzero):

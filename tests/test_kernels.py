@@ -13,9 +13,13 @@ degree-n universe and the pseudomonomial pipeline, and the splitting
 prediction against the one built from six Betti tables.  The linearly-related refusal in the
 linear-quotient search must never refuse an ideal for which the
 reference finds an order.  The strong-collapse core and the nerve rule
-for at most three facets must give the homology of the whole complex.
+for at most three facets must give the homology of the whole complex,
+and the cubical side of the Betti table, on the codewords of ideals
+generated by transversals of one neuron set, the ranks of the upper
+Koszul complex.
 """
 
+import random
 from functools import reduce
 from operator import and_, or_
 
@@ -222,9 +226,13 @@ class TestBettiTableAgainstBruteForce:
                 == brute_force.subcube_closure(table, m, down))
 
     @pytest.mark.parametrize("field", list(FieldTag))
-    def test_every_degree_3_ideal(self, field):
+    def test_every_degree_3_ideal(self, monkeypatch, field):
+        # these tables take the cubical side at most multidegrees with four
+        # or more divisors
+        cubical = record_cubical(monkeypatch)
         for ideal in degree_3_ideals():
             assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+        assert len(cubical) > 200
 
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_sampled_degree_4_ideals(self, field):
@@ -371,6 +379,167 @@ class TestKoszulCoreAgainstFullComplex:
             assert {i: r for (i, m), r in table.fine.items() if m == b} == \
                 {dim + 1: r for dim, r in ranks.items()}
         assert built == []
+
+
+def record_cubical(monkeypatch):
+    """Every multidegree that `betti_table` sends to the cubical side from
+    here on."""
+    taken = []
+    ranks = betti._Codewords.ranks
+
+    def recording(self, b, field_tag):
+        taken.append(b)
+        return ranks(self, b, field_tag)
+
+    monkeypatch.setattr(betti._Codewords, "ranks", recording)
+    return taken
+
+
+@st.composite
+def transversal_ideals(draw, max_n=5):
+    """Ideals generated by transversals of one neuron set N of at least two
+    of the n neurons, N drawn with gaps so that its neurons are renumbered:
+    bit k of a point takes y at the k-th neuron of N and x elsewhere."""
+    n = draw(st.integers(2, max_n))
+    neurons = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2)))
+    points = draw(st.sets(st.integers(0, (1 << len(neurons)) - 1), min_size=1))
+    gens = [Monomial(sum(1 << (n + i if c >> k & 1 else i) for k, i in enumerate(neurons)), n)
+            for c in points]
+    return minimalize(gens, n)
+
+
+class TestCubicalSideAgainstBruteForce:
+    """The cubical side of `betti_table` (Alexander duality on the
+    codewords of ideals generated by transversals of one neuron set)
+    against the reference tables, and against the strong-core path at
+    every multidegree with four or more divisors.  All n=3 tables are
+    checked in `TestBettiTableAgainstBruteForce`."""
+
+    @staticmethod
+    def assert_tables_agree(ideals, fields=tuple(FieldTag)):
+        for ideal in ideals:
+            for field in fields:
+                assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+
+    @pytest.mark.parametrize("n, count", [(4, 40), (5, 4)])
+    def test_sampled_degree_n_tables(self, monkeypatch, n, count):
+        cubical = record_cubical(monkeypatch)
+        self.assert_tables_agree([P.inner for P in degree_n_ideals(n, count, seed=n)])
+        assert len(cubical) > count
+
+    def test_sampled_degree_6_tables(self, monkeypatch):
+        # the reference ranks over Q with dense Fraction matrices, about
+        # 1.4 s for 16 generators at n = 6 and 4 s for 40
+        cubical = record_cubical(monkeypatch)
+        rng = random.Random(6)
+        sparse, dense = (degree_n_ideal(sum(1 << c for c in rng.sample(range(64), q)), 6).inner
+                         for q in (16, 48))
+        self.assert_tables_agree([sparse])
+        self.assert_tables_agree([dense], [FieldTag.F2])
+        assert len(cubical) > 100
+
+    def test_pivot_halves(self, monkeypatch):
+        # J and K of a split at neuron i leave neuron i out, so below the
+        # last pivot their neuron set has a gap
+        cubical = record_cubical(monkeypatch)
+        halves = []
+        for P in degree_n_ideals(4, 12, seed=44):
+            for pivot in range(1, 5):
+                split = split_at_neuron(P, pivot)
+                halves += [h for h in (split.J, split.K) if h.is_proper_nonzero]
+        self.assert_tables_agree(halves)
+        assert len(cubical) > len(halves)
+
+    @pytest.mark.parametrize("n, k", [(3, 3), (4, 2), (4, 4), (5, 3), (5, 4)])
+    def test_thm36(self, monkeypatch, n, k):
+        # every point is a generator: no codeword, so each cubical
+        # multidegree b with k free neurons is the sphere, beta_{k,b} = 1
+        cubical = record_cubical(monkeypatch)
+        ideal = family_thm36(n, k).inner
+        self.assert_tables_agree([ideal])
+        assert len(cubical) == 2 * sum(
+            1 for b in _lcm_levels(ideal) if (b & b >> n).bit_count() >= 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(transversal_ideals())
+    @example(family_thm36(4, 4).inner)
+    def test_both_sides_at_every_multidegree(self, ideal):
+        # forced past the size rule: whichever side a multidegree with four
+        # or more divisors would take, the two give the same ranks
+        gens = masks_of(ideal)
+        varying = betti._varying_neurons(gens, ideal.n)
+        assert bool(varying) == (len(gens) > 1)
+        codewords = betti._Codewords(gens, ideal.n, varying)
+        for b in _lcm_levels(ideal):
+            facets = betti._koszul_facets(gens, b)
+            if len(facets) > 3:
+                for field in FieldTag:
+                    assert codewords.ranks(b, field) == betti._koszul_ranks(facets, field, {})
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_signed_boundary_squares_to_zero(self, k):
+        # every subcube c + span(g) of the k-cube, numbered per dimension
+        cells = [(g, c) for g in range(1 << k) for c in range(1 << k) if not g & c]
+        index, by_dim = {}, {}
+        for cell in cells:
+            same = by_dim.setdefault(cell[0].bit_count(), [])
+            index[cell] = len(same)
+            same.append(cell)
+        for g, c in cells:
+            if g.bit_count() >= 2:
+                twice: dict[tuple[int, int], int] = {}
+                for at, sign in betti._signed_cube_row(g, c, index).items():
+                    face = by_dim[g.bit_count() - 1][at]
+                    for at2, sign2 in betti._signed_cube_row(*face, index).items():
+                        lower = by_dim[g.bit_count() - 2][at2]
+                        twice[lower] = twice.get(lower, 0) + sign * sign2
+                assert not any(twice.values())
+                assert betti._cube_row(g, c, index) == sum(
+                    1 << at for at in betti._signed_cube_row(g, c, index))
+
+    def test_rational_rank_only_between_two_nonzero_groups(self, monkeypatch):
+        # in the 5-cube, the codewords 1..6 are a hexagon with no full face
+        # and 24..27 a full square apart from it: H̃_0 = H̃_1 = 1 with a
+        # 2-cell, so only the map from the 10 edges to the points is ranked
+        # again over Q, and beta_{4,b} = beta_{3,b} = 1 at the top
+        n = 5
+        codewords = {1, 2, 3, 4, 5, 6, 24, 25, 26, 27}
+        ideal = degree_n_ideal(sum(1 << c for c in range(32) if c not in codewords), n).inner
+        b = (1 << 2 * n) - 1
+        gens = masks_of(ideal)
+        assert len(betti._koszul_facets(gens, b)) == 22
+        ranked = []
+        monkeypatch.setattr(betti, "rank_rational",
+                            lambda rows: ranked.append(rows) or rank_rational(rows))
+        side = betti._Codewords(gens, n, betti._varying_neurons(gens, n))
+        assert side.ranks(b, FieldTag.F2) == side.ranks(b, FieldTag.RATIONALS) == {2: 1, 3: 1}
+        assert [len(rows) for rows in ranked] == [10]
+        table = betti_table(ideal, FieldTag.RATIONALS)
+        assert table == brute_force.betti_table(ideal, FieldTag.RATIONALS)
+        assert {i: r for (i, m), r in table.fine.items() if m == b} == {3: 1, 4: 1}
+
+    def test_graphs_without_a_square(self):
+        # the codewords 1..6 and 8 of the 4-cube: a hexagon and a point,
+        # ranked from components and cycles alone
+        assert betti._graph_ranks(0b101111110, {1: 0b10100, 2: 0b10010, 4: 0b110}, 4) \
+            == {2: 1, 1: 1}
+        assert betti._graph_ranks(0b1, {}, 3) == {}
+        assert betti._graph_ranks(0b10000001, {}, 3) == {1: 1}
+
+    def test_other_ideals_keep_the_strong_core_path(self, monkeypatch):
+        # mixed neuron sets, and a transversal ideal whose one multidegree
+        # with four divisors has 2^k = 16 > 3 * 4 points
+        cubical = record_cubical(monkeypatch)
+        n = 4
+        mixed = minimalize([parse_monomial(t, n) for t in
+                            ("x1*x2", "x1*y2*x3", "y1*x3", "y2*y3", "x2*x4")], n)
+        spread = minimalize([Monomial(c << n | 0b1111 ^ c, n)
+                             for c in (0, 0b0011, 0b1100, 0b1111)], n)
+        assert len(betti._koszul_facets(masks_of(spread), spread.lcm_of_gens().mask)) == 4
+        for ideal in (mixed, spread):
+            for field in FieldTag:
+                assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+        assert cubical == []
 
 
 class TestRationalRankAgainstFractions:

@@ -11,6 +11,7 @@ from neuralideals.betti import betti_table, has_linear_resolution, invariants
 from neuralideals.monomials import (
     PolarizedNeuralIdeal,
     degree_n_ideal,
+    intersect,
     minimalize,
     parse_monomial,
     scale,
@@ -107,6 +108,46 @@ class TestBettiSplittingPredict:
         P = polarized(3, "x1*y2*x3", "y1*x2*x3", "x1*x2*y3")
         with pytest.raises(JNotLinearError):
             betti_splitting_predict(P.inner, split_at_neuron(P, 3))
+
+
+class TestSplittingWithoutTheHypothesis:
+    """beta_{i,b}(I) = beta_{i,b}(x_iJ) + beta_{i,b}(y_iK)
+    + beta_{i-1,b}(x_iJ ∩ y_iK) at every pivot of a degree-n ideal, also
+    where J has no linear resolution and `betti_splitting_predict`
+    refuses: the three lifted tables live on disjoint multidegrees."""
+
+    @staticmethod
+    def assert_identity(ideals, n):
+        refused = 0
+        for P in ideals:
+            table = betti_table(P.inner)
+            for pivot in range(1, n + 1):
+                split = split_at_neuron(P, pivot)
+                J, K = split.J, split.K
+                x, y = 1 << (pivot - 1), 1 << (n + pivot - 1)
+                parts = [(0, J, x), (0, K, y)]
+                if J.is_proper_nonzero and K.is_proper_nonzero:
+                    parts.append((1, intersect(J, K), x | y))
+                    if not has_linear_resolution(J):
+                        refused += 1
+                        with pytest.raises(JNotLinearError):
+                            betti_splitting_predict(P.inner, split)
+                fine = {}
+                for shift, part, lift in parts:
+                    if part.is_proper_nonzero:
+                        for (i, b), r in betti_table(part).fine.items():
+                            assert (i + shift, b | lift) not in fine
+                            fine[i + shift, b | lift] = r
+                assert fine == table.fine
+        assert refused
+
+    def test_every_degree_3_table_and_pivot(self):
+        self.assert_identity([degree_n_ideal(t, 3) for t in range(1, 256)], 3)
+
+    def test_random_degree_4_tables(self):
+        rng = random.Random(4)
+        self.assert_identity([degree_n_ideal(rng.randrange(1, 1 << 16), 4)
+                              for _ in range(300)], 4)
 
 
 class TestLinearQuotients:
