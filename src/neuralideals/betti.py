@@ -53,8 +53,7 @@ from typing import Optional
 from .homology import (
     FieldTag,
     SimplicialComplex,
-    rank_f2,
-    rank_rational,
+    chain_ranks,
     reduced_homology_ranks,
 )
 from .monomials import (
@@ -294,9 +293,9 @@ class _Codewords:
         the empty complex has H̃_{-1} = 1.  Cells are built dimension by
         dimension: a subcube with free set G + j, j above the bits of G,
         exists only if one with free set G does.  A complex with no square
-        is a graph, ranked by `_graph_ranks`.  Otherwise boundary ranks are
-        taken over F2, and over Q again with signed rows only between two
-        nonzero F2 groups, as in `homology.reduced_homology_ranks`."""
+        is a graph, ranked by `_graph_ranks`.  Otherwise the cells go to
+        `homology.chain_ranks`, with `_cube_boundary` for their faces; its
+        dimension d is dimension k - 2 - d of K^b."""
         cubes, clear = self.cubes, self.clear
         free = _compress(b & b >> self.n, self.positions)
         cube = 1 << (_compress(b >> self.n, self.positions) & ~free)
@@ -330,30 +329,19 @@ class _Codewords:
             levels.append(grown)
         if len(levels) <= 2:
             return _graph_ranks(points, levels[1] if len(levels) == 2 else {}, k)
-        # by_dim[d]: the cells of dimension d, as (free set, base point)
-        by_dim: list[list[tuple[int, int]]] = []
+        # cells[d]: the cells of dimension d, each the int g << 16 | c for
+        # free set g and base point c, which has at most 12 bits
+        cells = []
         for level in levels:
-            cells = []
+            same = []
             for g, bases in level.items():
                 while bases:
                     low = bases & -bases
                     bases ^= low
-                    cells.append((g, low.bit_length() - 1))
-            by_dim.append(cells)
-        index = {cell: at for cells in by_dim for at, cell in enumerate(cells)}
-        # boundary[t]: the rank of the map from dimension t - 1 to t - 2;
-        # t = 1 is the augmentation onto the empty cell
-        boundary = [0, 1] + [rank_f2([_cube_row(g, c, index) for g, c in cells])
-                             for cells in by_dim[1:]] + [0]
-        sizes = [1] + [len(cells) for cells in by_dim]
-        homology = [size - boundary[t] - boundary[t + 1] for t, size in enumerate(sizes)]
-        if field_tag is FieldTag.RATIONALS:
-            for t in range(2, len(sizes)):
-                if homology[t - 1] and homology[t]:
-                    boundary[t] = rank_rational([_signed_cube_row(g, c, index)
-                                                 for g, c in by_dim[t - 1]])
-            homology = [size - boundary[t] - boundary[t + 1] for t, size in enumerate(sizes)]
-        return {k - 1 - t: rank for t, rank in enumerate(homology) if rank}
+                    same.append(g << 16 | low.bit_length() - 1)
+            cells.append(same)
+        ranks = chain_ranks(cells, _cube_boundary, field_tag)
+        return {k - 2 - d: rank for d, rank in ranks.items()}
 
 
 def _graph_ranks(points: int, edges: dict[int, int], k: int) -> dict[int, int]:
@@ -375,29 +363,19 @@ def _graph_ranks(points: int, edges: dict[int, int], k: int) -> dict[int, int]:
     return {dim: rank for dim, rank in ((k - 2, components - 1), (k - 3, cycles)) if rank}
 
 
-def _cube_row(g: int, c: int, index: dict[tuple[int, int], int]) -> int:
-    """The F2 boundary of the cell c + span(g): its 2|g| facets, each
-    fixing one free bit j of g to 0 or to 1, as a bit row over `index`."""
-    row, rest = 0, g
+def _cube_boundary(cell: int) -> list[int]:
+    """The facets of the cell g << 16 | c, the subcube c + span(g): for the
+    t-th free bit j of g, counting from 0, the facets fixing j to 1 and to
+    0, in that order for even t and swapped for odd t, so that their signs
+    (-1)^k in list order give the facet at 1 the sign (-1)^t."""
+    faces, rest, at_one_first = [], cell >> 16, True
     while rest:
         j = rest & -rest
         rest ^= j
-        row |= 1 << index[g ^ j, c] | 1 << index[g ^ j, c | j]
-    return row
-
-
-def _signed_cube_row(g: int, c: int, index: dict[tuple[int, int], int]) -> dict[int, int]:
-    """The integer boundary of the cell c + span(g): the t-th free bit,
-    counting from 0, gives its facet at 1 with sign (-1)^t and its facet
-    at 0 with the opposite sign."""
-    row, rest, sign = {}, g, 1
-    while rest:
-        j = rest & -rest
-        rest ^= j
-        row[index[g ^ j, c | j]] = sign
-        row[index[g ^ j, c]] = -sign
-        sign = -sign
-    return row
+        at_zero = cell ^ j << 16
+        faces += (at_zero | j, at_zero) if at_one_first else (at_zero, at_zero | j)
+        at_one_first = not at_one_first
+    return faces
 
 
 def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:

@@ -1,12 +1,13 @@
 """Simplicial complexes and exact reduced homology ranks.
 
-Faces are int bit masks over the vertex positions, so a face's
-dimension is its bit count minus one and its boundary faces are the
-masks with one set bit cleared.  Homology is computed from boundary
-matrices of the augmented chain complex, with exact rank computation:
-bit-packed Gaussian elimination over F2, and over the rationals
-fraction-free elimination on sparse integer rows (cross-multiplication,
-then division by the row's gcd).  No floating point anywhere.
+`chain_ranks` ranks the reduced homology of any complex of int cells,
+simplicial or cubical, given a boundary function that lists each cell's
+faces so that the k-th, counting from 0, has sign (-1)^k.  A simplicial
+face is a bit mask over the vertex positions, and its faces clear one
+set bit at a time, lowest first.  Ranks are exact: bit-packed Gaussian
+elimination over F2, and over the rationals fraction-free elimination
+on sparse integer rows (cross-multiplication, then division by the
+row's gcd).  No floating point anywhere.
 
 Every boundary rank is taken over F2 first, and over Q most of them are
 already exact: a boundary matrix has integer entries, and its rank over
@@ -27,6 +28,7 @@ from enum import Enum
 from functools import reduce
 from math import gcd
 from operator import or_
+from typing import Callable
 
 
 class FieldTag(str, Enum):
@@ -112,33 +114,57 @@ def rank_rational(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _boundary_rank(upper: list[int], index: dict[int, int], field: FieldTag) -> int:
-    """Rank of the boundary map on the span of the equal-size faces `upper`.
+def chain_ranks(cells: list[list[int]], boundary: Callable[[int], list[int]],
+                field: FieldTag) -> dict[int, int]:
+    """Reduced homology ranks of a cell complex, nonzero entries only.
 
-    Faces are masks, and `index` numbers the faces of each size from 0.
-    The boundary of a face clears one set bit at a time, lowest first;
-    over Q the k-th cleared bit, counting from 0, has sign (-1)^k.
+    cells[d] lists the cells of dimension d.  The empty cell is implicit,
+    so no cells give {-1: 1}.  boundary(cell) lists the cell's faces, the
+    k-th with sign (-1)^k.  Over Q only a map between two nonzero F2
+    groups is ranked again (see the module docstring).
     """
-    if field is FieldTag.F2:
+    # column[cell]: the bit 1 << position of the cell among its dimension's
+    column = {cell: 1 << at for same in cells for at, cell in enumerate(same)}
+
+    def rank(same: list[int], field: FieldTag) -> int:
+        if field is FieldTag.F2:
+            rows = []
+            for cell in same:
+                row = 0
+                for face in boundary(cell):
+                    row |= column[face]
+                rows.append(row)
+            return rank_f2(rows)
         rows = []
-        for face in upper:
-            row, rest = 0, face
-            while rest:
-                low = rest & -rest
-                row |= 1 << index[face ^ low]
-                rest ^= low
+        for cell in same:
+            row, sign = {}, 1
+            for face in boundary(cell):
+                row[column[face]] = sign
+                sign = -sign
             rows.append(row)
-        return rank_f2(rows)
-    rows = []
-    for face in upper:
-        row, rest, sign = {}, face, 1
-        while rest:
-            low = rest & -rest
-            row[index[face ^ low]] = sign
-            rest ^= low
-            sign = -sign
-        rows.append(row)
-    return rank_rational(rows)
+        return rank_rational(rows)
+
+    sizes = [1] + [len(same) for same in cells]
+    # maps[t]: the rank of the map from dimension t - 1 to dimension t - 2;
+    # t = 1 is the augmentation, of rank 1 when there are points
+    maps = [0, min(1, len(cells))] + [rank(same, FieldTag.F2) for same in cells[1:]] + [0]
+    ranks = [size - maps[t] - maps[t + 1] for t, size in enumerate(sizes)]
+    if field is FieldTag.RATIONALS:
+        for t in range(2, len(sizes)):
+            if ranks[t - 1] and ranks[t]:
+                maps[t] = rank(cells[t - 1], field)
+        ranks = [size - maps[t] - maps[t + 1] for t, size in enumerate(sizes)]
+    return {t - 1: r for t, r in enumerate(ranks) if r}
+
+
+def _simplex_boundary(face: int) -> list[int]:
+    """The facets of a face: one set bit cleared at a time, lowest first."""
+    faces, rest = [], face
+    while rest:
+        low = rest & -rest
+        faces.append(face ^ low)
+        rest ^= low
+    return faces
 
 
 def reduced_homology_ranks(complex_: SimplicialComplex,
@@ -146,28 +172,14 @@ def reduced_homology_ranks(complex_: SimplicialComplex,
     """Ranks of the reduced homology groups, nonzero entries only.
 
     Dimension -1 is included: it has rank 1 exactly for the irrelevant
-    complex {∅}.  The void complex has no homology at all.  Over Q only
-    the maps between two nonzero F2 groups are ranked again by
-    `rank_rational` (see the module docstring); every other rank is the
-    F2 rank.
+    complex {∅}.  The void complex has no homology at all.
     """
     if complex_.is_void:
         return {}
     faces = complex_.faces
-    # by_size[k]: the faces with k vertices, of dimension k - 1
-    by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
-    index: dict[int, int] = {}
+    # cells[d]: the faces with d + 1 vertices; the empty face is implicit
+    cells: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces)))]
     for f in faces:
-        same = by_size[f.bit_count()]
-        index[f] = len(same)
-        same.append(f)
-    # boundary[k]: rank of the map from size-k chains to size-(k-1) chains;
-    # k = 1 is the augmentation
-    boundary = [0] + [_boundary_rank(upper, index, FieldTag.F2) for upper in by_size[1:]] + [0]
-    ranks = [len(same) - boundary[k] - boundary[k + 1] for k, same in enumerate(by_size)]
-    if field is FieldTag.RATIONALS:
-        for k in range(1, len(by_size)):
-            if ranks[k - 1] and ranks[k]:
-                boundary[k] = _boundary_rank(by_size[k], index, field)
-        ranks = [len(same) - boundary[k] - boundary[k + 1] for k, same in enumerate(by_size)]
-    return {k - 1: rank for k, rank in enumerate(ranks) if rank}
+        if f:
+            cells[f.bit_count() - 1].append(f)
+    return chain_ranks(cells, _simplex_boundary, field)

@@ -343,7 +343,9 @@ def three_generator_file(tmp_path, n):
 class TestCostLimits:
     """Membership and truth tables are capped at 2^24 cells; beyond it an
     ideal of three or more generators, a degree-n ideal on more than 24
-    neurons, or `verify` on more than 12 exits 2 before any 2^s work."""
+    neurons, or `verify` on more than 12 exits 2 before any 2^s work.
+    Sampled `verify` also exits 2 above n = 10, where one sampled ideal
+    takes a minute or more."""
 
     def timed(self, capsys, *argv):
         start = time.perf_counter()
@@ -387,6 +389,12 @@ class TestCostLimits:
             capsys, "verify", "--n", "22", "--mode", "sample", "--count", "1")
         assert code == 2 and out == "" and seconds < 2.0
         assert err.startswith("error: ") and "degree 44" in err
+
+    def test_verify_sample_past_n10_refused(self, capsys):
+        (code, out, err), seconds = self.timed(
+            capsys, "verify", "--n", "11", "--mode", "sample", "--count", "1")
+        assert code == 2 and out == "" and seconds < 2.0
+        assert err.startswith("error: sample mode is limited to n <= 10")
 
     def test_one_word_n14_code_refused(self, capsys, tmp_path):
         path = tmp_path / "one.code"

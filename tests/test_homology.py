@@ -3,9 +3,12 @@
 import brute_force
 import pytest
 
+from neuralideals.betti import _cube_boundary
 from neuralideals.homology import (
     FieldTag,
     SimplicialComplex,
+    _simplex_boundary,
+    chain_ranks,
     rank_f2,
     rank_rational,
     reduced_homology_ranks,
@@ -30,6 +33,31 @@ def complex_of(*faces):
                 break
             sub = (sub - 1) & top
     return SimplicialComplex(vertices, frozenset(closed))
+
+
+def cube_cells(k):
+    """Every cell c + span(g) of the k-cube, as the int g << 16 | c, listed
+    by dimension."""
+    cells = [[] for _ in range(k + 1)]
+    for g in range(1 << k):
+        for c in range(1 << k):
+            if not g & c:
+                cells[g.bit_count()].append(g << 16 | c)
+    return cells
+
+
+def assert_boundary_squares_to_zero(cells, boundary):
+    """Every face of a cell is a cell, listed once, so the F2 row (the OR
+    of the faces) is the signed row mod 2; and with the k-th face signed
+    (-1)^k, the boundary of the boundary is zero."""
+    for cell in cells:
+        faces = boundary(cell)
+        assert len(set(faces)) == len(faces) and set(faces) <= cells
+        twice = {}
+        for k, face in enumerate(faces):
+            for k2, lower in enumerate(boundary(face)):
+                twice[lower] = twice.get(lower, 0) + (-1) ** (k + k2)
+        assert not any(twice.values())
 
 
 class TestRankKernels:
@@ -92,6 +120,33 @@ class TestReducedHomology:
         # cone over the hollow triangle: apex 9 joined to everything
         faces = [{0, 1, 9}, {1, 2, 9}, {0, 2, 9}, {0, 1}, {1, 2}, {0, 2}]
         assert reduced_homology_ranks(complex_of(*faces), field) == {}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+class TestChainRanks:
+    """Hand-built complexes for the one rank routine, simplicial and cubical."""
+
+    def test_no_cells(self, field):
+        assert chain_ranks([], _simplex_boundary, field) == {-1: 1}
+        assert chain_ranks([], _cube_boundary, field) == {-1: 1}
+
+    def test_two_points(self, field):
+        assert chain_ranks([[0b01, 0b10]], _simplex_boundary, field) == {0: 1}
+        assert chain_ranks([[0, 1]], _cube_boundary, field) == {0: 1}
+
+    def test_solid_square(self, field):
+        assert chain_ranks(cube_cells(2), _cube_boundary, field) == {}
+
+    def test_boundary_of_the_3_cube(self, field):
+        # its six squares, twelve edges and eight points: a 2-sphere
+        cells = cube_cells(3)[:3]
+        assert len(cells[2]) == 6
+        assert chain_ranks(cells, _cube_boundary, field) == {2: 1}
+
+
+def test_simplex_boundary_squares_to_zero():
+    # every face of the 6-simplex on vertices 0..6, the empty face included
+    assert_boundary_squares_to_zero(set(range(1 << 7)), _simplex_boundary)
 
 
 class TestProjectivePlane:

@@ -478,24 +478,9 @@ class TestCubicalSideAgainstBruteForce:
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_signed_boundary_squares_to_zero(self, k):
-        # every subcube c + span(g) of the k-cube, numbered per dimension
-        cells = [(g, c) for g in range(1 << k) for c in range(1 << k) if not g & c]
-        index, by_dim = {}, {}
-        for cell in cells:
-            same = by_dim.setdefault(cell[0].bit_count(), [])
-            index[cell] = len(same)
-            same.append(cell)
-        for g, c in cells:
-            if g.bit_count() >= 2:
-                twice: dict[tuple[int, int], int] = {}
-                for at, sign in betti._signed_cube_row(g, c, index).items():
-                    face = by_dim[g.bit_count() - 1][at]
-                    for at2, sign2 in betti._signed_cube_row(*face, index).items():
-                        lower = by_dim[g.bit_count() - 2][at2]
-                        twice[lower] = twice.get(lower, 0) + sign * sign2
-                assert not any(twice.values())
-                assert betti._cube_row(g, c, index) == sum(
-                    1 << at for at in betti._signed_cube_row(g, c, index))
+        # every subcube c + span(g) of the k-cube
+        cells = {cell for same in test_homology.cube_cells(k) for cell in same}
+        test_homology.assert_boundary_squares_to_zero(cells, betti._cube_boundary)
 
     def test_rational_rank_only_between_two_nonzero_groups(self, monkeypatch):
         # in the 5-cube, the codewords 1..6 are a hexagon with no full face
@@ -509,7 +494,7 @@ class TestCubicalSideAgainstBruteForce:
         gens = masks_of(ideal)
         assert len(betti._koszul_facets(gens, b)) == 22
         ranked = []
-        monkeypatch.setattr(betti, "rank_rational",
+        monkeypatch.setattr(homology, "rank_rational",
                             lambda rows: ranked.append(rows) or rank_rational(rows))
         side = betti._Codewords(gens, n, betti._varying_neurons(gens, n))
         assert side.ranks(b, FieldTag.F2) == side.ranks(b, FieldTag.RATIONALS) == {2: 1, 3: 1}
@@ -563,10 +548,11 @@ class TestRationalRankAgainstFractions:
     def test_only_non_unit_pivots(self, rows, rank):
         assert rank_rational(sparse(rows)) == brute_force.rank_rational(rows) == rank
 
-    def test_every_degree_3_boundary_matrix(self, monkeypatch):
+    def test_every_degree_3_boundary_matrix(self):
         # homology hands `rank_rational` only the maps between two nonzero
         # F2 groups, so every boundary map of every K^b in the degree-3
-        # tables is ranked here directly
+        # tables is ranked here directly, with signed rows built from
+        # `_simplex_boundary`
         ranks = []
 
         def checked(rows):
@@ -575,9 +561,7 @@ class TestRationalRankAgainstFractions:
             rank = rank_rational(rows)
             assert rank == brute_force.rank_rational(dense)
             ranks.append(rank)
-            return rank
 
-        monkeypatch.setattr(homology, "rank_rational", checked)
         for ideal in degree_3_ideals():
             for b in lcm_closure(ideal):
                 by_size: dict[int, list[int]] = {}
@@ -586,7 +570,9 @@ class TestRationalRankAgainstFractions:
                 index = {f: i for same in by_size.values() for i, f in enumerate(same)}
                 for size, upper in by_size.items():
                     if size:
-                        homology._boundary_rank(upper, index, FieldTag.RATIONALS)
+                        checked([{index[f]: (-1) ** k for k, f in
+                                  enumerate(homology._simplex_boundary(face))}
+                                 for face in upper])
         assert len(ranks) > 255
 
 
