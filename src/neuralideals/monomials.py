@@ -283,6 +283,34 @@ def is_equigenerated(ideal: MonomialIdeal) -> Optional[int]:
     return degrees.pop() if len(degrees) == 1 else None
 
 
+def _varying_neurons(gens: list[int], n: int) -> int:
+    """The neurons on which the generator masks `gens` differ, those with
+    both x_i and y_i in their lcm, as an n-bit mask, when each generator
+    is a transversal of one neuron set N: one of x_i and y_i for each
+    neuron of N and no other variable, as for a degree-n ideal, its pivot
+    halves, thm36 and the ideal of a code.  0 for any other generator
+    set, and for a single generator."""
+    full = (1 << n) - 1
+    support = (gens[0] | gens[0] >> n) & full
+    lcm = 0
+    for g in gens:
+        if g & g >> n or (g | g >> n) & full != support:
+            return 0
+        lcm |= g
+    return lcm & lcm >> n
+
+
+def _cube_points(gens: list[int], n: int, positions: tuple[int, ...]) -> int:
+    """Transversals of one neuron set as points of {0,1}^V, for the
+    positions of the neurons V on which they differ: off V they all
+    agree, so a generator is the point with bit k set iff it takes y_i at
+    the k-th neuron of V.  Returns the 2^|V|-bit table of the points."""
+    table = 0
+    for g in gens:
+        table |= 1 << _compress(g >> n, positions)
+    return table
+
+
 def _lcm_levels(ideal: MonomialIdeal) -> dict[int, int]:
     """Each lcm-closure mask mapped to the fewest generators whose lcm it is.
 

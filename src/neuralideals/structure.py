@@ -26,7 +26,10 @@ from .monomials import (
     PolarizedNeuralIdeal,
     UnitOrZeroIdealError,
     _bit_clear_patterns,
+    _cube_points,
+    _positions,
     _subcube_closure,
+    _varying_neurons,
     intersect,
     is_equigenerated,
     minimalize,
@@ -141,8 +144,10 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
     before g_j.
 
     When the generators share one degree, the search first refuses any
-    ideal that is not linearly related (`_linearly_related`), a test
-    polynomial in q that needs no Betti table.  Otherwise one forward
+    ideal that is not linearly related, a test polynomial in q that
+    needs no Betti table: on the points of the cube when the generators
+    are transversals of one neuron set (`_points_linearly_related`),
+    pair by pair otherwise (`_linearly_related`).  Otherwise one forward
     backtracking over prefix sets decides the question: it tries the
     generators in canonical order at each step, so the first complete
     order it reaches is the lexicographically least admissible one, and
@@ -162,8 +167,16 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
     _require_proper_nonzero(ideal)
     gens = ideal.gens
     masks = [g.mask for g in gens]
-    if is_equigenerated(ideal) is not None and not _linearly_related(masks):
-        return None
+    if is_equigenerated(ideal) is not None:
+        varying = _varying_neurons(masks, ideal.n)
+        if varying:
+            positions = _positions(varying)
+            related = _points_linearly_related(_cube_points(masks, ideal.n, positions),
+                                               len(positions))
+        else:
+            related = _linearly_related(masks)
+        if not related:
+            return None
     q = len(masks)
     holders: dict[int, int] = {}
     for u, g in enumerate(masks):
@@ -247,6 +260,38 @@ def _linearly_related(masks: list[int]) -> bool:
                 reach |= frontier
             if not reach >> v & 1:
                 return False
+    return True
+
+
+def _points_linearly_related(points: int, v: int) -> bool:
+    """`_linearly_related` for transversals of one neuron set, given as
+    the 2^v-bit table of their points in {0,1}^V (`_cube_points`).
+
+    One variable step between such generators flips one coordinate
+    (x_i <-> y_i), and the generators dividing lcm(u, w) are the points
+    of the subcube that u and w span, with u a corner.  So a chain from
+    u to w inside it starts with a neighbour of u across a coordinate
+    where u and w differ, and from there w is nearer.  Hence the ideal
+    is linearly related iff, for every point u, the subcube through u
+    along the coordinates where u has no neighbour in T holds no other
+    point.  near[k] holds the points with a neighbour across bit k: v
+    AND-shifts, then at most v shift-ORs per point.
+    """
+    near = []
+    for k, clear in enumerate(_bit_clear_patterns(v)):
+        pairs = points & points >> (1 << k) & clear
+        near.append(pairs | pairs << (1 << k))
+    rest = points
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        cube = low
+        for k, has in enumerate(near):
+            if not has & low:
+                cube |= cube >> (1 << k) if u >> k & 1 else cube << (1 << k)
+        if points & cube != low:
+            return False
     return True
 
 

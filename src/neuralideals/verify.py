@@ -8,12 +8,13 @@ correct implementation produces a report with zero counterexamples.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import codes as codes_mod
 from .betti import (
@@ -75,17 +76,20 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def record(self, suite: str, subject: str, failures: list[str]) -> None:
+    def record(self, suite: str, failures: list[str], subject: Callable[[], str]) -> None:
+        """Count one check of `suite`; `subject` gives the text naming what
+        was checked, and is called only when there are failures."""
         self.suite_checked[suite] = self.suite_checked.get(suite, 0) + 1
         if failures:
+            text = subject()
             for f in failures:
-                self.counterexamples.append(Counterexample(suite, subject, f))
+                self.counterexamples.append(Counterexample(suite, text, f))
         else:
             self.suite_passes[suite] = self.suite_passes.get(suite, 0) + 1
 
-    def merge_results(self, subject: str, results: dict[str, list[str]]) -> None:
+    def merge_results(self, results: dict[str, list[str]], subject: Callable[[], str]) -> None:
         for suite, failures in results.items():
-            self.record(suite, subject, failures)
+            self.record(suite, failures, subject)
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,14 +209,19 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
     return results
 
 
-def _check_subset(args) -> tuple[str, dict[str, list[str]], Optional[list[bool]]]:
-    """(subject, suite failures, verdicts): the (LR, LQ) verdicts in
-    exhaustive runs, None in sampled ones."""
+def _check_subset(args) -> tuple[dict[str, list[str]], Optional[list[bool]]]:
+    """(suite failures, verdicts): the (LR, LQ) verdicts in exhaustive
+    runs, None in sampled ones."""
     n, subset, field_value, exhaustive = args
     ideal = degree_n_ideal(subset, n)
     verdict = [] if exhaustive else None
     results = check_degree_n_ideal(ideal, FieldTag(field_value), exhaustive, verdict)
-    return str(ideal), results, verdict
+    return results, verdict
+
+
+def _table_text(table: int, n: int) -> str:
+    """The printed form of the degree-n ideal with truth table `table`."""
+    return str(degree_n_ideal(table, n))
 
 
 def _divisor_tables(n: int) -> list[int]:
@@ -305,7 +314,7 @@ def scaling_suite(report: VerificationReport, trials: int, seed: int, n: int = 3
             fails.append(f"pd changed {t0.pd} -> {t1.pd} under scaling by {u}")
         if t1.reg != t0.reg + u.degree:
             fails.append(f"reg {t0.reg} + deg {u.degree} != {t1.reg} under scaling by {u}")
-        report.record("scaling", f"{u} * {ideal}", fails)
+        report.record("scaling", fails, lambda: f"{u} * {ideal}")
 
 
 def random_dominant_ideal(rng: random.Random, n: int) -> MonomialIdeal:
@@ -338,7 +347,7 @@ def dominant_suite(report: VerificationReport, trials: int, seed: int, n_max: in
         fails = []
         if closed != (t.pd, t.reg):
             fails.append(f"closed form {closed} != oracle ({t.pd}, {t.reg})")
-        report.record("dominant", str(ideal), fails)
+        report.record("dominant", fails, ideal.__str__)
 
 
 def code_suite(report: VerificationReport, trials: int, seed: int, n_max: int = 4) -> None:
@@ -367,7 +376,7 @@ def code_suite(report: VerificationReport, trials: int, seed: int, n_max: int = 
             fails.append(f"{len(ideal.inner.gens)} generators for {non_words} non-codewords")
         if any(g.degree != n for g in ideal.inner.gens):
             fails.append("pipeline output not equigenerated in degree n")
-        report.record("code-pipeline", ",".join(code.word_strings()) or "{}", fails)
+        report.record("code-pipeline", fails, lambda: ",".join(code.word_strings()) or "{}")
 
 
 def lr_lq_witness_findings(n: int, degree: int, trials: int, seed: int) -> list[str]:
@@ -433,13 +442,14 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
         outcomes = [_check_subset(a) for a in args]
     if exhaustive:
         # every nonzero table is checked, so every restriction is looked up
-        verdicts = {s: verdict for s, (_, _, verdict) in zip(subsets, outcomes)}
+        verdicts = {s: verdict for s, (_, verdict) in zip(subsets, outcomes)}
         divisors = _divisor_tables(n)
-    for s, (subject, results, _) in zip(subsets, outcomes):
-        report.merge_results(subject, results)
+    for s, (results, _) in zip(subsets, outcomes):
+        subject = functools.partial(_table_text, s, n)
+        report.merge_results(results, subject)
         if exhaustive:
-            report.record("restriction", subject,
-                          _restriction_failures(s, n, verdicts, divisors))
+            report.record("restriction", _restriction_failures(s, n, verdicts, divisors),
+                          subject)
     report.examined = len(subsets)
     report.timings["degree-n-ideals"] = time.perf_counter() - t0
 

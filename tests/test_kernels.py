@@ -53,7 +53,9 @@ from neuralideals.monomials import (
     UnitOrZeroIdealError,
     _bit_clear_patterns,
     _compress,
+    _cube_points,
     _lcm_levels,
+    _positions,
     _subcube_closure,
     degree_n_ideal,
     lcm_closure,
@@ -66,8 +68,10 @@ from neuralideals.structure import (
     JNotLinearError,
     _halves,
     _linearly_related,
+    _points_linearly_related,
     _most_even_bit,
     betti_splitting_predict,
+    family_prop33,
     family_thm36,
     linear_quotients_search,
     recursive_linear_check,
@@ -228,11 +232,11 @@ class TestBettiTableAgainstBruteForce:
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_every_degree_3_ideal(self, monkeypatch, field):
         # these tables take the cubical side at most multidegrees with four
-        # or more divisors
+        # or more divisors, 253 of them
         cubical = record_cubical(monkeypatch)
         for ideal in degree_3_ideals():
             assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
-        assert len(cubical) > 200
+        assert len(cubical) == 253
 
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_sampled_degree_4_ideals(self, field):
@@ -387,9 +391,9 @@ def record_cubical(monkeypatch):
     taken = []
     ranks = betti._Codewords.ranks
 
-    def recording(self, b, field_tag):
-        taken.append(b)
-        return ranks(self, b, field_tag)
+    def recording(self, cube, free, field_tag):
+        taken.append((cube, free))
+        return ranks(self, cube, free, field_tag)
 
     monkeypatch.setattr(betti._Codewords, "ranks", recording)
     return taken
@@ -474,7 +478,8 @@ class TestCubicalSideAgainstBruteForce:
             facets = betti._koszul_facets(gens, b)
             if len(facets) > 3:
                 for field in FieldTag:
-                    assert codewords.ranks(b, field) == betti._koszul_ranks(facets, field, {})
+                    assert codewords.ranks(*codewords.subcube(b), field) == \
+                        betti._koszul_ranks(facets, field, {})
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_signed_boundary_squares_to_zero(self, k):
@@ -497,7 +502,9 @@ class TestCubicalSideAgainstBruteForce:
         monkeypatch.setattr(homology, "rank_rational",
                             lambda rows: ranked.append(rows) or rank_rational(rows))
         side = betti._Codewords(gens, n, betti._varying_neurons(gens, n))
-        assert side.ranks(b, FieldTag.F2) == side.ranks(b, FieldTag.RATIONALS) == {2: 1, 3: 1}
+        cube, free = side.subcube(b)
+        assert side.ranks(cube, free, FieldTag.F2) == side.ranks(cube, free, FieldTag.RATIONALS) \
+            == {2: 1, 3: 1}
         assert [len(rows) for rows in ranked] == [10]
         table = betti_table(ideal, FieldTag.RATIONALS)
         assert table == brute_force.betti_table(ideal, FieldTag.RATIONALS)
@@ -513,18 +520,145 @@ class TestCubicalSideAgainstBruteForce:
 
     def test_other_ideals_keep_the_strong_core_path(self, monkeypatch):
         # mixed neuron sets, and a transversal ideal whose one multidegree
-        # with four divisors has 2^k = 16 > 3 * 4 points
+        # with four divisors has 2^k = 16 > 3 * 4 points, whether its
+        # closure is swept or walked
         cubical = record_cubical(monkeypatch)
+        cores = []
+        ranks = betti._koszul_ranks
+        monkeypatch.setattr(betti, "_koszul_ranks",
+                            lambda facets, *a: cores.append(facets) or ranks(facets, *a))
         n = 4
         mixed = minimalize([parse_monomial(t, n) for t in
                             ("x1*x2", "x1*y2*x3", "y1*x3", "y2*y3", "x2*x4")], n)
         spread = minimalize([Monomial(c << n | 0b1111 ^ c, n)
                              for c in (0, 0b0011, 0b1100, 0b1111)], n)
-        assert len(betti._koszul_facets(masks_of(spread), spread.lcm_of_gens().mask)) == 4
-        for ideal in (mixed, spread):
-            for field in FieldTag:
-                assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+        top = spread.lcm_of_gens().mask
+        facets = betti._koszul_facets(masks_of(spread), top)
+        assert len(facets) == 4
+        for sweep in (True, False):
+            sweep_forced(monkeypatch, sweep)
+            for ideal in (mixed, spread):
+                for field in FieldTag:
+                    assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
         assert cubical == []
+        assert cores.count(facets) == 4
+
+
+def sweep_forced(monkeypatch, sweep):
+    """Make `betti_table` sweep the subcubes of every transversal ideal
+    (sweep True) or walk the lcm closure of every ideal (sweep False)."""
+    monkeypatch.setattr(betti, "_sweeps", lambda q, v: sweep)
+
+
+def both_sides(monkeypatch, ideal, field):
+    """The Betti tables of `ideal` from the subcube sweep and from the
+    lcm-closure walk."""
+    tables = []
+    for sweep in (True, False):
+        sweep_forced(monkeypatch, sweep)
+        tables.append(betti_table(ideal, field))
+    return tables
+
+
+def record_sweeps(monkeypatch):
+    """The point tables of every ideal that `betti_table` sweeps."""
+    swept = []
+    sweep = betti._Codewords.sweep
+
+    def recording(self, field_tag, memo):
+        swept.append(self.points)
+        return sweep(self, field_tag, memo)
+
+    monkeypatch.setattr(betti._Codewords, "sweep", recording)
+    return swept
+
+
+def sweep_multidegrees(ideal):
+    """The multidegrees the subcube sweep visits, in visiting order."""
+    gens = masks_of(ideal)
+    codewords = betti._Codewords(gens, ideal.n, betti._varying_neurons(gens, ideal.n))
+    return [b for b, _ in codewords.sweep(FieldTag.F2, {})]
+
+
+class TestSubcubeSweep:
+    """The subcube sweep of `betti_table` on transversal ideals, forced
+    past the sweep/walk rule, against the reference tables and against
+    the lcm-closure walk; the multidegrees it visits against the lcm
+    closure."""
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_every_degree_3_ideal(self, monkeypatch, field):
+        sweep_forced(monkeypatch, True)
+        swept = record_sweeps(monkeypatch)
+        for ideal in degree_3_ideals():
+            assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+        assert len(swept) == 255 - 8  # all but the one-generator ideals
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    @pytest.mark.parametrize("n, count", [(4, 40), (5, 4)])
+    def test_sampled_degree_n_ideals(self, monkeypatch, field, n, count):
+        sweep_forced(monkeypatch, True)
+        for P in degree_n_ideals(n, count, seed=20 + n):
+            assert betti_table(P.inner, field) == brute_force.betti_table(P.inner, field)
+
+    def test_gapped_neuron_sets_against_the_walk(self, monkeypatch):
+        # the halves at a middle neuron leave a gap in their neuron set;
+        # thm36(n, k) with k < n leaves neurons k+1..n out of it; a code
+        # ideal's varying neurons miss those its non-codewords agree on
+        ideals = []
+        for P in degree_n_ideals(5, 12, seed=55):
+            split = split_at_neuron(P, 3)
+            ideals += [h for h in (split.J, split.K) if h.is_proper_nonzero]
+        ideals += [family_thm36(n, k).inner for n in range(3, 7) for k in range(1, n)]
+        rng = random.Random(8)
+        while len(ideals) < 60:
+            n = rng.randint(3, 5)
+            fixed = rng.randrange(n)  # every non-codeword has this bit clear
+            words = {w for w in range(1 << n) if w >> fixed & 1 or rng.random() < 0.4}
+            ideal = code_to_polarized_ideal(NeuralCode(n, frozenset(words))).inner
+            if len(ideal.gens) > 1:
+                ideals.append(ideal)
+        gapped = 0
+        for ideal in ideals:
+            varying = betti._varying_neurons(masks_of(ideal), ideal.n)
+            gapped += varying and varying != (1 << varying.bit_length()) - 1
+            for field in FieldTag:
+                swept, walked = both_sides(monkeypatch, ideal, field)
+                assert swept == walked
+        assert gapped > 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(transversal_ideals())
+    @example(family_thm36(4, 4).inner)
+    def test_visits_the_lcm_closure(self, ideal):
+        if len(ideal.gens) > 1:
+            visited = sweep_multidegrees(ideal)
+            assert len(set(visited)) == len(visited)
+            assert set(visited) == set(_lcm_levels(ideal))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 7).flatmap(lambda v: st.tuples(
+        st.just(v), st.sets(st.integers(0, (1 << v) - 1),
+                            min_size=max(2, (1 << v) // 8), max_size=(1 << v) // 2))),
+        st.sampled_from(list(FieldTag)))
+    def test_near_the_crossover(self, case, field):
+        # 2^v / 8 to 2^v / 2 points of the v-cube, on both sides of the
+        # rule's 2^v <= 4 q; whichever side runs, both must agree
+        v, points = case
+        ideal = degree_n_ideal(sum(1 << c for c in points), v).inner
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            swept, walked = both_sides(monkeypatch, ideal, field)
+        assert betti_table(ideal, field) == swept == walked
+        if v <= 4:
+            assert swept == brute_force.betti_table(ideal, field)
+
+    def test_rule_sweeps_dense_and_walks_sparse_tables(self, monkeypatch):
+        swept = record_sweeps(monkeypatch)
+        dense = degree_n_ideal(0xfffff7bf, 5).inner  # 30 of 32 points
+        sparse = [family_prop33(10, 10).inner, degree_n_ideal(1 | 1 << 500 | 1 << 1000, 10).inner]
+        for ideal in [dense] + sparse:
+            betti_table(ideal)
+        assert swept == [0xfffff7bf]
 
 
 class TestRationalRankAgainstFractions:
@@ -687,6 +821,45 @@ class TestLinearlyRelatedRefusal:
         assert not _linearly_related(masks_of(ideal))
         assert linear_quotients_search(ideal) is None
         assert brute_force.linear_quotients_search(ideal) is None
+
+    @staticmethod
+    def points_related(ideal):
+        masks = masks_of(ideal)
+        positions = _positions(betti._varying_neurons(masks, ideal.n))
+        return _points_linearly_related(_cube_points(masks, ideal.n, positions),
+                                        len(positions))
+
+    def assert_points_test_agrees(self, ideals):
+        refused = 0
+        for ideal in ideals:
+            if len(ideal.gens) > 1:
+                related = self.points_related(ideal)
+                assert related == _linearly_related(masks_of(ideal))
+                refused += not related
+        return refused
+
+    def test_points_test_on_every_table_up_to_degree_3(self):
+        ideals = []
+        for n in (1, 2, 3):
+            for P in degree_n_ideals(n):
+                ideals.append(P.inner)
+                for pivot in range(1, n + 1):
+                    split = split_at_neuron(P, pivot)
+                    ideals += [h for h in (split.J, split.K) if h.is_proper_nonzero]
+        assert self.assert_points_test_agrees(ideals) > 100
+
+    @pytest.mark.parametrize("n, count", [(4, 300), (5, 200), (6, 30)])
+    def test_points_test_on_sampled_tables(self, n, count):
+        assert self.assert_points_test_agrees(
+            [P.inner for P in degree_n_ideals(n, count, seed=70 + n)]) > 0
+
+    def test_points_test_on_dense_and_gapped_tables(self):
+        rng = random.Random(5)
+        ideals = [degree_n_ideal(sum(1 << c for c in rng.sample(range(32), q)), 5).inner
+                  for q in range(24, 32) for _ in range(8)]
+        ideals += [family_thm36(n, k).inner for n in range(2, 6) for k in range(1, n + 1)]
+        ideals += [split_at_neuron(P, 2).K for P in degree_n_ideals(4, 40, seed=4)]
+        self.assert_points_test_agrees([i for i in ideals if i.is_proper_nonzero])
 
     def test_mixed_degrees_bypass_the_refusal(self):
         # (x1, x2*x3) has linear quotients in the order x1, x2*x3 but is

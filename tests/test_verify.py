@@ -1,5 +1,6 @@
 """The verification harness itself: enumeration, sampling, reporting."""
 
+import hashlib
 import json
 import sys
 from collections import defaultdict
@@ -219,3 +220,44 @@ class TestRestrictionSuite:
 
         assert sorted(report.counterexamples, key=key) == sorted(want, key=key)
         assert any(c.suite == "restriction" for c in want)
+
+
+class TestCounterexampleText:
+    """Subjects are built only when a suite fails; the text must not change."""
+
+    @pytest.fixture
+    def failing_suites(self, monkeypatch):
+        # every degree-n ideal fails the oracle suite, every scaling trial
+        # with a multiplier of positive degree, every dominant trial, and
+        # every code whose ideal is not zero
+        monkeypatch.setattr(verify, "euler_discrepancy", lambda ideal, table: {1: 1})
+        monkeypatch.setattr(verify, "scale", lambda u, ideal: ideal)
+        monkeypatch.setattr(verify, "dominant_invariants", lambda ideal: (-1, -1))
+        monkeypatch.setattr(codes, "code_to_polarized_ideal",
+                            lambda code: degree_n_ideal(0, code.n))
+
+    def test_planted_failures(self, failing_suites):
+        report = run_verification(2, "exhaustive", seed=0)
+        by_suite = defaultdict(list)
+        for c in report.counterexamples:
+            by_suite[c.suite].append((c.subject, c.detail))
+        assert {suite: len(cs) for suite, cs in by_suite.items()} == {
+            "oracle": 15, "scaling": 88, "dominant": 200, "code-pipeline": 172}
+        assert by_suite["oracle"][2] == ("(x1*x2, x2*y1)",
+                                         "Euler identity off at multidegrees [1]")
+        assert by_suite["scaling"][2] == ("x1 * (x2, y2)",
+                                          "reg 1 + deg 1 != 1 under scaling by x1")
+        assert by_suite["dominant"][1] == ("(x1, y1)", "closed form (-1, -1) != oracle (1, 1)")
+        assert by_suite["code-pipeline"][2] == (
+            "01,10", "generator supports do not cover exactly the non-codewords")
+        # the whole list, as recorded when every subject was built eagerly
+        text = json.dumps([c.to_json_dict() for c in report.counterexamples])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "de3d3449b94d80fdc80bf2025c7f22158392eaa7dc87a93917d34a6b495bd124"
+
+    def test_passing_suites_build_no_subject(self, monkeypatch):
+        built = []
+        text = verify._table_text
+        monkeypatch.setattr(verify, "_table_text", lambda *a: built.append(a) or text(*a))
+        report = run_verification(3, "exhaustive", seed=0)
+        assert report.ok and built == []
