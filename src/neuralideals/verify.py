@@ -76,7 +76,7 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def record(self, suite: str, failures: list[str], subject: Callable[[], str]) -> None:
+    def record(self, suite: str, subject: Callable[[], str], failures: list[str]) -> None:
         """Count one check of `suite`; `subject` gives the text naming what
         was checked, and is called only when there are failures."""
         self.suite_checked[suite] = self.suite_checked.get(suite, 0) + 1
@@ -87,9 +87,9 @@ class VerificationReport:
         else:
             self.suite_passes[suite] = self.suite_passes.get(suite, 0) + 1
 
-    def merge_results(self, results: dict[str, list[str]], subject: Callable[[], str]) -> None:
+    def merge_results(self, subject: Callable[[], str], results: dict[str, list[str]]) -> None:
         for suite, failures in results.items():
-            self.record(suite, failures, subject)
+            self.record(suite, subject, failures)
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,7 +314,7 @@ def scaling_suite(report: VerificationReport, trials: int, seed: int, n: int = 3
             fails.append(f"pd changed {t0.pd} -> {t1.pd} under scaling by {u}")
         if t1.reg != t0.reg + u.degree:
             fails.append(f"reg {t0.reg} + deg {u.degree} != {t1.reg} under scaling by {u}")
-        report.record("scaling", fails, lambda: f"{u} * {ideal}")
+        report.record("scaling", lambda: f"{u} * {ideal}", fails)
 
 
 def random_dominant_ideal(rng: random.Random, n: int) -> MonomialIdeal:
@@ -347,7 +347,7 @@ def dominant_suite(report: VerificationReport, trials: int, seed: int, n_max: in
         fails = []
         if closed != (t.pd, t.reg):
             fails.append(f"closed form {closed} != oracle ({t.pd}, {t.reg})")
-        report.record("dominant", fails, ideal.__str__)
+        report.record("dominant", ideal.__str__, fails)
 
 
 def code_suite(report: VerificationReport, trials: int, seed: int, n_max: int = 4) -> None:
@@ -376,7 +376,7 @@ def code_suite(report: VerificationReport, trials: int, seed: int, n_max: int = 
             fails.append(f"{len(ideal.inner.gens)} generators for {non_words} non-codewords")
         if any(g.degree != n for g in ideal.inner.gens):
             fails.append("pipeline output not equigenerated in degree n")
-        report.record("code-pipeline", fails, lambda: ",".join(code.word_strings()) or "{}")
+        report.record("code-pipeline", lambda: ",".join(code.word_strings()) or "{}", fails)
 
 
 def lr_lq_witness_findings(n: int, degree: int, trials: int, seed: int) -> list[str]:
@@ -446,10 +446,10 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
         divisors = _divisor_tables(n)
     for s, (results, _) in zip(subsets, outcomes):
         subject = functools.partial(_table_text, s, n)
-        report.merge_results(results, subject)
+        report.merge_results(subject, results)
         if exhaustive:
-            report.record("restriction", _restriction_failures(s, n, verdicts, divisors),
-                          subject)
+            report.record("restriction", subject,
+                          _restriction_failures(s, n, verdicts, divisors))
     report.examined = len(subsets)
     report.timings["degree-n-ideals"] = time.perf_counter() - t0
 

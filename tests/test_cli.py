@@ -107,6 +107,20 @@ class TestInvariantsCommand:
         assert code == 0 and len(payload["ideal"]) == 30
         assert payload["reg"] == 6 and payload["linear_quotients"] is None
 
+    @pytest.mark.parametrize("n", [28, 32])
+    def test_wide_two_generator_ideal(self, capsys, tmp_path, n):
+        # x1*...*xn and y1*...*yn: the linear-quotient refusal answers at
+        # once, and the recursive check's truth table is refused
+        path = tmp_path / "wide.ideal"
+        path.write_text("".join("*".join(f"{c}{i}" for i in range(1, n + 1)) + "\n"
+                                for c in "xy"))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: a truth table on {n} neurons needs 2^{n} table cells, "
+                       "above the limit 2^24\n")
+
 
 class TestBettiCommand:
     def test_json_table(self, capsys, koszul_file):

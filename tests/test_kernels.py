@@ -20,6 +20,7 @@ Koszul complex.
 """
 
 import random
+import time
 from functools import reduce
 from operator import and_, or_
 
@@ -30,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuralideals import homology
-from neuralideals import betti
+from neuralideals import betti, structure
 from neuralideals.codes import NeuralCode, code_to_polarized_ideal
 from neuralideals.betti import (
     BettiTable,
@@ -860,6 +861,33 @@ class TestLinearlyRelatedRefusal:
         ideals += [family_thm36(n, k).inner for n in range(2, 6) for k in range(1, n + 1)]
         ideals += [split_at_neuron(P, 2).K for P in degree_n_ideals(4, 40, seed=4)]
         self.assert_points_test_agrees([i for i in ideals if i.is_proper_nonzero])
+
+    @pytest.mark.parametrize("v, points_test", [(12, True), (13, False)])
+    def test_points_test_only_on_bounded_tables(self, monkeypatch, v, points_test):
+        # the points test's tables have 2^v bits, so two transversals that
+        # differ on more than MAX_LCM_DEGREE / 2 neurons take the pair loop
+        calls = []
+
+        def recording(points, width):
+            calls.append(width)
+            return _points_linearly_related(points, width)
+
+        monkeypatch.setattr(structure, "_points_linearly_related", recording)
+        ideal = minimalize([Monomial(((1 << v) - 1) << shift, v) for shift in (0, v)], v)
+        assert linear_quotients_search(ideal) is None
+        assert calls == ([v] if points_test else [])
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_wide_transversals_refused_at_once(self, q):
+        # generators differing on all 32 neurons: 2^32-bit tables if the
+        # points test ran, instant for the pair loop
+        n = 32
+        full = (1 << n) - 1
+        masks = [full, full << n, (full >> 16) | (full >> 16) << (n + 16)][:q]
+        ideal = minimalize([Monomial(g, n) for g in masks], n)
+        start = time.perf_counter()
+        assert linear_quotients_search(ideal) is None
+        assert time.perf_counter() - start < 2.0
 
     def test_mixed_degrees_bypass_the_refusal(self):
         # (x1, x2*x3) has linear quotients in the order x1, x2*x3 but is
