@@ -35,11 +35,11 @@ where □(W ∩ b) is the cubical complex of the subcubes of b whose points
 are all codewords, and the empty complex has H̃_{-1} = 1.  So pd <= k
 <= n, and since deg b = |N| + k, reg = |N| + 1 + max{d : H̃_d(□(W ∩ b))
 != 0} over the closure, which is >= |N|: the ideal has a linear
-resolution iff every □(W ∩ b) is empty or acyclic.  A multidegree with
-d_b >= 4 divisors takes the cubical side when |W ∩ b| = 2^k - d_b is at
-most 2 d_b, so the smaller of the two complexes is built; the nerve
-rule comes first, and every other multidegree and every other ideal
-takes the strong-core path.
+resolution iff every □(W ∩ b) is empty or acyclic.  The cubical side
+runs only inside the subcube sweep below: there a multidegree with
+d_b >= 4 divisors takes it when |W ∩ b| = 2^k - d_b is at most 2 d_b,
+so the smaller of the two complexes is built.  A walked ideal takes the
+nerve rule or the strong core at every multidegree.
 
 The subcube sweep.  Such an ideal's closure can be read off its points
 T in {0,1}^V, V the neurons on which the generators differ: the
@@ -258,10 +258,10 @@ def _koszul_ranks(facets: set[int], field_tag: FieldTag,
 
 
 class _Codewords:
-    """Both transversal sides of the Betti table of an ideal whose
-    generators are the points T of {0,1}^V (`_cube_points`), with
-    codewords W = {0,1}^V ∖ T: the subcube sweep over the closure, and
-    the cubical complexes of the codewords.
+    """The subcube sweep of the Betti table of an ideal whose generators
+    are the points T of {0,1}^V (`_cube_points`), with codewords
+    W = {0,1}^V ∖ T, and the cubical complexes of the codewords that it
+    ranks at its densest multidegrees.
 
     A closure multidegree b is the subcube c + span(F) of the points
     that agree with b's y-letters off its free neurons F, those with both
@@ -285,18 +285,6 @@ class _Codewords:
         # the bit-clear pattern of each index bit j, keyed by j itself
         self.clear = {1 << k: p for k, p in enumerate(_bit_clear_patterns(v))}
         self.cubes = {0: ~points & (1 << (1 << v)) - 1}
-
-    def subcube(self, b: int) -> tuple[int, int]:
-        """The points of the subcube of multidegree b, as a 2^|V|-bit
-        table, and its free set F."""
-        free = _compress(b & b >> self.n, self.positions)
-        cube = 1 << (_compress(b >> self.n, self.positions) & ~free)
-        rest = free
-        while rest:
-            j = rest & -rest
-            rest ^= j
-            cube |= cube << j
-        return cube, free
 
     def sweep(self, field_tag: FieldTag,
               memo: dict[tuple[int, int], dict[int, int]]) -> Iterator[tuple[int, dict[int, int]]]:
@@ -478,19 +466,18 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     acyclic, a core of two or three facets goes to the same nerve rule,
     and any other is renumbered to vertices 0..v-1 and looked up
     by (v, bitset of its facets) in a memo that lives for this call,
-    where a miss builds its faces and computes their homology.  When the
-    generators are transversals of one neuron set, a multidegree with k
-    free neurons and d >= 4 divisors, 2^k <= 3d, takes its ranks from the
-    cubical complex of its codewords instead (see the module docstring),
-    whose cube sets are built on first use and live for this call.
-    The closure is found in one of two ways.  A transversal ideal with
-    q generators that differ on |V| neurons, 2^|V| <= 4 q, is swept
-    (`_Codewords.sweep`): its closure multidegrees are the subcubes of
-    {0,1}^V whose halves along each free neuron both meet the points,
-    found by shift-ORs and ANDs on 2^|V|-bit ints, and each one's
-    divisors are the points in it.  Every other ideal is walked: the
-    closure is found by joining generators (`_lcm_levels`), and each
-    multidegree's divisors by scanning all of them.
+    where a miss builds its faces and computes their homology.
+    The closure is found by one of two disjoint engines.  A transversal
+    ideal with q generators that differ on |V| neurons, 2^|V| <= 4 q, is
+    swept (`_Codewords.sweep`): its closure multidegrees are the
+    subcubes of {0,1}^V whose halves along each free neuron both meet
+    the points, found by shift-ORs and ANDs on 2^|V|-bit ints, and each
+    one's divisors are the points in it; there alone a multidegree with
+    k free neurons and d >= 4 divisors, 2^k <= 3d, takes its ranks from
+    the cubical complex of its codewords (see the module docstring).
+    Every other ideal is walked: the closure is found by joining
+    generators (`_lcm_levels`), each multidegree's divisors by scanning
+    all of them, and its ranks by the nerve rule or the strong core.
     Raises LcmDegreeError for three or more generators with
     deg lcm(gens) > MAX_LCM_DEGREE.
     """
@@ -505,25 +492,11 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     memo: dict[tuple[int, int], dict[int, int]] = {}
     varying = _varying_neurons(gens, n)
     if varying and _sweeps(len(gens), varying.bit_count()):
-        for b, ranks in _Codewords(gens, n, varying).sweep(field_tag, memo):
-            j = b.bit_count()
-            for dim, rank in ranks.items():
-                i = dim + 1
-                table.fine[(i, b)] = rank
-                table.coarse[(i, j)] = table.coarse.get((i, j), 0) + rank
-        return table
-    # the walk stays inline: a sparse ideal has a handful of multidegrees,
-    # and a generator or a call per multidegree costs it a few percent
-    codewords: Optional[_Codewords] = None
-    for b in _lcm_levels(ideal):
-        facets = _koszul_facets(gens, b)
-        # 2^k points with k free neurons, of which len(facets) are generators
-        if len(facets) > 3 and varying and 1 << (b & b >> n).bit_count() <= 3 * len(facets):
-            if codewords is None:
-                codewords = _Codewords(gens, n, varying)
-            ranks = codewords.ranks(*codewords.subcube(b), field_tag)
-        else:
-            ranks = _koszul_ranks(facets, field_tag, memo)
+        found = _Codewords(gens, n, varying).sweep(field_tag, memo)
+    else:
+        found = ((b, _koszul_ranks(_koszul_facets(gens, b), field_tag, memo))
+                 for b in _lcm_levels(ideal))
+    for b, ranks in found:
         j = b.bit_count()
         for dim, rank in ranks.items():
             i = dim + 1

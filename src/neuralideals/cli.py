@@ -62,7 +62,7 @@ class _Refused(Exception):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Refused(f"cannot read {path}: {exc}") from None
 
 

@@ -164,6 +164,7 @@ _TOKEN_RE = re.compile(r"^([xy])(\d+)$")
 
 def parse_monomial(text: str, n: int) -> Monomial:
     """Parse `x1*y2` / `x1 y2` style text; the literal `1` is the unit monomial."""
+    _check_n(n)
     tokens = [t for t in re.split(r"[*\s]+", text.strip()) if t]
     if not tokens:
         raise MonomialParseError("empty monomial")

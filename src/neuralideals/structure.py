@@ -205,27 +205,26 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
                 covered |= cover
         return placed & ~covered == 0
 
+    # the placed prefix is `order`, with set `used`; c is the next
+    # candidate to try after it, and a prefix with none left is dead
     full = (1 << q) - 1
     order: list[int] = []
     dead: set[int] = set()
-
-    def extend(used: int) -> bool:
-        if used == full:
-            return True
-        for c in range(q):
-            bit = 1 << c
-            if used & bit or used | bit in dead:
-                continue
-            if admissible(used, c):
-                order.append(c)
-                if extend(used | bit):
-                    return True
-                order.pop()
-                dead.add(used | bit)
-        return False
-
-    if not extend(0):
-        return None
+    used = c = 0
+    while used != full:
+        if c == q:
+            if not order:
+                return None
+            dead.add(used)
+            c = order.pop()
+            used ^= 1 << c
+            c += 1
+        elif not used >> c & 1 and used | 1 << c not in dead and admissible(used, c):
+            order.append(c)
+            used |= 1 << c
+            c = 0
+        else:
+            c += 1
     return tuple(gens[i] for i in order)
 
 

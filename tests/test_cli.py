@@ -19,7 +19,7 @@ from neuralideals import cli
 from neuralideals.betti import betti_table
 from neuralideals.cli import main
 from neuralideals.homology import FieldTag
-from neuralideals.monomials import degree_n_ideal, parse_ideal, render_ideal
+from neuralideals.monomials import degree_n_ideal, parse_ideal, parse_monomial, render_ideal
 from neuralideals.verify import random_polarized_ideal
 
 
@@ -72,6 +72,14 @@ class TestInvariantsCommand:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "invariants", "/no/such/file")
         assert code == 2
+
+    @pytest.mark.parametrize("command",
+                             ["invariants", "betti", "check-linear", "from-code", "polarize"])
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "binary.ideal"
+        path.write_bytes(b"x1*x2\n\xff\n")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot read {path}: ")
 
     def test_json_schema(self, capsys, koszul_file):
         code, out, _ = run_cli(capsys, "invariants", "--json", koszul_file)
@@ -409,6 +417,20 @@ class TestCostLimits:
             capsys, "verify", "--n", "11", "--mode", "sample", "--count", "1")
         assert code == 2 and out == "" and seconds < 2.0
         assert err.startswith("error: sample mode is limited to n <= 10")
+
+    def test_one_word_n10_code(self, capsys, tmp_path):
+        # 1,023 generators: the linear-quotient search places each one in
+        # a loop, not a recursive call, and the order it returns is valid
+        path = tmp_path / "one.code"
+        path.write_text("1" * 10 + "\n")
+        (code, out, _), seconds = self.timed(capsys, "from-code", "--invariants", "--json",
+                                             str(path))
+        payload = json.loads(out)
+        assert code == 0 and seconds < 60 and (payload["pd"], payload["reg"]) == (9, 10)
+        order = [parse_monomial(g, 10).mask for g in payload["linear_quotients"]]
+        assert len(order) == 1023
+        assert all(brute_force._step_admissible(order[:k], order[k])
+                   for k in range(1, len(order)))
 
     def test_one_word_n14_code_refused(self, capsys, tmp_path):
         path = tmp_path / "one.code"

@@ -386,6 +386,16 @@ class TestKoszulCoreAgainstFullComplex:
         assert built == []
 
 
+def subcube(codewords, b):
+    """The points of the subcube of multidegree b, as the 2^|V|-bit table
+    that `_Codewords.ranks` takes, and its free set F: the points that
+    agree with b's y-letters off F."""
+    positions = codewords.positions
+    free = _compress(b & b >> codewords.n, positions)
+    base = _compress(b >> codewords.n, positions) & ~free
+    return sum(1 << c for c in range(1 << len(positions)) if c & ~free == base), free
+
+
 def record_cubical(monkeypatch):
     """Every multidegree that `betti_table` sends to the cubical side from
     here on."""
@@ -479,8 +489,31 @@ class TestCubicalSideAgainstBruteForce:
             facets = betti._koszul_facets(gens, b)
             if len(facets) > 3:
                 for field in FieldTag:
-                    assert codewords.ranks(*codewords.subcube(b), field) == \
+                    assert codewords.ranks(*subcube(codewords, b), field) == \
                         betti._koszul_ranks(facets, field, {})
+
+    def test_walked_ideal_with_a_dense_subcube(self, monkeypatch):
+        # a 4-cube and three stray points on 8 neurons: q = 19 and
+        # 2^8 > 4 * 19, so the rule walks it, and the walk ranks the
+        # 4-cube's 16 divisors by the strong core, not the cubical side
+        n = 8
+        points = [*range(16), 0b11110000, 0b10101010, 0b01010101]
+        ideal = degree_n_ideal(sum(1 << c for c in points), n).inner
+        assert len(ideal.gens) == 19 and not betti._sweeps(19, n)
+        gens = masks_of(ideal)
+        dense = []  # multidegrees with d >= 4 divisors and 2^k <= 3 d points
+        for b in _lcm_levels(ideal):
+            d = len(betti._koszul_facets(gens, b))
+            if d > 3 and 1 << (b & b >> n).bit_count() <= 3 * d:
+                dense.append(d)
+        assert 16 in dense
+        cubical = record_cubical(monkeypatch)
+        betti_table(ideal)
+        assert cubical == []
+        for field in FieldTag:
+            swept, walked = both_sides(monkeypatch, ideal, field)
+            assert swept == walked
+        assert len(cubical) > 0  # the forced sweep ranks the 4-cube cubically
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_signed_boundary_squares_to_zero(self, k):
@@ -503,7 +536,7 @@ class TestCubicalSideAgainstBruteForce:
         monkeypatch.setattr(homology, "rank_rational",
                             lambda rows: ranked.append(rows) or rank_rational(rows))
         side = betti._Codewords(gens, n, betti._varying_neurons(gens, n))
-        cube, free = side.subcube(b)
+        cube, free = (1 << 32) - 1, 0b11111  # the whole 5-cube
         assert side.ranks(cube, free, FieldTag.F2) == side.ranks(cube, free, FieldTag.RATIONALS) \
             == {2: 1, 3: 1}
         assert [len(rows) for rows in ranked] == [10]

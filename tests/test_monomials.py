@@ -1,5 +1,7 @@
 """Core monomial/ideal arithmetic, checked against brute-force membership."""
 
+import tracemalloc
+
 import pytest
 from brute_force import colon, contains
 from hypothesis import given, settings
@@ -65,6 +67,17 @@ class TestMonomialBasics:
         Monomial(0, 32)
         with pytest.raises(NeuronCountError):
             Monomial(0, 33)
+
+    def test_huge_variable_index_refused_before_allocating(self):
+        # n is inferred as 99999999999: the bit for x_n would take 12.5 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(NeuronCountError):
+                parse_ideal("x1*x99999999999\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_parse_rejects_bad_tokens(self):
         for bad in ["z1", "x0", "x3", "x1*x1", ""]:
