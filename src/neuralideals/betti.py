@@ -62,6 +62,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
+from json.encoder import encode_basestring_ascii
 from operator import and_, or_
 from typing import Iterator, Optional
 
@@ -203,11 +204,9 @@ class BettiTable:
                       key=lambda t: (t[0], t[1].bit_count(), t[1]))
 
     def to_json_dict(self) -> dict:
+        """The Betti payload; its "fine" list is `_fine_json`, which `cli.json_text` calls."""
         return {
-            "fine": [
-                {"i": i, "b": mask_text(m, self.n), "rank": r}
-                for i, m, r in self.fine_entries()
-            ],
+            "fine": self._fine_json,
             "coarse": [
                 {"i": i, "j": j, "rank": r}
                 for (i, j), r in sorted(self.coarse.items())
@@ -215,6 +214,19 @@ class BettiTable:
             "pd": self.pd,
             "reg": self.reg,
         }
+
+    def _fine_json(self, indent: str) -> str:
+        """The fine entries as `json.dumps(indent=2)` writes their list of
+        {"i", "b", "rank"} dicts when the list opens at `indent`; one
+        %-template renders every entry, and no dict is built."""
+        if not self.fine:
+            return "[]"
+        inner = indent + "  "
+        entry = ('{\n%s  "i": %%d,\n%s  "b": %%s,\n%s  "rank": %%d\n%s}'
+                 % (inner, inner, inner, inner))
+        return "[\n" + inner + (",\n" + inner).join([
+            entry % (i, encode_basestring_ascii(mask_text(m, self.n)), r)
+            for i, m, r in self.fine_entries()]) + "\n" + indent + "]"
 
 
 # reduced homology of the nerve of at most three facets that share no

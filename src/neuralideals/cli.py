@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .betti import LcmDegreeError, betti_table, dominant_check
@@ -81,6 +82,25 @@ def _load_ideal(args):
     if not ideal.is_proper_nonzero:
         raise _Refused("the zero/unit ideal has no invariants")
     return ideal
+
+
+def json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` byte for byte, for str keys, without the
+    pure-Python encoder that `indent` selects; a callable (a Betti payload's
+    "fine" list) writes itself, given the indent it opens at."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:  # a bool is an int that json writes as true/false
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{\n" + ",\n".join([
+            f"{inner}{encode_basestring_ascii(key)}: {json_text(item, inner)}"
+            for key, item in value.items()]) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n" + ",\n".join([
+            inner + json_text(item, inner) for item in value]) + "\n" + indent + "]"
+    return value(indent) if callable(value) else json.dumps(value)
 
 
 def _yes_no(flag) -> str:
@@ -302,7 +322,7 @@ def main(argv=None) -> int:
     except (_Refused, LcmDegreeError) as exc:
         status, payload, notes = getattr(exc, "status", EXIT_PARSE), None, [f"error: {exc}"]
     if payload is not None:
-        print(json.dumps(payload, indent=2) if args.json else text)
+        print(json_text(payload) if args.json else text)
     for note in notes:
         print(note, file=sys.stderr)
     return status

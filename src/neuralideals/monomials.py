@@ -91,15 +91,22 @@ def variable_name(bit: int, n: int) -> str:
 
 
 @cache
-def _variable_names(n: int) -> tuple[str, ...]:
-    """The names of the 2n variables, by bit position (one tuple per n)."""
-    return tuple(variable_name(b, n) for b in range(2 * n))
+def _byte_texts(n: int) -> tuple[tuple[str, ...], ...]:
+    """For each byte of a 2n-bit mask, the texts of its 256 values: the
+    names of the variables on its set bits, each followed by `*` (one
+    tuple per n, built on first use)."""
+    names = [variable_name(b, n) + "*" for b in range(2 * n)]
+    return tuple(
+        tuple("".join(name for j, name in enumerate(names[k:k + 8]) if v >> j & 1)
+              for v in range(256))
+        for k in range(0, 2 * n, 8))
 
 
 def mask_text(mask: int, n: int) -> str:
     """The text of the squarefree monomial `mask` over n neurons: `x1*y2`, or `1`."""
-    names = _variable_names(n)
-    return "*".join([names[b] for b in _positions(mask)]) or "1"
+    tables = _byte_texts(n)
+    return "".join([table[v] for table, v in zip(
+        tables, mask.to_bytes(len(tables), "little"))])[:-1] or "1"
 
 
 @dataclass(frozen=True)

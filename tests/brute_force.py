@@ -309,7 +309,9 @@ def fine_entries(table: BettiTable) -> list[tuple[int, Monomial, int]]:
 
 
 def betti_json_dict(table: BettiTable) -> dict:
-    """`BettiTable.to_json_dict`, rendered through `fine_entries` above."""
+    """The Betti payload as plain dicts, its fine entries rendered through
+    `fine_entries` above: `json.dumps(indent=2)` of it is the reference
+    for `cli.json_text` of `BettiTable.to_json_dict`."""
     return {
         "fine": [
             {"i": i, "b": monomial_text(m), "rank": r} for i, m, r in fine_entries(table)

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import brute_force
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_betti import three_generators
 
 import neuralideals
 from neuralideals import cli
-from neuralideals.betti import betti_table
+from neuralideals.betti import BettiTable, betti_table
 from neuralideals.cli import main
 from neuralideals.homology import FieldTag
 from neuralideals.monomials import degree_n_ideal, parse_ideal, parse_monomial, render_ideal
@@ -153,15 +153,17 @@ def indented(payload):
 
 
 class TestBettiRenderingAgainstMonomials:
-    """Betti entries named from int masks print the same bytes as the
-    reference that builds one `Monomial` per entry."""
+    """Betti entries named from int masks and written by `cli.json_text`
+    print the same bytes as `json.dumps(indent=2)` of the reference that
+    builds one `Monomial` and one dict per entry."""
 
     def test_every_degree_3_ideal(self, capsys, tmp_path):
         path = tmp_path / "d3.ideal"
         for subset in range(1, 256):
             ideal = degree_n_ideal(subset, 3).inner
             table = betti_table(ideal)
-            assert indented(table.to_json_dict()) == indented(brute_force.betti_json_dict(table))
+            assert cli.json_text(table.to_json_dict()) == indented(
+                brute_force.betti_json_dict(table))
             path.write_text(render_ideal(ideal))
             code, out, _ = run_cli(capsys, "betti", "-n", "3", str(path))
             assert code == 0 and out == brute_force.betti_text(table) + "\n"
@@ -170,7 +172,7 @@ class TestBettiRenderingAgainstMonomials:
     @given(st.integers(3, 6), st.integers(0, 2 ** 32))
     def test_random_polarized_ideals(self, n, seed):
         table = betti_table(random_polarized_ideal(random.Random(seed), n))
-        assert indented(table.to_json_dict()) == indented(brute_force.betti_json_dict(table))
+        assert cli.json_text(table.to_json_dict()) == indented(brute_force.betti_json_dict(table))
 
     @pytest.mark.parametrize("field", ["f2", "q"])
     def test_projective_plane(self, capsys, tmp_path, field):
@@ -182,6 +184,66 @@ class TestBettiRenderingAgainstMonomials:
         assert out == indented({"schema": 1, "n": 3, **brute_force.betti_json_dict(table)}) + "\n"
         code, out, _ = run_cli(capsys, "betti", "--raw", "--field", field, str(path))
         assert code == 0 and out == brute_force.betti_text(table) + "\n"
+
+
+@st.composite
+def betti_tables(draw, max_entries=30):
+    """A `BettiTable` with 0, 1 or many fine entries and a nonempty coarse part."""
+    n = draw(st.integers(1, 6))
+    fine = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2 * n), st.integers(0, (1 << 2 * n) - 1)),
+        st.integers(1, 1000), max_size=max_entries))
+    coarse = draw(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                                  st.integers(1, 1000), min_size=1, max_size=6))
+    return BettiTable(n, fine, coarse)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 12, 10 ** 12) | st.floats()
+            | st.text(max_size=6)
+            | st.sampled_from(['"', "\\", "\u00e9", "\u2603\n", "\U0001f600"]))
+
+
+def _writer_payloads():
+    """(payload, reference) pairs: the reference replaces each Betti "fine"
+    list by the dicts of `brute_force.betti_json_dict`; json writes a
+    tuple as a list."""
+    leaves = _SCALARS.map(lambda v: (v, v)) | betti_tables(max_entries=4).map(
+        lambda t: (t.to_json_dict()["fine"], brute_force.betti_json_dict(t)["fine"]))
+
+    def containers(children):
+        return (st.tuples(st.sampled_from([list, tuple]), st.lists(children, max_size=4)).map(
+                    lambda a: (a[0](v for v, _ in a[1]), [r for _, r in a[1]]))
+                | st.dictionaries(st.text(max_size=4), children, max_size=4).map(
+                    lambda d: ({k: v for k, (v, _) in d.items()},
+                               {k: r for k, (_, r) in d.items()})))
+    return st.recursive(leaves, containers, max_leaves=16)
+
+
+class TestJsonWriter:
+    """`cli.json_text` writes the bytes of `json.dumps(payload, indent=2)`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_writer_payloads())
+    def test_generated_payloads(self, pair):
+        payload, reference = pair
+        assert cli.json_text(payload) == indented(reference)
+
+    @pytest.mark.parametrize("payload", [{}, [], None, True, False, -7, "a\"b\\c\u00e9",
+                                         {"": []}, [{}, [[]]], {"k": [None, -1, "\u2603"]}])
+    def test_edge_payloads(self, payload):
+        assert cli.json_text(payload) == indented(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(betti_tables())
+    @example(BettiTable(1, {}, {(0, 0): 1}))
+    @example(BettiTable(1, {(0, 1): 1}, {(0, 1): 1}))
+    def test_fine_lists_at_cli_depths(self, table):
+        """The `betti` payload holds its fine list at depth 1, the
+        `invariants` and `from-code` reports at depth 2."""
+        for wrap in (lambda b: {"schema": 1, "n": table.n, **b},
+                     lambda b: {"schema": 1, "n": table.n, "betti": b, "dominant": None}):
+            assert cli.json_text(wrap(table.to_json_dict())) == indented(
+                wrap(brute_force.betti_json_dict(table)))
 
 
 class TestParserReuse:

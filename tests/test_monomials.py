@@ -1,9 +1,10 @@
 """Core monomial/ideal arithmetic, checked against brute-force membership."""
 
+import random
 import tracemalloc
 
 import pytest
-from brute_force import colon, contains
+from brute_force import colon, contains, monomial_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from neuralideals.monomials import (
     intersect,
     is_equigenerated,
     lcm_closure,
+    mask_text,
     minimalize,
     parse_ideal,
     parse_monomial,
@@ -83,6 +85,25 @@ class TestMonomialBasics:
         for bad in ["z1", "x0", "x3", "x1*x1", ""]:
             with pytest.raises(ValueError):
                 parse_monomial(bad, 2)
+
+
+class TestMaskText:
+    """`mask_text`, read from per-byte tables, against one `variable_name`
+    per set bit."""
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_against_reference(self, n):
+        width = 2 * n
+        masks = {0, 1 << width - 1, (1 << width) - 1, 0x5555555555555555 >> 64 - width}
+        masks |= {0b11 << k for k in range(7, width - 1, 8)}  # bits on both sides of a byte edge
+        masks |= {0b1111 << k for k in range(5, width - 3, 8)}
+        rng = random.Random(n)
+        masks |= {rng.getrandbits(width) for _ in range(200)}
+        if n <= 4:
+            masks |= set(range(1 << width))
+        for mask in masks:
+            assert mask_text(mask, n) == monomial_text(Monomial(mask, n))
+        assert (mask_text(0, n), mask_text(1 << width - 1, n)) == ("1", f"y{n}")
 
 
 class TestMinimalize:
