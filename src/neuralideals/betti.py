@@ -269,170 +269,149 @@ def _koszul_ranks(facets: set[int], field_tag: FieldTag,
     return ranks
 
 
-class _Codewords:
-    """The subcube sweep of the Betti table of an ideal whose generators
-    are the points T of {0,1}^V (`_cube_points`), with codewords
-    W = {0,1}^V ∖ T, and the cubical complexes of the codewords that it
-    ranks at its densest multidegrees.
+def _sweep(gens: list[int], n: int, varying: int, field_tag: FieldTag,
+           memo: dict[tuple[int, int], dict[int, int]]) -> Iterator[tuple[int, dict[int, int]]]:
+    """(b, reduced homology ranks of K^b) for every multidegree b of the
+    lcm closure of an ideal whose generators are the points T of {0,1}^V
+    (`_cube_points`), V the neurons of `varying`, read off the points.
 
     A closure multidegree b is the subcube c + span(F) of the points
     that agree with b's y-letters off its free neurons F, those with both
-    x_i and y_i in b, with base point c having the bits of F clear.
-    `cubes[G]` has bit c set iff c has the bits of G clear and every
-    point of the subcube c + span(G) is a codeword.  It is built on first
-    use from cubes[G ∖ j] by one AND-shift with the bit-clear pattern of
-    j, and lives as long as this object, which lives for one
-    `betti_table` call.  The table's lcm guard bounds every table here:
-    deg lcm(gens) = |N| + |V| <= MAX_LCM_DEGREE, so |V| <= 12 and a
-    table has at most 2^12 bits.
+    x_i and y_i in b, with base point c having the bits of F clear.  The
+    closure is the set of subcubes that the points of T in them span:
+    for every j in F, both halves c + span(F ∖ j) and c + j + span(F ∖ j)
+    meet T.  Free sets F are taken in increasing order, so every F ∖ j
+    comes first.  hit[F] has bit c set iff c has the bits of F clear and
+    c + span(F) meets T, one shift-OR from hit[F ∖ j]; the bases of F's
+    closure subcubes are hit[F] ANDed with hit[F ∖ j] & hit[F ∖ j] >> j
+    for each j in F.  At each one the d_b divisors are the points of T
+    in it.  One is beta_0 and two are an antipodal pair, beta_1.  Three
+    go to the nerve rule, where two points p, p' meet unless p ⊕ p' = F.
+    Four or more go to `_cube_ranks` when 2^|F| <= 3 d_b, else their
+    facets b / g go to the strong core.  The table's lcm guard bounds
+    every table here: deg lcm(gens) = |N| + |V| <= MAX_LCM_DEGREE, so
+    |V| <= 12 and a table has at most 2^12 bits.
     """
-
-    def __init__(self, gens: list[int], n: int, varying: int):
-        self.n = n
-        self.positions = _positions(varying)
-        self.points = points = _cube_points(gens, n, self.positions)
-        # the letters every generator shares, off the varying neurons
-        self.fixed = gens[0] & ~(varying | varying << n)
-        v = len(self.positions)
-        # the bit-clear pattern of each index bit j, keyed by j itself
-        self.clear = {1 << k: p for k, p in enumerate(_bit_clear_patterns(v))}
-        self.cubes = {0: ~points & (1 << (1 << v)) - 1}
-
-    def sweep(self, field_tag: FieldTag,
-              memo: dict[tuple[int, int], dict[int, int]]) -> Iterator[tuple[int, dict[int, int]]]:
-        """(b, reduced homology ranks of K^b) for every multidegree b of
-        the lcm closure, read off the points.
-
-        The closure is the set of subcubes c + span(F) that the points of
-        T in them span: for every j in F, both halves c + span(F ∖ j) and
-        c + j + span(F ∖ j) meet T.  Free sets F are taken in increasing
-        order, so every F ∖ j comes first.  hit[F] has bit c set iff c has
-        the bits of F clear and c + span(F) meets T, one shift-OR from
-        hit[F ∖ j]; the bases of F's closure subcubes are hit[F] ANDed
-        with hit[F ∖ j] & hit[F ∖ j] >> j for each j in F.  At each one
-        the d_b divisors are the points of T in it.  One is beta_0 and
-        two are an antipodal pair, beta_1.  Three go to the nerve rule,
-        where two points p, p' meet unless p ⊕ p' = F.  Four or more take
-        the cubical side when 2^|F| <= 3 d_b, else their facets b / g go
-        to the strong core.
-        """
-        n, positions, points, clear = self.n, self.positions, self.points, self.clear
-        v = len(positions)
-        size = 1 << v
-        # neurons[c]: the neurons of V at the set bits of c, as an n-bit mask
-        neurons = [0] * size
-        for c in range(1, size):
-            low = c & -c
-            neurons[c] = neurons[c ^ low] | 1 << positions[low.bit_length() - 1]
-        every, fixed = neurons[size - 1], self.fixed
-        # corner[c]: the monomial of point c, with y_i at its set bits
-        corner = [fixed | neurons[c] << n | every ^ neurons[c] for c in range(size)]
-        rest = points
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            yield corner[low.bit_length() - 1], _NERVE_RANKS[1, 0]
-        hit = [points] * size
-        # box[F]: the points of the subcube span(F) at base point 0
-        box = [1] * size
-        for free in range(1, size):
-            low = free & -free
-            below = hit[free ^ low]
-            span = hit[free] = (below | below >> low) & clear[low]
-            box[free] = box[free ^ low] | box[free ^ low] << low
-            rest = free
-            while rest and span:
-                j = rest & -rest
-                rest ^= j
-                below = hit[free ^ j]
-                span &= below & below >> j
-            k = free.bit_count()
-            wide = neurons[free] << n
-            while span:
-                low = span & -span
-                span ^= low
-                c = low.bit_length() - 1
-                inside = points >> c & box[free]
-                d = inside.bit_count()
-                if d == 2:
-                    ranks = _NERVE_RANKS[2, 0]
-                elif d == 3 or 1 << k > 3 * d:
-                    offsets = []
-                    while inside:
-                        s = inside & -inside
-                        inside ^= s
-                        offsets.append(s.bit_length() - 1)
-                    if d == 3:
-                        a, b, e = offsets
-                        ranks = _NERVE_RANKS[3, (a ^ b != free) + (a ^ e != free)
-                                             + (b ^ e != free)]
-                    else:
-                        b = corner[c] | wide
-                        ranks = _koszul_ranks({b & ~corner[c | s] for s in offsets},
-                                              field_tag, memo)
-                else:
-                    ranks = self.ranks(box[free] << c, free, field_tag)
-                yield corner[c] | wide, ranks
-
-    def ranks(self, cube: int, free: int, field_tag: FieldTag) -> dict[int, int]:
-        """Reduced homology ranks of K^b for the subcube of b, with points
-        `cube` and free set `free`, by Alexander duality in the boundary
-        of the k-dimensional cross-polytope, k = |free|:
-        H̃_{i-1}(K^b) = H̃_{k-1-i}(□(W ∩ b)), where □(W ∩ b) is the cubical
-        complex of the subcubes of b whose points are all codewords, and
-        the empty complex has H̃_{-1} = 1.  Cells are built dimension by
-        dimension: a subcube with free set G + j, j above the bits of G,
-        exists only if one with free set G does.  A complex with no square
-        is a graph, ranked by `_graph_ranks`.  Otherwise the cells go to
-        `homology.chain_ranks`, with `_cube_boundary` for their faces; its
-        dimension d is dimension k - 2 - d of K^b."""
-        cubes, clear = self.cubes, self.clear
-        bits = []
+    positions = _positions(varying)
+    points = _cube_points(gens, n, positions)
+    v = len(positions)
+    size = 1 << v
+    codewords = ~points & (1 << size) - 1
+    # the bit-clear pattern of each index bit j, keyed by j itself
+    clear = {1 << k: p for k, p in enumerate(_bit_clear_patterns(v))}
+    # neurons[c]: the neurons of V at the set bits of c, as an n-bit mask
+    neurons = [0] * size
+    for c in range(1, size):
+        low = c & -c
+        neurons[c] = neurons[c ^ low] | 1 << positions[low.bit_length() - 1]
+    # corner[c]: the monomial of point c, with y_i at its set bits and the
+    # letters every generator shares off V
+    fixed = gens[0] & ~(varying | varying << n)
+    corner = [fixed | neurons[c] << n | varying ^ neurons[c] for c in range(size)]
+    rest = points
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        yield corner[low.bit_length() - 1], _NERVE_RANKS[1, 0]
+    hit = [points] * size
+    # box[F]: the points of the subcube span(F) at base point 0
+    box = [1] * size
+    for free in range(1, size):
+        low = free & -free
+        below = hit[free ^ low]
+        span = hit[free] = (below | below >> low) & clear[low]
+        box[free] = box[free ^ low] | box[free ^ low] << low
         rest = free
-        while rest:
+        while rest and span:
             j = rest & -rest
             rest ^= j
-            bits.append(j)
-        k = len(bits)
-        points = cubes[0] & cube
-        if not points:  # K^b is the whole sphere
-            return {k - 1: 1}
-        # levels[d]: free set g of d bits -> the base points of the cells
-        # c + span(g) inside b, where there are any
-        levels = [{0: points}]
-        while True:
-            grown = {}
-            for g, bases in levels[-1].items():
-                for j in bits:
-                    if j > g:
-                        wide = cubes.get(g | j)
-                        if wide is None:
-                            c = cubes[g]
-                            wide = cubes[g | j] = c & c >> j & clear[j]
-                        if wide & cube:
-                            grown[g | j] = wide & cube
-            if not grown:
-                break
-            levels.append(grown)
-        if len(levels) <= 2:
-            return _graph_ranks(points, levels[1] if len(levels) == 2 else {}, k)
-        # cells[d]: the cells of dimension d, each the int g << 16 | c for
-        # free set g and base point c, which has at most 12 bits
-        cells = []
-        for level in levels:
-            same = []
-            for g, bases in level.items():
-                while bases:
-                    low = bases & -bases
-                    bases ^= low
-                    same.append(g << 16 | low.bit_length() - 1)
-            cells.append(same)
-        ranks = chain_ranks(cells, _cube_boundary, field_tag)
-        return {k - 2 - d: rank for d, rank in ranks.items()}
+            below = hit[free ^ j]
+            span &= below & below >> j
+        k = free.bit_count()
+        wide = neurons[free] << n
+        while span:
+            low = span & -span
+            span ^= low
+            c = low.bit_length() - 1
+            inside = points >> c & box[free]
+            d = inside.bit_count()
+            if d == 2:
+                ranks = _NERVE_RANKS[2, 0]
+            elif d == 3 or 1 << k > 3 * d:
+                offsets = []
+                while inside:
+                    s = inside & -inside
+                    inside ^= s
+                    offsets.append(s.bit_length() - 1)
+                if d == 3:
+                    a, b, e = offsets
+                    ranks = _NERVE_RANKS[3, (a ^ b != free) + (a ^ e != free)
+                                         + (b ^ e != free)]
+                else:
+                    b = corner[c] | wide
+                    ranks = _koszul_ranks({b & ~corner[c | s] for s in offsets},
+                                          field_tag, memo)
+            else:
+                ranks = _cube_ranks(codewords & box[free] << c, free, clear, field_tag)
+            yield corner[c] | wide, ranks
+
+
+def _cube_ranks(codewords: int, free: int, clear: dict[int, int],
+                field_tag: FieldTag) -> dict[int, int]:
+    """Reduced homology ranks of K^b for a subcube b with free set `free`
+    whose codewords are the set bits of `codewords`, by Alexander duality
+    in the boundary of the k-dimensional cross-polytope, k = |free|:
+    H̃_{i-1}(K^b) = H̃_{k-1-i}(□(W ∩ b)), where □(W ∩ b) is the cubical
+    complex of the subcubes of b whose points are all codewords, and the
+    empty complex has H̃_{-1} = 1.  `clear` maps each bit j to its
+    bit-clear pattern.  Cells are built dimension by dimension: the cell
+    c + span(G + j), j above the bits of G and clear in c, exists iff
+    c + span(G) and c + j + span(G) do.  A complex with no square is a
+    graph, ranked by `_graph_ranks`.  Otherwise the cells go to
+    `homology.chain_ranks`, with `_cube_boundary` for their faces; its
+    dimension d is dimension k - 2 - d of K^b."""
+    bits = []
+    rest = free
+    while rest:
+        j = rest & -rest
+        rest ^= j
+        bits.append(j)
+    k = len(bits)
+    if not codewords:  # K^b is the whole sphere
+        return {k - 1: 1}
+    # levels[d]: free set g of d bits -> the base points of the cells
+    # c + span(g), where there are any
+    levels = [{0: codewords}]
+    while True:
+        grown = {}
+        for g, bases in levels[-1].items():
+            for j in bits:
+                if j > g:
+                    wide = bases & bases >> j & clear[j]
+                    if wide:
+                        grown[g | j] = wide
+        if not grown:
+            break
+        levels.append(grown)
+    if len(levels) <= 2:
+        return _graph_ranks(codewords, levels[1] if len(levels) == 2 else {}, k)
+    # cells[d]: the cells of dimension d, each the int g << 16 | c for
+    # free set g and base point c, which has at most 12 bits
+    cells = []
+    for level in levels:
+        same = []
+        for g, bases in level.items():
+            while bases:
+                low = bases & -bases
+                bases ^= low
+                same.append(g << 16 | low.bit_length() - 1)
+        cells.append(same)
+    ranks = chain_ranks(cells, _cube_boundary, field_tag)
+    return {k - 2 - d: rank for d, rank in ranks.items()}
 
 
 def _graph_ranks(points: int, edges: dict[int, int], k: int) -> dict[int, int]:
-    """The ranks `_Codewords.ranks` returns for a cubical complex with no
+    """The ranks `_cube_ranks` returns for a cubical complex with no
     square: a graph on `points`, with an edge from c to c + j for each
     base point c of edges[j].  With V points, E edges and C components,
     H̃_0 = C - 1 and H̃_1 = E - V + C over every field; each component is
@@ -468,30 +447,15 @@ def _cube_boundary(cell: int) -> list[int]:
 def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:
     """Complete multigraded Betti table via upper Koszul homology.
 
-    Each closure element b takes its divisors' facets b / g once.  One
-    facet is the empty face, K^b = {∅}, so beta_{0,b} = 1.  Two are
-    disjoint simplices, so beta_{1,b} = 1.  Three give the ranks of their
-    nerve: with e of the three pairs of divisors having lcm other than b,
-    e = 0, 1, 2, 3 give beta_{1,b} = 2, beta_{1,b} = 1, nothing and
-    beta_{2,b} = 1.  All of these hold over any field.  More facets are
-    shrunk to their strong-collapse core; a core that is one simplex is
-    acyclic, a core of two or three facets goes to the same nerve rule,
-    and any other is renumbered to vertices 0..v-1 and looked up
-    by (v, bitset of its facets) in a memo that lives for this call,
-    where a miss builds its faces and computes their homology.
-    The closure is found by one of two disjoint engines.  A transversal
-    ideal with q generators that differ on |V| neurons, 2^|V| <= 4 q, is
-    swept (`_Codewords.sweep`): its closure multidegrees are the
-    subcubes of {0,1}^V whose halves along each free neuron both meet
-    the points, found by shift-ORs and ANDs on 2^|V|-bit ints, and each
-    one's divisors are the points in it; there alone a multidegree with
-    k free neurons and d >= 4 divisors, 2^k <= 3d, takes its ranks from
-    the cubical complex of its codewords (see the module docstring).
-    Every other ideal is walked: the closure is found by joining
-    generators (`_lcm_levels`), each multidegree's divisors by scanning
-    all of them, and its ranks by the nerve rule or the strong core.
-    Raises LcmDegreeError for three or more generators with
-    deg lcm(gens) > MAX_LCM_DEGREE.
+    Each multidegree b of the lcm closure takes the ranks of K^b from the
+    nerve of its facets b / g when it has at most three divisors g, and
+    otherwise from their strong-collapse core, whose ranks a memo keeps
+    for this call, or from the cubical complex of its codewords.  A
+    transversal ideal with q generators that differ on |V| neurons,
+    2^|V| <= 4 q, is swept (`_sweep`); every other ideal is walked
+    (`_lcm_levels`).  The module docstring gives each rule.  Raises
+    LcmDegreeError for three or more generators with deg lcm(gens) >
+    MAX_LCM_DEGREE.
     """
     _require_proper_nonzero(ideal)
     gens = [g.mask for g in ideal.gens]
@@ -504,7 +468,7 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     memo: dict[tuple[int, int], dict[int, int]] = {}
     varying = _varying_neurons(gens, n)
     if varying and _sweeps(len(gens), varying.bit_count()):
-        found = _Codewords(gens, n, varying).sweep(field_tag, memo)
+        found = _sweep(gens, n, varying, field_tag, memo)
     else:
         found = ((b, _koszul_ranks(_koszul_facets(gens, b), field_tag, memo))
                  for b in _lcm_levels(ideal))

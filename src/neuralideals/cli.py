@@ -107,12 +107,12 @@ def _yes_no(flag) -> str:
     return "yes" if flag else "no"
 
 
-def _ideal_report(ideal, field_tag: FieldTag, pivot: str) -> dict:
+def _ideal_report(ideal, field_tag: FieldTag) -> dict:
     table = betti_table(ideal, field_tag)
     lq = linear_quotients_search(ideal)
     dom = dominant_check(ideal)
     try:
-        rlc = recursive_linear_check(validate_polarized_neural(ideal), pivot=pivot)
+        rlc = recursive_linear_check(validate_polarized_neural(ideal))
     except (NotEquigeneratedDegreeNError, PairViolationError):
         rlc = None
     return {
@@ -152,7 +152,7 @@ def _report_text(payload: dict) -> str:
 
 
 def cmd_invariants(args):
-    payload = _ideal_report(_load_ideal(args), FieldTag(args.field), args.pivot)
+    payload = _ideal_report(_load_ideal(args), FieldTag(args.field))
     return 0, payload, _report_text(payload), []
 
 
@@ -167,7 +167,7 @@ def cmd_betti(args):
 
 def cmd_check_linear(args):
     ideal = _load_ideal(args)
-    report = _ideal_report(ideal, FieldTag(args.field), args.pivot)
+    report = _ideal_report(ideal, FieldTag(args.field))
     payload = {key: report[key] for key in (
         "schema", "n", "ideal", "linear_resolution", "linear_quotients",
         "recursive_linear_check")}
@@ -199,7 +199,7 @@ def cmd_from_code(args):
         return (0, {"schema": 1, "n": code.n, "ideal": [], "zero": True},
                 "zero ideal (the code is all of {0,1}^n)", [])
     if args.invariants:
-        payload = _ideal_report(ideal, FieldTag(args.field), "last")
+        payload = _ideal_report(ideal, FieldTag(args.field))
         return 0, payload, _report_text(payload), []
     gens = [str(g) for g in ideal.gens]
     return 0, {"schema": 1, "n": code.n, "ideal": gens}, "\n".join(gens), []
@@ -259,7 +259,6 @@ _SHARED_ARGUMENTS = {
     "file": {},
     "-n": dict(type=int, default=None, help="neuron count (default: inferred)"),
     "--n": dict(type=int, required=True),
-    "--pivot": dict(choices=["last", "smallest"], default="last"),
     "--field": dict(choices=["f2", "q"], default="f2",
                     help="coefficient field for the homology oracle"),
     "--json": dict(action="store_true", help="machine-readable output"),
@@ -287,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn, **defaults)
 
     command("invariants", cmd_invariants, "pd, reg, Betti table and linearity status",
-            "file", "-n", "--pivot", "--field", "--json", "--raw")
+            "file", "-n", "--field", "--json", "--raw")
     command("betti", cmd_betti, "full multigraded Betti table",
             "file", "-n", "--field", "--json", "--raw")
     command("check-linear", cmd_check_linear, "compare the three linearity checks",
-            "file", "-n", "--pivot", "--field", "--json", "--raw")
+            "file", "-n", "--field", "--json", "--raw")
     command("from-code", cmd_from_code, "polarized ideal of a binary code file", "file",
             ("--invariants", dict(action="store_true",
                                   help="also compute the full invariant report")),

@@ -61,7 +61,9 @@ class NeuronSplit:
 
 
 def split_at_neuron(ideal: PolarizedNeuralIdeal, i: int) -> NeuronSplit:
-    """Split off the pivot pair; every generator must use exactly one of x_i, y_i."""
+    """Split off the pivot pair; every generator must use exactly one of x_i, y_i.
+    Dropping x_i or y_i from the generators holding it keeps them a sorted
+    antichain, so J and K need no `minimalize`."""
     inner = ideal.inner
     n = inner.n
     if not 1 <= i <= n:
@@ -78,7 +80,7 @@ def split_at_neuron(ideal: PolarizedNeuralIdeal, i: int) -> NeuronSplit:
             j_gens.append(Monomial(g.mask & ~xbit, n))
         else:
             k_gens.append(Monomial(g.mask & ~ybit, n))
-    return NeuronSplit(i, minimalize(j_gens, n), minimalize(k_gens, n))
+    return NeuronSplit(i, MonomialIdeal(n, tuple(j_gens)), MonomialIdeal(n, tuple(k_gens)))
 
 
 @dataclass(frozen=True)

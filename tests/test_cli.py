@@ -73,6 +73,13 @@ class TestInvariantsCommand:
         code, _, _ = run_cli(capsys, "invariants", "/no/such/file")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["invariants", "check-linear"])
+    def test_pivot_option_exit_2(self, capsys, koszul_file, command):
+        # the recursive check's verdict is the same under either pivot rule,
+        # so there is no option to choose one
+        code, out, err = run_cli(capsys, command, "--pivot", "last", koszul_file)
+        assert (code, out) == (2, "") and "--pivot" in err
+
     @pytest.mark.parametrize("command",
                              ["invariants", "betti", "check-linear", "from-code", "polarize"])
     def test_non_utf8_file_exit_2(self, capsys, tmp_path, command):

@@ -386,27 +386,31 @@ class TestKoszulCoreAgainstFullComplex:
         assert built == []
 
 
-def subcube(codewords, b):
-    """The points of the subcube of multidegree b, as the 2^|V|-bit table
-    that `_Codewords.ranks` takes, and its free set F: the points that
-    agree with b's y-letters off F."""
-    positions = codewords.positions
-    free = _compress(b & b >> codewords.n, positions)
-    base = _compress(b >> codewords.n, positions) & ~free
-    return sum(1 << c for c in range(1 << len(positions)) if c & ~free == base), free
+def subcube(gens, n, b):
+    """The arguments of `betti._cube_ranks` but the field for the subcube
+    of multidegree b of the generator masks `gens`: its codewords as a
+    2^|V|-bit table, those points that agree with b's y-letters off its
+    free set F and are no generator, then F and the bit-clear patterns."""
+    positions = _positions(betti._varying_neurons(gens, n))
+    points = _cube_points(gens, n, positions)
+    free = _compress(b & b >> n, positions)
+    base = _compress(b >> n, positions) & ~free
+    v = len(positions)
+    codewords = sum(1 << c for c in range(1 << v) if c & ~free == base and not points >> c & 1)
+    return codewords, free, {1 << k: p for k, p in enumerate(_bit_clear_patterns(v))}
 
 
 def record_cubical(monkeypatch):
     """Every multidegree that `betti_table` sends to the cubical side from
-    here on."""
+    here on, as its codewords and free set."""
     taken = []
-    ranks = betti._Codewords.ranks
+    ranks = betti._cube_ranks
 
-    def recording(self, cube, free, field_tag):
-        taken.append((cube, free))
-        return ranks(self, cube, free, field_tag)
+    def recording(codewords, free, clear, field_tag):
+        taken.append((codewords, free))
+        return ranks(codewords, free, clear, field_tag)
 
-    monkeypatch.setattr(betti._Codewords, "ranks", recording)
+    monkeypatch.setattr(betti, "_cube_ranks", recording)
     return taken
 
 
@@ -484,12 +488,11 @@ class TestCubicalSideAgainstBruteForce:
         gens = masks_of(ideal)
         varying = betti._varying_neurons(gens, ideal.n)
         assert bool(varying) == (len(gens) > 1)
-        codewords = betti._Codewords(gens, ideal.n, varying)
         for b in _lcm_levels(ideal):
             facets = betti._koszul_facets(gens, b)
             if len(facets) > 3:
                 for field in FieldTag:
-                    assert codewords.ranks(*subcube(codewords, b), field) == \
+                    assert betti._cube_ranks(*subcube(gens, ideal.n, b), field) == \
                         betti._koszul_ranks(facets, field, {})
 
     def test_walked_ideal_with_a_dense_subcube(self, monkeypatch):
@@ -535,10 +538,10 @@ class TestCubicalSideAgainstBruteForce:
         ranked = []
         monkeypatch.setattr(homology, "rank_rational",
                             lambda rows: ranked.append(rows) or rank_rational(rows))
-        side = betti._Codewords(gens, n, betti._varying_neurons(gens, n))
-        cube, free = (1 << 32) - 1, 0b11111  # the whole 5-cube
-        assert side.ranks(cube, free, FieldTag.F2) == side.ranks(cube, free, FieldTag.RATIONALS) \
-            == {2: 1, 3: 1}
+        whole = subcube(gens, n, b)  # the whole 5-cube
+        assert whole[:2] == (sum(1 << c for c in codewords), 0b11111)
+        assert betti._cube_ranks(*whole, FieldTag.F2) == \
+            betti._cube_ranks(*whole, FieldTag.RATIONALS) == {2: 1, 3: 1}
         assert [len(rows) for rows in ranked] == [10]
         table = betti_table(ideal, FieldTag.RATIONALS)
         assert table == brute_force.betti_table(ideal, FieldTag.RATIONALS)
@@ -597,21 +600,21 @@ def both_sides(monkeypatch, ideal, field):
 def record_sweeps(monkeypatch):
     """The point tables of every ideal that `betti_table` sweeps."""
     swept = []
-    sweep = betti._Codewords.sweep
+    sweep = betti._sweep
 
-    def recording(self, field_tag, memo):
-        swept.append(self.points)
-        return sweep(self, field_tag, memo)
+    def recording(gens, n, varying, field_tag, memo):
+        swept.append(_cube_points(gens, n, _positions(varying)))
+        return sweep(gens, n, varying, field_tag, memo)
 
-    monkeypatch.setattr(betti._Codewords, "sweep", recording)
+    monkeypatch.setattr(betti, "_sweep", recording)
     return swept
 
 
 def sweep_multidegrees(ideal):
     """The multidegrees the subcube sweep visits, in visiting order."""
     gens = masks_of(ideal)
-    codewords = betti._Codewords(gens, ideal.n, betti._varying_neurons(gens, ideal.n))
-    return [b for b, _ in codewords.sweep(FieldTag.F2, {})]
+    return [b for b, _ in betti._sweep(gens, ideal.n, betti._varying_neurons(gens, ideal.n),
+                                       FieldTag.F2, {})]
 
 
 class TestSubcubeSweep:
@@ -685,6 +688,30 @@ class TestSubcubeSweep:
         assert betti_table(ideal, field) == swept == walked
         if v <= 4:
             assert swept == brute_force.betti_table(ideal, field)
+
+    def test_sparse_top_multidegree_takes_the_strong_core(self, monkeypatch):
+        # a 6-cube and the point 0b11000000 on 8 neurons: q = 65 and
+        # 2^8 <= 4 * 65, so the rule sweeps it; the top multidegree has all
+        # 65 points as divisors and 2^8 > 3 * 65 points, so its facets go
+        # to the strong core, not to the cubical side
+        n = 8
+        ideal = degree_n_ideal(sum(1 << c for c in [*range(64), 0b11000000]), n).inner
+        assert len(ideal.gens) == 65 and betti._sweeps(65, n)
+        top = betti._koszul_facets(masks_of(ideal), ideal.lcm_of_gens().mask)
+        assert len(top) == 65
+        cubical = record_cubical(monkeypatch)
+        cores = []
+        ranks = betti._koszul_ranks
+        monkeypatch.setattr(betti, "_koszul_ranks",
+                            lambda facets, *a: cores.append(facets) or ranks(facets, *a))
+        table = betti_table(ideal)
+        assert top in cores
+        assert cubical and all(free != (1 << n) - 1 for _, free in cubical)
+        for field in FieldTag:
+            swept, walked = both_sides(monkeypatch, ideal, field)
+            assert swept == walked
+            if field is FieldTag.F2:
+                assert swept == table
 
     def test_rule_sweeps_dense_and_walks_sparse_tables(self, monkeypatch):
         swept = record_sweeps(monkeypatch)

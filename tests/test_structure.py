@@ -32,6 +32,7 @@ from neuralideals.structure import (
     recursive_linear_check,
     split_at_neuron,
 )
+from neuralideals.verify import random_polarized_ideal, sample_degree_n_subsets
 
 
 def m(text, n):
@@ -72,6 +73,25 @@ class TestSplitAtNeuron:
                 rebuilt = minimalize(
                     scale(x, split.J).gens + scale(y, split.K).gens, 3)
                 assert rebuilt == P.inner
+
+    def test_halves_are_minimal(self):
+        # J and K are built without `minimalize`: every table for n <= 3,
+        # sampled n = 4, 5 tables and pair-free ideals of mixed degrees
+        ideals = [degree_n_ideal(s, n) for n in (1, 2, 3) for s in range(1, 1 << (1 << n))]
+        ideals += [degree_n_ideal(s, n) for n in (4, 5)
+                   for s in sample_degree_n_subsets(n, 100, seed=n)]
+        rng = random.Random(9)
+        ideals += [validate_polarized_neural(random_polarized_ideal(rng, 4, max_gens=8))
+                   for _ in range(300)]
+        for P in ideals:
+            n = P.inner.n
+            for i in range(1, n + 1):
+                try:
+                    split = split_at_neuron(P, i)
+                except NotSplittableError:
+                    continue
+                assert split.J == minimalize(split.J.gens, n)
+                assert split.K == minimalize(split.K.gens, n)
 
     def test_drop_neuron_renumbers(self):
         J = ideal(3, "x1", "y1")  # no pair-2, pair-3 bits
