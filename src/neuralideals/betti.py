@@ -86,7 +86,6 @@ from .monomials import (
     _positions,
     _require_table_size,
     _subcube_closure,
-    _varying_neurons,
     is_equigenerated,
     mask_text,
 )
@@ -269,11 +268,13 @@ def _koszul_ranks(facets: set[int], field_tag: FieldTag,
     return ranks
 
 
-def _sweep(gens: list[int], n: int, varying: int, field_tag: FieldTag,
-           memo: dict[tuple[int, int], dict[int, int]]) -> Iterator[tuple[int, dict[int, int]]]:
+def _sweep(gens: list[int], n: int, positions: tuple[int, ...], points: int,
+           field_tag: FieldTag, memo: dict[tuple[int, int], dict[int, int]]
+           ) -> Iterator[tuple[int, dict[int, int]]]:
     """(b, reduced homology ranks of K^b) for every multidegree b of the
-    lcm closure of an ideal whose generators are the points T of {0,1}^V
-    (`_cube_points`), V the neurons of `varying`, read off the points.
+    lcm closure of an ideal with generator masks `gens`, read off their
+    points T in {0,1}^V: `positions` and `points` are what `_cube_points`
+    gives, the neurons of V and the table of T.
 
     A closure multidegree b is the subcube c + span(F) of the points
     that agree with b's y-letters off its free neurons F, those with both
@@ -288,12 +289,10 @@ def _sweep(gens: list[int], n: int, varying: int, field_tag: FieldTag,
     in it.  One is beta_0 and two are an antipodal pair, beta_1.  Three
     go to the nerve rule, where two points p, p' meet unless p ⊕ p' = F.
     Four or more go to `_cube_ranks` when 2^|F| <= 3 d_b, else their
-    facets b / g go to the strong core.  The table's lcm guard bounds
-    every table here: deg lcm(gens) = |N| + |V| <= MAX_LCM_DEGREE, so
-    |V| <= 12 and a table has at most 2^12 bits.
+    facets b / g go to the strong core.  `_cube_points` bounds every
+    table here: it gives points only for |V| <= MAX_LCM_DEGREE / 2, so a
+    table has at most 2^12 bits.
     """
-    positions = _positions(varying)
-    points = _cube_points(gens, n, positions)
     v = len(positions)
     size = 1 << v
     codewords = ~points & (1 << size) - 1
@@ -305,7 +304,8 @@ def _sweep(gens: list[int], n: int, varying: int, field_tag: FieldTag,
         low = c & -c
         neurons[c] = neurons[c ^ low] | 1 << positions[low.bit_length() - 1]
     # corner[c]: the monomial of point c, with y_i at its set bits and the
-    # letters every generator shares off V
+    # letters every generator shares off V, the neurons neurons[-1]
+    varying = neurons[-1]
     fixed = gens[0] & ~(varying | varying << n)
     corner = [fixed | neurons[c] << n | varying ^ neurons[c] for c in range(size)]
     rest = points
@@ -466,9 +466,9 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     n = ideal.n
     table = BettiTable(n)
     memo: dict[tuple[int, int], dict[int, int]] = {}
-    varying = _varying_neurons(gens, n)
-    if varying and _sweeps(len(gens), varying.bit_count()):
-        found = _sweep(gens, n, varying, field_tag, memo)
+    cube = _cube_points(gens, n)
+    if cube and _sweeps(len(gens), len(cube[0])):
+        found = _sweep(gens, n, *cube, field_tag, memo)
     else:
         found = ((b, _koszul_ranks(_koszul_facets(gens, b), field_tag, memo))
                  for b in _lcm_levels(ideal))

@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .monomials import NeuronCountError, PolarizedNeuralIdeal, _check_n, degree_n_ideal
+from .monomials import (
+    NeuronCountError,
+    PolarizedNeuralIdeal,
+    _check_n,
+    _content_lines,
+    degree_n_ideal,
+)
 
 # The pipeline visits all 2^n words and may build 2^n generators.
 MAX_CODE_NEURONS = 16
@@ -79,12 +85,7 @@ def word_to_string(word: int, n: int) -> str:
 
 def parse_code(text: str) -> NeuralCode:
     """Parse a code file: one binary string per line, `#` comments, blanks ignored."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return NeuralCode.from_strings(lines)
+    return NeuralCode.from_strings(_content_lines(text))
 
 
 def code_to_polarized_ideal(code: NeuralCode) -> PolarizedNeuralIdeal:

@@ -5,8 +5,8 @@ n+i-1 holds y_i.  An ideal whose generators are all degree-n and
 pair-excluding is also a 2^n-bit truth table, one bit per generator;
 `degree_n_ideal` and `truth_table` convert between the two.  The
 kernels on 2^m-bit tables live here too: bit-clear patterns, the subcube
-closure and the renumbering of a mask's bits; no table exceeds
-2^MAX_LCM_DEGREE cells.  All operations are exact and purely
+closure, the points of transversal generators in a cube and the
+renumbering of a mask's bits; no table exceeds 2^MAX_LCM_DEGREE cells.  All operations are exact and purely
 combinatorial.  Everything here is an immutable value; functions never
 mutate their arguments.
 """
@@ -291,32 +291,32 @@ def is_equigenerated(ideal: MonomialIdeal) -> Optional[int]:
     return degrees.pop() if len(degrees) == 1 else None
 
 
-def _varying_neurons(gens: list[int], n: int) -> int:
-    """The neurons on which the generator masks `gens` differ, those with
-    both x_i and y_i in their lcm, as an n-bit mask, when each generator
-    is a transversal of one neuron set N: one of x_i and y_i for each
-    neuron of N and no other variable, as for a degree-n ideal, its pivot
-    halves, thm36 and the ideal of a code.  0 for any other generator
-    set, and for a single generator."""
+def _cube_points(gens: list[int], n: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """The generator masks `gens` as points of {0,1}^V, when each is a
+    transversal of one neuron set N: one of x_i and y_i for each neuron
+    of N and no other variable, as for a degree-n ideal, its pivot
+    halves, thm36 and the ideal of a code.  V is the neurons on which
+    they differ, those with both x_i and y_i in their lcm; off V they
+    all agree, so a generator is the point with bit k set iff it takes
+    y_i at the k-th neuron of V.  Returns the positions of V and the
+    2^|V|-bit table of the points, or None for any other generator set,
+    for a single generator, and for |V| > MAX_LCM_DEGREE / 2, whose
+    tables would exceed the budget: deg lcm = |N| + |V| >= 2 |V|."""
     full = (1 << n) - 1
     support = (gens[0] | gens[0] >> n) & full
     lcm = 0
     for g in gens:
         if g & g >> n or (g | g >> n) & full != support:
-            return 0
+            return None
         lcm |= g
-    return lcm & lcm >> n
-
-
-def _cube_points(gens: list[int], n: int, positions: tuple[int, ...]) -> int:
-    """Transversals of one neuron set as points of {0,1}^V, for the
-    positions of the neurons V on which they differ: off V they all
-    agree, so a generator is the point with bit k set iff it takes y_i at
-    the k-th neuron of V.  Returns the 2^|V|-bit table of the points."""
+    varying = lcm & lcm >> n
+    if not varying or 2 * varying.bit_count() > MAX_LCM_DEGREE:
+        return None
+    positions = _positions(varying)
     table = 0
     for g in gens:
         table |= 1 << _compress(g >> n, positions)
-    return table
+    return positions, table
 
 
 def _lcm_levels(ideal: MonomialIdeal) -> dict[int, int]:
@@ -475,6 +475,12 @@ def _expand(c: int, positions: tuple[int, ...]) -> int:
     return sum(1 << p for k, p in enumerate(positions) if c >> k & 1)
 
 
+def _content_lines(text: str) -> list[str]:
+    """The lines of a file's text without `#` comments, stripped, blanks dropped."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
 def parse_ideal(text: str, n: Optional[int] = None) -> MonomialIdeal:
     """Parse an ideal file: one monomial per line, `#` comments, blanks ignored.
 
@@ -483,11 +489,7 @@ def parse_ideal(text: str, n: Optional[int] = None) -> MonomialIdeal:
     is not given it is inferred as the largest variable index seen (at
     least 1).
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _content_lines(text)
     body = " ".join(lines)
     if body.startswith("(") and body.endswith(")"):
         lines = [] if body[1:-1].strip() == "0" else body[1:-1].split(",")

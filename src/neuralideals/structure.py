@@ -20,7 +20,6 @@ from .betti import _require_proper_nonzero, betti_table, has_linear_resolution
 from .codes import MAX_CODE_NEURONS
 from .homology import FieldTag
 from .monomials import (
-    MAX_LCM_DEGREE,
     Monomial,
     MonomialIdeal,
     NotSplittableError,
@@ -28,9 +27,7 @@ from .monomials import (
     UnitOrZeroIdealError,
     _bit_clear_patterns,
     _cube_points,
-    _positions,
     _subcube_closure,
-    _varying_neurons,
     intersect,
     is_equigenerated,
     minimalize,
@@ -148,10 +145,10 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
 
     When the generators share one degree, the search first refuses any
     ideal that is not linearly related, a test polynomial in q that
-    needs no Betti table: on the points of the cube when the generators
-    are transversals of one neuron set that differ on at most
-    MAX_LCM_DEGREE / 2 neurons (`_points_linearly_related`), pair by
-    pair otherwise (`_linearly_related`).  Otherwise one forward
+    needs no Betti table: on the points of the cube when `_cube_points`
+    gives them, for transversals of one neuron set that differ on at
+    most MAX_LCM_DEGREE / 2 neurons (`_points_linearly_related`), pair
+    by pair otherwise (`_linearly_related`).  Otherwise one forward
     backtracking over prefix sets decides the question: it tries the
     generators in canonical order at each step, so the first complete
     order it reaches is the lexicographically least admissible one, and
@@ -172,13 +169,10 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
     gens = ideal.gens
     masks = [g.mask for g in gens]
     if is_equigenerated(ideal) is not None:
-        varying = _varying_neurons(masks, ideal.n)
-        # the points test's tables have 2^|V| bits: bound them as the lcm
-        # guard bounds betti_table's, deg lcm = |N| + |V| >= 2 |V|
-        if varying and 2 * varying.bit_count() <= MAX_LCM_DEGREE:
-            positions = _positions(varying)
-            related = _points_linearly_related(_cube_points(masks, ideal.n, positions),
-                                               len(positions))
+        cube = _cube_points(masks, ideal.n)
+        if cube:
+            positions, points = cube
+            related = _points_linearly_related(points, len(positions))
         else:
             related = _linearly_related(masks)
         if not related:

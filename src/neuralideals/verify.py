@@ -32,9 +32,9 @@ from .monomials import (
     MonomialIdeal,
     NeuronCountError,
     PolarizedNeuralIdeal,
-    _lcm_levels,
     _require_table_size,
     degree_n_ideal,
+    lcm_closure,
     minimalize,
     scale,
 )
@@ -247,17 +247,16 @@ def _restriction_failures(table: int, n: int, verdicts: dict[int, list[bool]],
     fails = []
     if not (lr or lq):
         return fails
-    levels = _lcm_levels(degree_n_ideal(table, n).inner)
-    for m in sorted(levels, key=lambda m: (m.bit_count(), m)):
+    for m in lcm_closure(degree_n_ideal(table, n).inner):
         # m is an lcm of generators, so the restriction is nonzero
-        sub = table & divisors[m]
+        sub = table & divisors[m.mask]
         if sub == table:
             continue
         sub_lr, sub_lq = verdicts[sub]
         if lr and not sub_lr:
-            fails.append(f"restriction to {Monomial(m, n)} loses linear resolution")
+            fails.append(f"restriction to {m} loses linear resolution")
         if lq and not sub_lq:
-            fails.append(f"restriction to {Monomial(m, n)} loses linear quotients")
+            fails.append(f"restriction to {m} loses linear quotients")
     return fails
 
 

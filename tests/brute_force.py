@@ -16,7 +16,9 @@ still do: colon ideals, monomial membership, single variables, the
 irrelevant-complex test and the repunit form of the bit-clear patterns.
 `restrict` reduces the kept generators again with `minimalize`, which
 the package's version skips, and `compress` is the bit loop that
-`_compress` skips for positions 0..len - 1.  `restriction_failures`
+`_compress` skips for positions 0..len - 1.  `cube_points` reads each
+generator's letter at each neuron through `Monomial.divides`, where
+`_cube_points` works on whole masks.  `restriction_failures`
 recomputes the Betti table and the linear-quotient search of every
 restriction, which `verify` looks up among the verdicts of its own run.
 `betti_json_dict` and `betti_text` render a Betti table through one
@@ -35,6 +37,7 @@ from neuralideals.betti import BettiTable, has_linear_resolution
 from neuralideals.codes import LengthMismatchError, NeuralCode
 from neuralideals.homology import FieldTag, SimplicialComplex, rank_f2
 from neuralideals.monomials import (
+    MAX_LCM_DEGREE,
     Monomial,
     MonomialIdeal,
     PolarizedNeuralIdeal,
@@ -182,6 +185,34 @@ def restriction_failures(ideal: MonomialIdeal,
 def compress(mask: int, positions: tuple[int, ...]) -> int:
     """Bit k set iff mask has the k-th of `positions` set."""
     return sum(1 << k for k, p in enumerate(positions) if mask >> p & 1)
+
+
+def cube_points(ideal: MonomialIdeal) -> Optional[tuple[tuple[int, ...], int]]:
+    """`_cube_points` by a scan of each generator at each neuron: the
+    letter, x or y, it takes at each neuron it touches, then the neurons
+    of one touched set where the letters differ, at most MAX_LCM_DEGREE / 2
+    of them, and each generator's point: bit k set iff it takes y at the
+    k-th of them."""
+    n = ideal.n
+    letters = []
+    for g in ideal.gens:
+        row = {}
+        for i in range(1, n + 1):
+            has_x, has_y = x_var(i, n).divides(g), y_var(i, n).divides(g)
+            if has_x and has_y:
+                return None
+            if has_x or has_y:
+                row[i] = "y" if has_y else "x"
+        letters.append(row)
+    if any(row.keys() != letters[0].keys() for row in letters):
+        return None
+    varying = [i for i in letters[0] if len({row[i] for row in letters}) == 2]
+    if not varying or 2 * len(varying) > MAX_LCM_DEGREE:
+        return None
+    points = 0
+    for row in letters:
+        points |= 1 << sum(1 << k for k, i in enumerate(varying) if row[i] == "y")
+    return tuple(i - 1 for i in varying), points
 
 
 def is_irrelevant(complex_: SimplicialComplex) -> bool:

@@ -16,7 +16,9 @@ reference finds an order.  The strong-collapse core and the nerve rule
 for at most three facets must give the homology of the whole complex,
 and the cubical side of the Betti table, on the codewords of ideals
 generated by transversals of one neuron set, the ranks of the upper
-Koszul complex.
+Koszul complex.  The points of those generators in the cube, which
+both the Betti table and the linearly-related refusal read, must be
+those of a per-neuron scan.
 """
 
 import random
@@ -56,7 +58,6 @@ from neuralideals.monomials import (
     _compress,
     _cube_points,
     _lcm_levels,
-    _positions,
     _subcube_closure,
     degree_n_ideal,
     lcm_closure,
@@ -391,8 +392,7 @@ def subcube(gens, n, b):
     of multidegree b of the generator masks `gens`: its codewords as a
     2^|V|-bit table, those points that agree with b's y-letters off its
     free set F and are no generator, then F and the bit-clear patterns."""
-    positions = _positions(betti._varying_neurons(gens, n))
-    points = _cube_points(gens, n, positions)
+    positions, points = _cube_points(gens, n)
     free = _compress(b & b >> n, positions)
     base = _compress(b >> n, positions) & ~free
     v = len(positions)
@@ -425,6 +425,59 @@ def transversal_ideals(draw, max_n=5):
     gens = [Monomial(sum(1 << (n + i if c >> k & 1 else i) for k, i in enumerate(neurons)), n)
             for c in points]
     return minimalize(gens, n)
+
+
+@st.composite
+def cube_point_inputs(draw):
+    """Generator sets for `_cube_points`: degree-n tables for n <= 5, their
+    pivot halves, thm36, transversals of gapped neuron sets, mixed-degree
+    ideals, degree-n tables with one generator widened by the other
+    letter of a neuron (pair-violating, unless a generator divides it),
+    and single generators."""
+    kind = draw(st.sampled_from(["table", "half", "thm36", "gapped", "mixed", "pair", "single"]))
+    if kind in ("table", "half", "pair"):
+        n = draw(st.integers(1 if kind == "table" else 2, 5))
+        P = degree_n_ideal(draw(st.integers(1, (1 << (1 << n)) - 1)), n)
+        if kind == "table":
+            return P.inner
+        i = draw(st.integers(1, n))
+        if kind == "half":
+            split = split_at_neuron(P, i)
+            return draw(st.sampled_from([h for h in (split.J, split.K) if not h.is_zero]))
+        gens = list(P.inner.gens)
+        g = gens.pop(draw(st.integers(0, len(gens) - 1)))
+        gens.append(Monomial(g.mask | 1 << (i - 1) | 1 << (n + i - 1), n))
+        return minimalize(gens, n)
+    if kind == "thm36":
+        n = draw(st.integers(1, 6))
+        return family_thm36(n, draw(st.integers(1, n))).inner
+    if kind == "gapped":
+        return draw(transversal_ideals())
+    ideal = draw(polarized_ideals(max_n=5))
+    return minimalize(ideal.gens[:1], ideal.n) if kind == "single" else ideal
+
+
+class TestCubePointsAgainstScan:
+    """`_cube_points`, the one reader of transversal generators as points
+    of a cube, against the per-neuron scan of `brute_force.cube_points`,
+    and its width bound at the two-generator prop33(v, v) on either side
+    of MAX_LCM_DEGREE / 2."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cube_point_inputs())
+    @example(minimalize([parse_monomial(t, 2) for t in ("x1*y1*x2", "x1*y2")], 2))
+    @example(minimalize([parse_monomial(t, 3) for t in ("x1*x2", "x1*y3")], 3))
+    def test_matches_the_scan(self, ideal):
+        assert _cube_points(masks_of(ideal), ideal.n) == brute_force.cube_points(ideal)
+
+    @pytest.mark.parametrize("v, has_points", [(12, True), (13, False)])
+    def test_width_bound(self, v, has_points):
+        # x1*...*xv and y1*...*yv are the points 0 and 2^v - 1 of {0,1}^v;
+        # `TestLinearlyRelatedRefusal` runs the search on the same pair
+        ideal = family_prop33(v, v).inner
+        cube = _cube_points(masks_of(ideal), v)
+        assert cube == brute_force.cube_points(ideal)
+        assert cube == ((tuple(range(v)), 1 | 1 << (1 << v) - 1) if has_points else None)
 
 
 class TestCubicalSideAgainstBruteForce:
@@ -486,8 +539,7 @@ class TestCubicalSideAgainstBruteForce:
         # forced past the size rule: whichever side a multidegree with four
         # or more divisors would take, the two give the same ranks
         gens = masks_of(ideal)
-        varying = betti._varying_neurons(gens, ideal.n)
-        assert bool(varying) == (len(gens) > 1)
+        assert (_cube_points(gens, ideal.n) is not None) == (len(gens) > 1)
         for b in _lcm_levels(ideal):
             facets = betti._koszul_facets(gens, b)
             if len(facets) > 3:
@@ -602,9 +654,9 @@ def record_sweeps(monkeypatch):
     swept = []
     sweep = betti._sweep
 
-    def recording(gens, n, varying, field_tag, memo):
-        swept.append(_cube_points(gens, n, _positions(varying)))
-        return sweep(gens, n, varying, field_tag, memo)
+    def recording(gens, n, positions, points, field_tag, memo):
+        swept.append(points)
+        return sweep(gens, n, positions, points, field_tag, memo)
 
     monkeypatch.setattr(betti, "_sweep", recording)
     return swept
@@ -613,7 +665,7 @@ def record_sweeps(monkeypatch):
 def sweep_multidegrees(ideal):
     """The multidegrees the subcube sweep visits, in visiting order."""
     gens = masks_of(ideal)
-    return [b for b, _ in betti._sweep(gens, ideal.n, betti._varying_neurons(gens, ideal.n),
+    return [b for b, _ in betti._sweep(gens, ideal.n, *_cube_points(gens, ideal.n),
                                        FieldTag.F2, {})]
 
 
@@ -657,8 +709,8 @@ class TestSubcubeSweep:
                 ideals.append(ideal)
         gapped = 0
         for ideal in ideals:
-            varying = betti._varying_neurons(masks_of(ideal), ideal.n)
-            gapped += varying and varying != (1 << varying.bit_length()) - 1
+            positions, _ = _cube_points(masks_of(ideal), ideal.n)
+            gapped += positions[-1] != len(positions) - 1
             for field in FieldTag:
                 swept, walked = both_sides(monkeypatch, ideal, field)
                 assert swept == walked
@@ -886,9 +938,8 @@ class TestLinearlyRelatedRefusal:
     @staticmethod
     def points_related(ideal):
         masks = masks_of(ideal)
-        positions = _positions(betti._varying_neurons(masks, ideal.n))
-        return _points_linearly_related(_cube_points(masks, ideal.n, positions),
-                                        len(positions))
+        positions, points = _cube_points(masks, ideal.n)
+        return _points_linearly_related(points, len(positions))
 
     def assert_points_test_agrees(self, ideals):
         refused = 0
@@ -935,6 +986,7 @@ class TestLinearlyRelatedRefusal:
         monkeypatch.setattr(structure, "_points_linearly_related", recording)
         ideal = minimalize([Monomial(((1 << v) - 1) << shift, v) for shift in (0, v)], v)
         assert linear_quotients_search(ideal) is None
+        assert brute_force.linear_quotients_search(ideal) is None
         assert calls == ([v] if points_test else [])
 
     @pytest.mark.parametrize("q", [2, 3])
