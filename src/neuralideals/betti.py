@@ -37,9 +37,10 @@ are all codewords, and the empty complex has H̃_{-1} = 1.  So pd <= k
 != 0} over the closure, which is >= |N|: the ideal has a linear
 resolution iff every □(W ∩ b) is empty or acyclic.  The cubical side
 runs only inside the subcube sweep below: there a multidegree with
-d_b >= 4 divisors takes it when |W ∩ b| = 2^k - d_b is at most 2 d_b,
-so the smaller of the two complexes is built.  A walked ideal takes the
-nerve rule or the strong core at every multidegree.
+d_b >= 4 divisors takes it at k <= 4, ranked from popcounts, and at
+k >= 5 when |W ∩ b| = 2^k - d_b is at most 2 d_b, so the smaller of
+the two complexes is built.  A walked ideal takes the nerve rule or the
+strong core at every multidegree.
 
 The subcube sweep.  Such an ideal's closure can be read off its points
 T in {0,1}^V, V the neurons on which the generators differ: the
@@ -288,14 +289,13 @@ def _sweep(gens: list[int], n: int, positions: tuple[int, ...], points: int,
     for each j in F.  At each one the d_b divisors are the points of T
     in it.  One is beta_0 and two are an antipodal pair, beta_1.  Three
     go to the nerve rule, where two points p, p' meet unless p ⊕ p' = F.
-    Four or more go to `_cube_ranks` when 2^|F| <= 3 d_b, else their
-    facets b / g go to the strong core.  `_cube_points` bounds every
-    table here: it gives points only for |V| <= MAX_LCM_DEGREE / 2, so a
-    table has at most 2^12 bits.
+    Four or more go to `_cube_ranks`, with the cell table full, when |F|
+    <= 4 or 2^|F| <= 3 d_b, else their facets b / g to the strong core.
+    `_cube_points` bounds every table here: it gives points only for
+    |V| <= MAX_LCM_DEGREE / 2, so a table has at most 2^12 bits.
     """
     v = len(positions)
     size = 1 << v
-    codewords = ~points & (1 << size) - 1
     # the bit-clear pattern of each index bit j, keyed by j itself
     clear = {1 << k: p for k, p in enumerate(_bit_clear_patterns(v))}
     # neurons[c]: the neurons of V at the set bits of c, as an n-bit mask
@@ -316,11 +316,15 @@ def _sweep(gens: list[int], n: int, positions: tuple[int, ...], points: int,
     hit = [points] * size
     # box[F]: the points of the subcube span(F) at base point 0
     box = [1] * size
+    # full[F]: the base points c of the cells c + span(F) of codewords only
+    full = [~points & (1 << size) - 1] * size
     for free in range(1, size):
         low = free & -free
         below = hit[free ^ low]
         span = hit[free] = (below | below >> low) & clear[low]
         box[free] = box[free ^ low] | box[free ^ low] << low
+        below = full[free ^ low]
+        full[free] = below & below >> low & clear[low]
         rest = free
         while rest and span:
             j = rest & -rest
@@ -337,7 +341,7 @@ def _sweep(gens: list[int], n: int, positions: tuple[int, ...], points: int,
             d = inside.bit_count()
             if d == 2:
                 ranks = _NERVE_RANKS[2, 0]
-            elif d == 3 or 1 << k > 3 * d:
+            elif d == 3 or k > 4 and 1 << k > 3 * d:
                 offsets = []
                 while inside:
                     s = inside & -inside
@@ -352,81 +356,75 @@ def _sweep(gens: list[int], n: int, positions: tuple[int, ...], points: int,
                     ranks = _koszul_ranks({b & ~corner[c | s] for s in offsets},
                                           field_tag, memo)
             else:
-                ranks = _cube_ranks(codewords & box[free] << c, free, clear, field_tag)
+                ranks = _cube_ranks(full, box, c, free, k, field_tag)
             yield corner[c] | wide, ranks
 
 
-def _cube_ranks(codewords: int, free: int, clear: dict[int, int],
+def _cube_ranks(full: list[int], box: list[int], c: int, free: int, k: int,
                 field_tag: FieldTag) -> dict[int, int]:
-    """Reduced homology ranks of K^b for a subcube b with free set `free`
-    whose codewords are the set bits of `codewords`, by Alexander duality
-    in the boundary of the k-dimensional cross-polytope, k = |free|:
-    H̃_{i-1}(K^b) = H̃_{k-1-i}(□(W ∩ b)), where □(W ∩ b) is the cubical
-    complex of the subcubes of b whose points are all codewords, and the
-    empty complex has H̃_{-1} = 1.  `clear` maps each bit j to its
-    bit-clear pattern.  Cells are built dimension by dimension: the cell
-    c + span(G + j), j above the bits of G and clear in c, exists iff
-    c + span(G) and c + j + span(G) do.  A complex with no square is a
-    graph, ranked by `_graph_ranks`.  Otherwise the cells go to
-    `homology.chain_ranks`, with `_cube_boundary` for their faces; its
-    dimension d is dimension k - 2 - d of K^b."""
-    bits = []
-    rest = free
+    """Reduced homology ranks of K^b for the subcube b = c + span(free),
+    k = |free|, with d >= 3 divisors, by Alexander duality: H̃_{i-1}(K^b)
+    = H̃_{k-1-i}(□), □ the cubical complex of the subcubes of b holding
+    only codewords (H̃_{-1} = 1 when empty), whose cells c' + span(g) have
+    their bases c' at the set bits of full[g] & box[free] << c.  Lemma:
+    facets b / g, b / g' of K^b meet unless g, g' are antipodal, and a
+    third divisor is antipodal to at most one of them, so K^b is
+    connected: H̃_{k-2}(□) = H̃_0(K^b) = 0, and H̃_{k-1}(□) = H̃_{-1}(K^b)
+    = 0.  So at k <= 3 only H̃_0(□) = C - 1 is left, C the components of
+    the codewords along cube edges; at k = 4 also H̃_1(□) = C - 1 - χ̃,
+    χ̃ = -1 + sum_g (-1)^|g| #cells(g); both over every field.  At k >= 5
+    the cells are grown level by level: a graph takes the same two ranks,
+    a complex with a square `chain_ranks`, with `_cube_boundary`."""
+    cube = box[free] << c
+    codewords = full[0] & cube
+    if not codewords:  # K^b is the whole sphere
+        return {k - 1: 1}
+    edges, rest = [], free  # each free bit j, with the bases of c' + span(j)
     while rest:
         j = rest & -rest
         rest ^= j
-        bits.append(j)
-    k = len(bits)
-    if not codewords:  # K^b is the whole sphere
-        return {k - 1: 1}
-    # levels[d]: free set g of d bits -> the base points of the cells
-    # c + span(g), where there are any
-    levels = [{0: codewords}]
-    while True:
-        grown = {}
-        for g, bases in levels[-1].items():
-            for j in bits:
-                if j > g:
-                    wide = bases & bases >> j & clear[j]
-                    if wide:
-                        grown[g | j] = wide
-        if not grown:
-            break
-        levels.append(grown)
-    if len(levels) <= 2:
-        return _graph_ranks(codewords, levels[1] if len(levels) == 2 else {}, k)
-    # cells[d]: the cells of dimension d, each the int g << 16 | c for
-    # free set g and base point c, which has at most 12 bits
-    cells = []
-    for level in levels:
-        same = []
-        for g, bases in level.items():
-            while bases:
-                low = bases & -bases
-                bases ^= low
-                same.append(g << 16 | low.bit_length() - 1)
-        cells.append(same)
-    ranks = chain_ranks(cells, _cube_boundary, field_tag)
-    return {k - 2 - d: rank for d, rank in ranks.items()}
-
-
-def _graph_ranks(points: int, edges: dict[int, int], k: int) -> dict[int, int]:
-    """The ranks `_cube_ranks` returns for a cubical complex with no
-    square: a graph on `points`, with an edge from c to c + j for each
-    base point c of edges[j].  With V points, E edges and C components,
-    H̃_0 = C - 1 and H̃_1 = E - V + C over every field; each component is
-    grown from its lowest point by shifts along the edge sets."""
-    components, rest = 0, points
+        edges.append((j, full[j]))
+    if k == 4:
+        signed = [(0, 1)]  # each free set g ⊆ free, with (-1)^|g|
+        for j, _ in edges:
+            signed += [(g | j, -sign) for g, sign in signed]
+        euler = sum(sign * (full[g] & cube).bit_count() for g, sign in signed) - 1
+    elif k > 4:
+        # levels[d]: free set g of d bits -> the base points in b of the
+        # cells c' + span(g), where there are any; the last level is empty
+        levels = [{0: codewords}]
+        while levels[-1]:
+            levels.append({g | j: wide for g, bases in levels[-1].items() for j, _ in edges
+                           if j > g and (wide := full[g | j] & bases)})
+        if len(levels) > 3:
+            # cells[d]: the cells of dimension d, each the int g << 16 | c'
+            # for free set g and base point c', which has at most 12 bits
+            cells = []
+            for level in levels[:-1]:
+                same = []
+                for g, bases in level.items():
+                    while bases:
+                        low = bases & -bases
+                        bases ^= low
+                        same.append(g << 16 | low.bit_length() - 1)
+                cells.append(same)
+            ranks = chain_ranks(cells, _cube_boundary, field_tag)
+            return {k - 2 - d: rank for d, rank in ranks.items()}
+        euler = codewords.bit_count() - 1 - sum(map(int.bit_count, levels[1].values()))
+    # grow each component from its lowest codeword along the edges
+    components, rest = 0, codewords
     while rest:
         component, reached = 0, rest & -rest
         while reached != component:
             component = reached
-            for j, lower in edges.items():
+            for j, lower in edges:
                 reached |= (component & lower) << j | component >> j & lower
-        rest &= ~component
+        rest ^= component
         components += 1
-    cycles = sum(map(int.bit_count, edges.values())) - points.bit_count() + components
-    return {dim: rank for dim, rank in ((k - 2, components - 1), (k - 3, cycles)) if rank}
+    ranks = {k - 2: components - 1} if components > 1 else {}
+    if k > 3 and components - 1 != euler:
+        ranks[k - 3] = components - 1 - euler
+    return ranks
 
 
 def _cube_boundary(cell: int) -> list[int]:

@@ -24,7 +24,11 @@ restriction, which `verify` looks up among the verdicts of its own run.
 `betti_json_dict` and `betti_text` render a Betti table through one
 `Monomial` per fine entry, named by the loop over its support that
 `Monomial.__str__` replaced, and `family_thm36` reduces its generators
-with `minimalize`, which the package's version skips.
+with `minimalize`, which the package's version skips.  `cube_ranks`
+builds the cells of a cubical complex from its codewords on every call
+and ranks any complex with a square by `chain_ranks`, where
+`betti._cube_ranks` reads them off the subcube sweep's cell table and
+ranks the subcubes of at most four free neurons from popcounts.
 """
 
 from collections import defaultdict
@@ -35,7 +39,7 @@ from typing import Optional
 from neuralideals import betti, structure
 from neuralideals.betti import BettiTable, has_linear_resolution
 from neuralideals.codes import LengthMismatchError, NeuralCode
-from neuralideals.homology import FieldTag, SimplicialComplex, rank_f2
+from neuralideals.homology import FieldTag, SimplicialComplex, chain_ranks, rank_f2
 from neuralideals.monomials import (
     MAX_LCM_DEGREE,
     Monomial,
@@ -311,6 +315,60 @@ def reduced_homology_ranks(complex_: SimplicialComplex,
         if rank:
             out[d] = rank
     return out
+
+
+def cube_ranks(codewords: int, free: int, field_tag: FieldTag) -> dict[int, int]:
+    """The ranks `betti._cube_ranks` gives for the subcube with free set
+    `free` whose codewords are the set bits of `codewords`, from cells
+    built dimension by dimension out of the codewords alone: the cell
+    c + span(g + j), j above the bits of g and clear in c, exists iff
+    c + span(g) and c + j + span(g) do.  A complex with no square is
+    ranked by `_graph_ranks`, any other by `homology.chain_ranks`; its
+    dimension d is dimension k - 2 - d of K^b.  No rank is assumed zero."""
+    bits = [1 << t for t in range(free.bit_length()) if free >> t & 1]
+    k = len(bits)
+    if not codewords:  # K^b is the whole sphere
+        return {k - 1: 1}
+    # the bit-clear pattern of each bit j, over 2^v bits past every codeword
+    v = max(free.bit_length(), (codewords.bit_length() - 1).bit_length())
+    clear = {1 << t: p for t, p in enumerate(bit_clear_patterns(v))}
+    levels = [{0: codewords}]
+    while True:
+        grown = {}
+        for g, bases in levels[-1].items():
+            for j in bits:
+                if j > g:
+                    wide = bases & bases >> j & clear[j]
+                    if wide:
+                        grown[g | j] = wide
+        if not grown:
+            break
+        levels.append(grown)
+    if len(levels) <= 2:
+        return _graph_ranks(codewords, levels[1] if len(levels) == 2 else {}, k)
+    cells = [[g << 16 | c for g, bases in level.items()
+              for c in range(bases.bit_length()) if bases >> c & 1] for level in levels]
+    ranks = chain_ranks(cells, betti._cube_boundary, field_tag)
+    return {k - 2 - d: rank for d, rank in ranks.items()}
+
+
+def _graph_ranks(points: int, edges: dict[int, int], k: int) -> dict[int, int]:
+    """`cube_ranks` for a cubical complex with no square: a graph on
+    `points`, with an edge from c to c + j for each base point c of
+    edges[j].  With V points, E edges and C components, H̃_0 = C - 1 and
+    H̃_1 = E - V + C over every field; each component is grown from its
+    lowest point by shifts along the edge sets."""
+    components, rest = 0, points
+    while rest:
+        component, reached = 0, rest & -rest
+        while reached != component:
+            component = reached
+            for j, lower in edges.items():
+                reached |= (component & lower) << j | component >> j & lower
+        rest &= ~component
+        components += 1
+    cycles = sum(map(int.bit_count, edges.values())) - points.bit_count() + components
+    return {dim: rank for dim, rank in ((k - 2, components - 1), (k - 3, cycles)) if rank}
 
 
 def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:

@@ -23,7 +23,7 @@ those of a per-neuron scan.
 
 import random
 import time
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
 
 import brute_force
@@ -57,7 +57,9 @@ from neuralideals.monomials import (
     _bit_clear_patterns,
     _compress,
     _cube_points,
+    _expand,
     _lcm_levels,
+    _positions,
     _subcube_closure,
     degree_n_ideal,
     lcm_closure,
@@ -387,17 +389,40 @@ class TestKoszulCoreAgainstFullComplex:
         assert built == []
 
 
+@cache
+def _cube_constants(v):
+    """For each free set g of {0,1}^v: the table of its subsets, and the
+    table of the points with the bits of g clear."""
+    size = 1 << v
+    return ([sum(1 << s for s in range(size) if not s & ~g) for g in range(size)],
+            [sum(1 << c for c in range(size) if not c & g) for g in range(size)])
+
+
+def cell_tables(codewords, v):
+    """The tables `betti._sweep` hands `betti._cube_ranks` for a 2^v-bit
+    codeword table: full[g] has bit c set iff c has the bits of g clear
+    and every point c + s, s ⊆ g, is a codeword, and box[g] has bit s set
+    iff s ⊆ g.  The AND of codewords >> s over the subsets s of g is
+    grown one bit of g at a time, and masked by the points with the bits
+    of g clear only at the end."""
+    box, clear = _cube_constants(v)
+    every = [codewords]
+    for g in range(1, 1 << v):
+        below = every[g ^ g & -g]
+        every.append(below & below >> (g & -g))
+    return [a & m for a, m in zip(every, clear)], box
+
+
 def subcube(gens, n, b):
     """The arguments of `betti._cube_ranks` but the field for the subcube
-    of multidegree b of the generator masks `gens`: its codewords as a
-    2^|V|-bit table, those points that agree with b's y-letters off its
-    free set F and are no generator, then F and the bit-clear patterns."""
+    of multidegree b of the generator masks `gens`: the cell tables of the
+    codewords, the points of {0,1}^V that are no generator, then b's base
+    point c, with the bits of its free set F clear, F and |F|."""
     positions, points = _cube_points(gens, n)
     free = _compress(b & b >> n, positions)
     base = _compress(b >> n, positions) & ~free
     v = len(positions)
-    codewords = sum(1 << c for c in range(1 << v) if c & ~free == base and not points >> c & 1)
-    return codewords, free, {1 << k: p for k, p in enumerate(_bit_clear_patterns(v))}
+    return (*cell_tables(~points & (1 << (1 << v)) - 1, v), base, free, free.bit_count())
 
 
 def record_cubical(monkeypatch):
@@ -406,12 +431,38 @@ def record_cubical(monkeypatch):
     taken = []
     ranks = betti._cube_ranks
 
-    def recording(codewords, free, clear, field_tag):
-        taken.append((codewords, free))
-        return ranks(codewords, free, clear, field_tag)
+    def recording(full, box, c, free, k, field_tag):
+        taken.append((full[0] & box[free] << c, free))
+        return ranks(full, box, c, free, k, field_tag)
 
     monkeypatch.setattr(betti, "_cube_ranks", recording)
     return taken
+
+
+@st.composite
+def placed_subcubes(draw, ks):
+    """A k-cube b = c + span(F) in {0,1}^V, k drawn from `ks` and |V| <= 7,
+    with at least three generators in it: a 2^|V|-bit codeword table, |V|,
+    c and F.  In b either the codewords or the generators are a drawn
+    set, so that graphs and complexes full of squares both come up;
+    around b the codewords are any."""
+    k = draw(st.sampled_from(ks))
+    v = draw(st.integers(k, 7))
+    free = sum(1 << t for t in draw(st.permutations(range(v)))[:k])
+    c = draw(st.integers(0, (1 << v) - 1)) & ~free
+    if draw(st.booleans()):
+        inside = draw(st.sets(st.integers(0, (1 << k) - 1), max_size=(1 << k) - 3))
+    else:
+        generators = draw(st.sets(st.integers(0, (1 << k) - 1), min_size=3))
+        inside = set(range(1 << k)) - generators
+    around = draw(st.integers(0, (1 << (1 << v)) - 1)) & ~placed(range(1 << k), c, free)
+    return around | placed(inside, c, free), v, c, free
+
+
+def placed(points, c, free):
+    """The table of the points of the cube {0,1}^|free| moved onto the
+    subcube c + span(free)."""
+    return sum(1 << (c | _expand(s, _positions(free))) for s in points)
 
 
 @st.composite
@@ -547,6 +598,62 @@ class TestCubicalSideAgainstBruteForce:
                     assert betti._cube_ranks(*subcube(gens, ideal.n, b), field) == \
                         betti._koszul_ranks(facets, field, {})
 
+    @staticmethod
+    def assert_cube_ranks_agree(codewords, v, c, free, fields=tuple(FieldTag)):
+        # the reference ranks b's codewords alone; with d >= 3 generators
+        # in b, its ranks at dimensions -1 and 0 of K^b are zero, as the
+        # lemma of `betti._cube_ranks` says
+        full, box = cell_tables(codewords, v)
+        for field in fields:
+            ranks = brute_force.cube_ranks(codewords & box[free] << c, free, field)
+            assert betti._cube_ranks(full, box, c, free, free.bit_count(), field) == ranks
+            assert -1 not in ranks and 0 not in ranks
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_every_pattern_up_to_three_free_neurons(self, field):
+        for k in (2, 3):
+            for codewords in range(1 << (1 << k)):
+                if codewords.bit_count() <= (1 << k) - 3:
+                    self.assert_cube_ranks_agree(codewords, k, 0, (1 << k) - 1, [field])
+
+    def test_every_pattern_on_four_free_neurons_over_f2(self):
+        checked = 0
+        for codewords in range(1 << 16):
+            if codewords.bit_count() <= 13:
+                self.assert_cube_ranks_agree(codewords, 4, 0, 0b1111, [FieldTag.F2])
+                checked += 1
+        assert checked == 65399
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_subcubes((2, 3, 4)))
+    def test_sampled_patterns_up_to_four_free_neurons(self, case):
+        self.assert_cube_ranks_agree(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(placed_subcubes((5, 6)))
+    # the hexagon 1..6 and the point 24 of the 5-cube, a graph, and the
+    # 6-cube with four generators, full of squares, at base points 0b10010
+    # and 0b10 inside {0,1}^7
+    @example((placed([1, 2, 3, 4, 5, 6, 24], 0b10010, 0b1101101), 7, 0b10010, 0b1101101))
+    @example((placed(set(range(64)) - {0, 21, 42, 63}, 0b10, 0b1111101), 7, 0b10, 0b1111101))
+    def test_five_and_six_cubes_in_a_wider_cube(self, case):
+        self.assert_cube_ranks_agree(*case)
+
+    def test_sweep_cell_table_matches_its_definition(self, monkeypatch):
+        # one table per sweep, against `cell_tables` and cell by cell
+        tables = {}
+        monkeypatch.setattr(betti, "_cube_ranks",
+                            lambda full, *a: tables.setdefault(id(full), full) and {})
+        for P in degree_n_ideals(5, 4, seed=25):
+            betti_table(P.inner)
+        assert len(tables) == 4
+        for full in tables.values():
+            v = len(full).bit_length() - 1
+            assert full == cell_tables(full[0], v)[0] == [
+                sum(1 << c for c in range(1 << v) if not c & g
+                    and all(full[0] >> (c | s) & 1 for s in range(1 << v) if not s & ~g))
+                for g in range(1 << v)]
+
     def test_walked_ideal_with_a_dense_subcube(self, monkeypatch):
         # a 4-cube and three stray points on 8 neurons: q = 19 and
         # 2^8 > 4 * 19, so the rule walks it, and the walk ranks the
@@ -556,10 +663,13 @@ class TestCubicalSideAgainstBruteForce:
         ideal = degree_n_ideal(sum(1 << c for c in points), n).inner
         assert len(ideal.gens) == 19 and not betti._sweeps(19, n)
         gens = masks_of(ideal)
-        dense = []  # multidegrees with d >= 4 divisors and 2^k <= 3 d points
+        # multidegrees that a sweep would rank cubically: d >= 4 divisors,
+        # and k <= 4 free neurons or 2^k <= 3 d points
+        dense = []
         for b in _lcm_levels(ideal):
             d = len(betti._koszul_facets(gens, b))
-            if d > 3 and 1 << (b & b >> n).bit_count() <= 3 * d:
+            k = (b & b >> n).bit_count()
+            if d > 3 and (k <= 4 or 1 << k <= 3 * d):
                 dense.append(d)
         assert 16 in dense
         cubical = record_cubical(monkeypatch)
@@ -591,7 +701,9 @@ class TestCubicalSideAgainstBruteForce:
         monkeypatch.setattr(homology, "rank_rational",
                             lambda rows: ranked.append(rows) or rank_rational(rows))
         whole = subcube(gens, n, b)  # the whole 5-cube
-        assert whole[:2] == (sum(1 << c for c in codewords), 0b11111)
+        full, box, base, free, k = whole
+        assert (full[0] & box[free] << base, free, k) == \
+            (sum(1 << c for c in codewords), 0b11111, 5)
         assert betti._cube_ranks(*whole, FieldTag.F2) == \
             betti._cube_ranks(*whole, FieldTag.RATIONALS) == {2: 1, 3: 1}
         assert [len(rows) for rows in ranked] == [10]
@@ -599,37 +711,46 @@ class TestCubicalSideAgainstBruteForce:
         assert table == brute_force.betti_table(ideal, FieldTag.RATIONALS)
         assert {i: r for (i, m), r in table.fine.items() if m == b} == {3: 1, 4: 1}
 
-    def test_graphs_without_a_square(self):
-        # the codewords 1..6 and 8 of the 4-cube: a hexagon and a point,
-        # ranked from components and cycles alone
-        assert betti._graph_ranks(0b101111110, {1: 0b10100, 2: 0b10010, 4: 0b110}, 4) \
-            == {2: 1, 1: 1}
-        assert betti._graph_ranks(0b1, {}, 3) == {}
-        assert betti._graph_ranks(0b10000001, {}, 3) == {1: 1}
+    def test_graphs_without_a_square(self, monkeypatch):
+        # ranked from components and cycles alone, over both fields
+        monkeypatch.setattr(betti, "chain_ranks", None)
+        for points, k, ranks in [
+            # the codewords 1..6 and 8 of the 4-cube: a hexagon and a point
+            ([1, 2, 3, 4, 5, 6, 8], 4, {2: 1, 1: 1}),
+            ([1], 3, {}),
+            ([0, 7], 3, {1: 1}),  # two antipodal points
+            # the same hexagon and the point 24 in the 5-cube
+            ([1, 2, 3, 4, 5, 6, 24], 5, {3: 1, 2: 1}),
+        ]:
+            full, box = cell_tables(sum(1 << c for c in points), k)
+            for field in FieldTag:
+                assert betti._cube_ranks(full, box, 0, (1 << k) - 1, k, field) == ranks
+                assert brute_force.cube_ranks(full[0], (1 << k) - 1, field) == ranks
 
     def test_other_ideals_keep_the_strong_core_path(self, monkeypatch):
         # mixed neuron sets, and a transversal ideal whose one multidegree
-        # with four divisors has 2^k = 16 > 3 * 4 points, whether its
-        # closure is swept or walked
+        # with four divisors has 2^5 > 3 * 4 points, whether its closure is
+        # swept or walked; the 4-cube `spread` with four divisors takes the
+        # cubical side when swept, whatever its 2^4 points
         cubical = record_cubical(monkeypatch)
         cores = []
         ranks = betti._koszul_ranks
         monkeypatch.setattr(betti, "_koszul_ranks",
                             lambda facets, *a: cores.append(facets) or ranks(facets, *a))
-        n = 4
-        mixed = minimalize([parse_monomial(t, n) for t in
-                            ("x1*x2", "x1*y2*x3", "y1*x3", "y2*y3", "x2*x4")], n)
-        spread = minimalize([Monomial(c << n | 0b1111 ^ c, n)
-                             for c in (0, 0b0011, 0b1100, 0b1111)], n)
-        top = spread.lcm_of_gens().mask
-        facets = betti._koszul_facets(masks_of(spread), top)
+        mixed = minimalize([parse_monomial(t, 4) for t in
+                            ("x1*x2", "x1*y2*x3", "y1*x3", "y2*y3", "x2*x4")], 4)
+        spread, sparse = (minimalize([Monomial(c << n | (1 << n) - 1 ^ c, n) for c in points], n)
+                          for n, points in ((4, (0, 0b0011, 0b1100, 0b1111)),
+                                            (5, (0, 0b00111, 0b11000, 0b11111))))
+        facets = betti._koszul_facets(masks_of(sparse), sparse.lcm_of_gens().mask)
         assert len(facets) == 4
         for sweep in (True, False):
             sweep_forced(monkeypatch, sweep)
-            for ideal in (mixed, spread):
+            for ideal in (mixed, spread, sparse):
                 for field in FieldTag:
                     assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
-        assert cubical == []
+        codewords = sum(1 << c for c in range(16) if c not in (0, 0b0011, 0b1100, 0b1111))
+        assert cubical == [(codewords, 0b1111)] * 2
         assert cores.count(facets) == 4
 
 
