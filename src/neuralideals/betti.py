@@ -521,11 +521,42 @@ def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:
 
     Always an upper bound for regularity.  For a fixed lcm b the best A
     is a smallest one, so this is 1 + max over the lcm closure of
-    deg(b) - (fewest generators with lcm b), read off the breadth-first
-    closure search at a cost of |closure| * q joins rather than 2^q.
+    deg(b) - k, where k is the level at which a breadth-first search
+    first reaches b: level 1 is the generators, and level k + 1 joins
+    each mask first reached at level k with every generator.
+
+    The walk stops at the level that decides the max.  Every mask
+    divides the lcm of all generators, of degree s, so a mask first
+    reached at level k gives at most s - k, and only that lcm itself
+    gives s - k.  Starting from best = max deg g - 1 at level 1, the
+    walk stops before level k + 1 once s - (k + 1) <= best, since no
+    later level can beat best, and returns inside level k as soon as
+    it joins the lcm of all generators, since no mask of level k or
+    later can beat s - k.  It costs q joins per mask of the levels it
+    walks, at most |closure| * q, and in practice levels 1 to 3: on
+    every n = 4 degree-n ideal the max is first reached by level 2.
     """
     _require_proper_nonzero(ideal)
-    return 1 + max(b.bit_count() - k for b, k in _lcm_levels(ideal).items())
+    gens = [g.mask for g in ideal.gens]
+    top = reduce(or_, gens)
+    s = top.bit_count()
+    best = max(map(int.bit_count, gens)) - 1
+    seen = set(gens)
+    frontier = gens
+    k = 1
+    while frontier and s - (k + 1) > best:
+        k += 1
+        new = set()
+        for a in frontier:
+            row = {a | g for g in gens}
+            if top in row:
+                return 1 + s - k
+            new |= row
+        new -= seen
+        seen |= new
+        frontier = new
+        best = max(best, max(map(int.bit_count, new), default=0) - k)
+    return 1 + best
 
 
 def dominant_check(ideal: MonomialIdeal) -> Optional[dict[Monomial, int]]:
@@ -565,8 +596,12 @@ def dominant_invariants(ideal: MonomialIdeal) -> tuple[int, int]:
 def _lanes(values: dict[int, int], width: int, s: int) -> int:
     """values[c] in lane c of 2^s lanes of `width` bytes, little-endian."""
     lanes = bytearray(width << s)
-    for c, value in values.items():
-        lanes[c * width:(c + 1) * width] = value.to_bytes(width, "little")
+    if width == 1:
+        for c, value in values.items():
+            lanes[c] = value
+    else:
+        for c, value in values.items():
+            lanes[c * width:(c + 1) * width] = value.to_bytes(width, "little")
     return int.from_bytes(lanes, "little")
 
 
@@ -631,21 +666,19 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     coeff: dict[int, int] = {}
     for (i, m), rank in table.fine.items():
         coeff[m] = coeff.get(m, 0) + (-rank if i & 1 else rank)
-    top = reduce(or_, [g.mask for g in ideal.gens], 0)
+    corners = [g.mask for g in ideal.gens]
+    top = reduce(or_, corners, 0)
     positions = _positions(top)
     s = len(positions)
     _require_table_size(
         s, f"{len(ideal.gens)} generators whose lcm has degree {s}: the Euler check")
-    corners = [_compress(g.mask, positions) for g in ideal.gens]
-    plus: dict[int, int] = {}
-    minus: dict[int, int] = {}
-    for m, e in coeff.items():
-        if e and m | top == top:
-            c = _compress(m, positions)
-            if e > 0:
-                plus[c] = e
-            else:
-                minus[c] = -e
+    cells = [(m, e) for m, e in coeff.items() if e and m | top == top]
+    # when the lcm's variables are bits 0..s-1 a mask is its own cell
+    if top != (1 << s) - 1:
+        corners = [_compress(c, positions) for c in corners]
+        cells = [(_compress(m, positions), e) for m, e in cells]
+    plus = {c: e for c, e in cells if e > 0}
+    minus = {c: -e for c, e in cells if e < 0}
     width = (max(sum(plus.values()), sum(minus.values()) + 1).bit_length() + 7) // 8
     p, n = _lanes(plus, width, s), _lanes(minus, width, s)
     member = _lanes(dict.fromkeys(corners, 1), width, s)

@@ -415,7 +415,7 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
     _require_table_size(2 * n, f"verify at n = {n}, an lcm of degree {2 * n}")
     if mode == "exhaustive" and n > 3:
         raise ValueError("exhaustive mode is limited to n <= 3")
-    # one sampled ideal took 8-10 s at n = 10, 40-60 s at n = 11 (2 cores)
+    # one sampled ideal took 3.4-4.7 s at n = 10, 40-60 s at n = 11 (2 cores)
     if mode == "sample" and n > 10:
         raise ValueError(f"sample mode is limited to n <= 10, got n = {n}")
     if jobs < 1:

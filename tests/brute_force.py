@@ -29,6 +29,8 @@ builds the cells of a cubical complex from its codewords on every call
 and ranks any complex with a square by `chain_ranks`, where
 `betti._cube_ranks` reads them off the subcube sweep's cell table and
 ranks the subcubes of at most four free neurons from popcounts.
+`reg_upper_bound_levels` walks the whole lcm closure, where
+`betti.reg_upper_bound_lcm` stops at the level that decides the bound.
 """
 
 from collections import defaultdict
@@ -46,6 +48,7 @@ from neuralideals.monomials import (
     MonomialIdeal,
     PolarizedNeuralIdeal,
     UnitOrZeroIdealError,
+    _lcm_levels,
     intersect,
     minimalize,
     scale,
@@ -114,6 +117,12 @@ def mobius_euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[in
 def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:
     """1 + max over nonempty generator subsets A of deg(lcm(A)) - |A|."""
     return 1 + max(m.bit_count() - s.bit_count() for s, m in _subset_lcms(ideal))
+
+
+def reg_upper_bound_levels(ideal: MonomialIdeal) -> int:
+    """The same bound over the whole lcm closure, each mask at the fewest
+    generators whose lcm it is, with no stop."""
+    return 1 + max(b.bit_count() - k for b, k in _lcm_levels(ideal).items())
 
 
 def lcm_closure(ideal: MonomialIdeal) -> list[Monomial]:

@@ -81,7 +81,7 @@ from neuralideals.structure import (
     recursive_linear_check,
     split_at_neuron,
 )
-from neuralideals.verify import sample_degree_n_subsets
+from neuralideals.verify import random_polarized_ideal, sample_degree_n_subsets
 
 
 @st.composite
@@ -193,6 +193,53 @@ class TestAgainstBruteForce:
             assert closure == brute_force.lcm_closure(ideal)
             for b in closure:
                 assert upper_koszul(ideal, b) == brute_force.upper_koszul(ideal, b)
+
+
+def first_level_of_max(ideal):
+    """The fewest generators of any subset that attains the lcm bound."""
+    levels = _lcm_levels(ideal)
+    best = max(b.bit_count() - k for b, k in levels.items())
+    return min(k for b, k in levels.items() if b.bit_count() - k == best)
+
+
+class TestLcmBoundStops:
+    """The lcm bound stops its breadth-first walk at the level that decides
+    it; it must give the 2^q subset bound and the unstopped walk's."""
+
+    def test_max_only_at_level_three(self):
+        # levels 1 and 2 give 1 + 3; the lcm of all three, degree 7, gives
+        # 1 + 7 - 3, so a stop after level 2 would return 4
+        n = 5
+        ideal = minimalize([parse_monomial(t, n)
+                            for t in ("x5*y1", "x1*y3*y5", "y2*y4*y5")], n)
+        assert first_level_of_max(ideal) == 3
+        assert reg_upper_bound_lcm(ideal) == brute_force.reg_upper_bound_lcm(ideal) == 5
+
+    @pytest.mark.parametrize("text", ["x1", "x1*y2*x3", "y1*y2*y3*y4*y5"])
+    def test_one_generator(self, text):
+        ideal = minimalize([parse_monomial(text, 5)], 5)
+        assert reg_upper_bound_lcm(ideal) == ideal.gens[0].degree
+
+    def test_full_cube(self):
+        # every point of the 9-cube: an antipodal pair reaches the lcm of
+        # all 512 generators at level 2, 1 + 18 - 2
+        assert reg_upper_bound_lcm(degree_n_ideal((1 << 512) - 1, 9).inner) == 17
+
+    def test_seeded_mixed_degree_sweep(self):
+        rng = random.Random(2611)
+        deep = 0
+        for _ in range(3000):
+            ideal = random_polarized_ideal(rng, rng.randint(2, 5), max_gens=8)
+            assert reg_upper_bound_lcm(ideal) == brute_force.reg_upper_bound_lcm(ideal)
+            deep += first_level_of_max(ideal) >= 3
+        # the sweep reaches the ideals whose max a too-early stop would miss
+        assert deep > 0
+
+    @pytest.mark.parametrize("n, seed", [(4, 26), (5, 26)])
+    def test_against_the_unstopped_walk(self, n, seed):
+        for ideal in degree_n_ideals(n, count=300, seed=seed):
+            inner = ideal.inner
+            assert reg_upper_bound_lcm(inner) == brute_force.reg_upper_bound_levels(inner)
 
 
 class TestBettiTableAgainstBruteForce:
@@ -1415,6 +1462,28 @@ class TestEulerLanes:
     """The zeta-direction check on byte lanes against both references:
     lanes of one, two and three bytes, signs on either side, and entries
     outside the lcm of the generators."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 6), st.data())
+    def test_lanes_against_shifts(self, width, s, data):
+        # one-byte lanes are written byte by byte, wider ones as slices
+        values = data.draw(st.dictionaries(st.integers(0, (1 << s) - 1),
+                                           st.integers(1, (1 << 8 * width) - 1)))
+        assert betti._lanes(values, width, s) == sum(
+            value << 8 * width * c for c, value in values.items())
+
+    @pytest.mark.parametrize("texts", [
+        ("x1*x2", "x2*x3", "y1*x3"),  # lcm on bits 0..3: masks are cells
+        ("x2*y1", "y2*y3", "x2*y3")])  # lcm on bits 1, 3, 4, 5: renumbered
+    def test_lcm_on_low_bits_or_not(self, texts):
+        n = 3
+        ideal = minimalize([parse_monomial(t, n) for t in texts], n)
+        table = betti_table(ideal)
+        assert euler_discrepancy(ideal, table) == both_references(ideal, table) == {}
+        key = max(table.fine)
+        table.fine[key] += 2
+        assert euler_discrepancy(ideal, table) == both_references(ideal, table) \
+            == {key[1]: 2 * (-1) ** key[0]}
 
     @pytest.mark.parametrize("delta, width", [
         (200, 1), (300, 2), (-300, 2), (65_000, 2), (70_000, 3), (-70_000, 3)])
