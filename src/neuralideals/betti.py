@@ -11,7 +11,14 @@ Combinatorial Commutative Algebra, Thm 1.34).  Only multidegrees in the
 lcm closure of the minimal generators can carry a nonzero Betti number,
 so the table scans exactly that set, and there b is the lcm of its
 divisors: no vertex lies in every facet.  Up to three facets, the ranks
-are those of the nerve, read off which pairs of facets meet.  Otherwise
+are those of the nerve, read off which pairs of facets meet.  The sphere
+rule: d > 3 facets of which every d - 1 meet have the boundary of a
+(d-1)-simplex as nerve, so by the nerve lemma K^b is a (d-2)-sphere and
+its one rank is H̃_{d-2} = 1, the d-facet form of the hollow triangle.
+Every d - 1 facets b / g meet iff each divisor g has a variable of b
+that no other divisor holds, that is iff the divisors form a dominant
+set, whose Taylor complex is minimal (Alesandroni, "Minimal resolutions
+of dominant and semidominant ideals", JPAA 2017).  Otherwise
 K^b is shrunk to its strong-collapse core by deleting dominated vertices
 (Barmak-Minian, "Strong homotopy types, nerves and collapses", DCG
 2012), which keeps the homotopy type and so the homology over every
@@ -247,10 +254,18 @@ def _koszul_ranks(facets: set[int], field_tag: FieldTag,
                   memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
     """Reduced homology ranks of the complex generated by `facets`, which
     share no vertex all together; `memo` maps a core's key to its ranks.
-    A core of two or more facets shares no vertex either, as a common
-    vertex would dominate every other one, so a core of two or three
-    facets also goes to the nerve."""
+    When every d - 1 of d > 3 facets meet, their nerve is the boundary
+    of a (d-1)-simplex, so the complex is a (d-2)-sphere: `once` gathers
+    the vertices that exactly one facet misses, and each facet must miss
+    one of them.  A core of two or more facets shares no vertex either,
+    as a common vertex would dominate every other one, so a core of two
+    or three facets also goes to the nerve."""
     if len(facets) > 3:
+        every, once = reduce(or_, facets), 0
+        for f in facets:
+            once, every = once & f | every & ~f, every & f
+        if all(once & ~f for f in facets):
+            return {len(facets) - 2: 1}
         facets = _strong_core(facets)
         if len(facets) == 1:  # a simplex
             return {}
@@ -446,15 +461,32 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     """Complete multigraded Betti table via upper Koszul homology.
 
     Each multidegree b of the lcm closure takes the ranks of K^b from the
-    nerve of its facets b / g when it has at most three divisors g, and
-    otherwise from their strong-collapse core, whose ranks a memo keeps
-    for this call, or from the cubical complex of its codewords.  A
-    transversal ideal with q generators that differ on |V| neurons,
-    2^|V| <= 4 q, is swept (`_sweep`); every other ideal is walked
-    (`_lcm_levels`).  The module docstring gives each rule.  Raises
-    LcmDegreeError for three or more generators with deg lcm(gens) >
-    MAX_LCM_DEGREE.
+    nerve of its facets b / g when it has at most three divisors g, or
+    when every d - 1 of its d divisors' facets meet, and otherwise from
+    their strong-collapse core, whose ranks a memo keeps for this call,
+    or from the cubical complex of its codewords.  A transversal ideal
+    with q generators that differ on |V| neurons, 2^|V| <= 4 q, is swept
+    (`_sweep`); every other ideal is walked (`_lcm_levels`).  The module
+    docstring gives each rule.  Raises LcmDegreeError for three or more
+    generators with deg lcm(gens) > MAX_LCM_DEGREE.
     """
+    return _table(_entries(ideal, field_tag), ideal.n)
+
+
+def _linear_table(ideal: MonomialIdeal, field_tag: FieldTag,
+                  degree: int) -> Optional[BettiTable]:
+    """The Betti table of an ideal generated in `degree`, or None once the
+    stream of entries reaches one off the linear strand.  The table of a
+    linear resolution is the whole `betti_table`, and a non-linear one is
+    refused without the rest of its entries."""
+    return _table(_entries(ideal, field_tag), ideal.n, degree)
+
+
+def _entries(ideal: MonomialIdeal, field_tag: FieldTag
+             ) -> Iterator[tuple[int, dict[int, int]]]:
+    """(b, reduced homology ranks of K^b) for every multidegree b of the
+    lcm closure, swept or walked; the size check runs before the first
+    entry is asked for."""
     _require_proper_nonzero(ideal)
     gens = [g.mask for g in ideal.gens]
     if len(gens) >= 3:
@@ -462,18 +494,25 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
         _require_table_size(
             s, f"{len(gens)} generators whose lcm has degree {s}: the complex at their lcm")
     n = ideal.n
-    table = BettiTable(n)
     memo: dict[tuple[int, int], dict[int, int]] = {}
     cube = _cube_points(gens, n)
     if cube and _sweeps(len(gens), len(cube[0])):
-        found = _sweep(gens, n, *cube, field_tag, memo)
-    else:
-        found = ((b, _koszul_ranks(_koszul_facets(gens, b), field_tag, memo))
-                 for b in _lcm_levels(ideal))
-    for b, ranks in found:
+        return _sweep(gens, n, *cube, field_tag, memo)
+    return ((b, _koszul_ranks(_koszul_facets(gens, b), field_tag, memo))
+            for b in _lcm_levels(ideal))
+
+
+def _table(entries: Iterator[tuple[int, dict[int, int]]], n: int,
+           strand: Optional[int] = None) -> Optional[BettiTable]:
+    """The table of the (b, ranks) entries; with a `strand` d, None at the
+    first Betti number beta_{i,b} with deg b - i != d."""
+    table = BettiTable(n)
+    for b, ranks in entries:
         j = b.bit_count()
         for dim, rank in ranks.items():
             i = dim + 1
+            if strand is not None and j - i != strand:
+                return None
             table.fine[(i, b)] = rank
             table.coarse[(i, j)] = table.coarse.get((i, j), 0) + rank
     return table
@@ -502,18 +541,31 @@ def has_linear_resolution(ideal: MonomialIdeal,
                           table: Optional[BettiTable] = None) -> bool:
     """True iff the ideal is equigenerated in degree d and reg = d.
 
-    Non-equigenerated input returns False with a warning: linearity is
-    only defined in the equigenerated case.
+    Without a `table`, the verdict stops at the first Betti number off
+    the linear strand, beta_{i,b} with deg b - i != d, so a non-linear
+    ideal is refused without the rest of its table; a linear one costs
+    one `betti_table`.  Non-equigenerated input returns False with a
+    warning: linearity is only defined in the equigenerated case.
     """
+    return _linear_verdict(ideal, field_tag, table)[0]
+
+
+def _linear_verdict(ideal: MonomialIdeal, field_tag: FieldTag,
+                    table: Optional[BettiTable] = None
+                    ) -> tuple[bool, Optional[BettiTable]]:
+    """(`has_linear_resolution`, the table when one was passed or the
+    resolution is linear); the warning for mixed degrees points at the
+    caller of the public function that called this one."""
     _require_proper_nonzero(ideal)
     degree = is_equigenerated(ideal)
     if degree is None:
         warnings.warn("linear resolution queried on a non-equigenerated ideal",
-                      stacklevel=2)
-        return False
+                      stacklevel=3)
+        return False, table
     if table is None:
-        table = betti_table(ideal, field_tag)
-    return table.reg == degree
+        table = _linear_table(ideal, field_tag, degree)
+        return table is not None, table
+    return table.reg == degree, table
 
 
 def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:

@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .betti import _require_proper_nonzero, betti_table, has_linear_resolution
+from .betti import _linear_verdict, _require_proper_nonzero, betti_table
 from .codes import MAX_CODE_NEURONS
 from .homology import FieldTag
 from .monomials import (
@@ -113,14 +113,17 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     neither none at all.  So at every multidegree the map
     Tor_i(x_iJ ∩ y_iK) -> Tor_i(x_iJ ⊕ y_iK) has a zero source or a zero
     target, and a Betti splitting needs exactly these maps to vanish.
-    The refusal stays all the same, so that `verify`'s splitting suite
-    checks the statement with its hypothesis.
+    The J-linear refusal is kept all the same, so that `verify`'s
+    splitting suite checks the statement with its hypothesis.  Deciding
+    it stops at J's first Betti number off the linear strand, so a
+    non-linear J is refused without the rest of its table, and a linear
+    J's table is the one the prediction reads.
     """
     J, K = split.J, split.K
     if not (J.is_proper_nonzero and K.is_proper_nonzero):
         raise UnitOrZeroIdealError("splitting prediction needs proper nonzero J and K")
-    tj = betti_table(J, field_tag)
-    if not has_linear_resolution(J, field_tag, table=tj):
+    linear, tj = _linear_verdict(J, field_tag)
+    if not linear:
         raise JNotLinearError(f"J branch {J} does not have linear resolution")
     tk = betti_table(K, field_tag)
     tm = betti_table(intersect(J, K), field_tag)

@@ -22,6 +22,7 @@ those of a per-neuron scan.
 """
 
 import random
+import re
 import time
 from functools import cache, reduce
 from operator import and_, or_
@@ -29,16 +30,17 @@ from operator import and_, or_
 import brute_force
 import pytest
 import test_homology
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neuralideals import homology
-from neuralideals import betti, structure
+from neuralideals import betti, structure, verify
 from neuralideals.codes import NeuralCode, code_to_polarized_ideal
 from neuralideals.betti import (
     BettiTable,
     betti_table,
     euler_discrepancy,
+    has_linear_resolution,
     reg_upper_bound_lcm,
     upper_koszul,
 )
@@ -62,6 +64,7 @@ from neuralideals.monomials import (
     _positions,
     _subcube_closure,
     degree_n_ideal,
+    is_equigenerated,
     lcm_closure,
     minimalize,
     parse_monomial,
@@ -70,6 +73,7 @@ from neuralideals.monomials import (
 )
 from neuralideals.structure import (
     JNotLinearError,
+    NeuronSplit,
     _halves,
     _linearly_related,
     _points_linearly_related,
@@ -434,6 +438,96 @@ class TestKoszulCoreAgainstFullComplex:
             assert {i: r for (i, m), r in table.fine.items() if m == b} == \
                 {dim + 1: r for dim, r in ranks.items()}
         assert built == []
+
+
+def record_cores(monkeypatch):
+    """Every facet set that `betti._koszul_ranks` hands the strong core
+    from here on."""
+    cores = []
+    core = betti._strong_core
+    monkeypatch.setattr(betti, "_strong_core", lambda facets: cores.append(facets) or core(facets))
+    return cores
+
+
+@st.composite
+def sphere_facets(draw, max_facets=7, max_extra=3):
+    """d > 3 facets of which every d - 1 meet: facet t misses vertex t and
+    holds the other d - 1 of 0..d-1, and each extra vertex lies in a
+    proper subset of the facets; vertices are then relabelled."""
+    d = draw(st.integers(4, max_facets))
+    facets = [(1 << d) - 1 ^ 1 << t for t in range(d)]
+    for e in range(draw(st.integers(0, max_extra))):
+        inside = draw(st.integers(0, (1 << d) - 2))
+        facets = [f | (inside >> t & 1) << d + e for t, f in enumerate(facets)]
+    order = draw(st.permutations(range(max(facets).bit_length())))
+    return {sum(1 << order[k] for k in range(f.bit_length()) if f >> k & 1) for f in facets}
+
+
+class TestSphereRule:
+    """d > 3 facets that share no vertex but of which every d - 1 meet
+    have the boundary of a (d-1)-simplex as nerve, a (d-2)-sphere: the
+    facets of K^b at a multidegree whose divisors form a dominant set."""
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_simplex_boundaries_with_extra_vertices(self, monkeypatch, dim):
+        cores = record_cores(monkeypatch)
+        boundary = [(1 << dim + 1) - 1 ^ 1 << t for t in range(dim + 1)]
+        rng = random.Random(dim)
+        # vertex dim + 1 in every facet but one, then vertices in random
+        # proper subsets of the facets, up to 10 vertices in all: the
+        # reference takes over a minute on 12
+        extras = [(1 << dim + 1) - 2] + [rng.randrange(1, (1 << dim + 1) - 1)
+                                         for _ in range(min(2, 8 - dim))]
+        for count in range(len(extras) + 1):
+            facets = {f | sum((e >> t & 1) << dim + 1 + k for k, e in enumerate(extras[:count]))
+                      for t, f in enumerate(boundary)}
+            for field in FieldTag:
+                assert betti._koszul_ranks(facets, field, {}) == {dim - 1: 1} == \
+                    brute_force.reduced_homology_ranks(all_faces(facets), field)
+        assert cores == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(sphere_facets(), st.sampled_from(list(FieldTag)))
+    def test_random_facets_every_d_minus_1_of_which_meet(self, facets, field):
+        assert betti._koszul_ranks(facets, field, {}) == {len(facets) - 2: 1} == \
+            brute_force.reduced_homology_ranks(all_faces(facets), field)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dominant_ideals_have_the_taylor_table(self, monkeypatch, seed):
+        # a dominant set's Taylor complex is minimal (Alesandroni 2017):
+        # beta_{|A|-1, lcm A} = 1 for each nonempty generator subset A,
+        # and the lcms of distinct subsets differ; every divisor set is
+        # dominant too, so no multidegree needs the strong core
+        cores = record_cores(monkeypatch)
+        rng = random.Random(seed)
+        quads = 0
+        for _ in range(40):
+            ideal = verify.random_dominant_ideal(rng, rng.randint(1, 5))
+            gens = masks_of(ideal)
+            taylor = {(subset.bit_count() - 1,
+                       reduce(or_, [g for k, g in enumerate(gens) if subset >> k & 1])): 1
+                      for subset in range(1, 1 << len(gens))}
+            assert len(taylor) == (1 << len(gens)) - 1
+            for field in FieldTag:
+                assert betti_table(ideal, field).fine == taylor == \
+                    brute_force.betti_table(ideal, field).fine
+            quads += len(gens) == 4
+        assert quads and cores == []
+
+    def test_other_facet_sets_reach_the_strong_core(self, monkeypatch):
+        # RP^2, and the 5-cube points 0, 00111, 11000, 11111 at their lcm,
+        # where two antipodal pairs of facets do not meet
+        n = 5
+        sparse = minimalize([Monomial(c << n | (1 << n) - 1 ^ c, n)
+                             for c in (0, 0b00111, 0b11000, 0b11111)], n)
+        facets = betti._koszul_facets(masks_of(sparse), sparse.lcm_of_gens().mask)
+        assert len(facets) == 4
+        for subject in (set(RP2_FACETS), facets):
+            for field in FieldTag:
+                cores = record_cores(monkeypatch)
+                assert betti._koszul_ranks(subject, field, {}) == \
+                    brute_force.reduced_homology_ranks(all_faces(subject), field)
+                assert cores == [subject]
 
 
 @cache
@@ -1252,6 +1346,100 @@ class TestSplittingPredictAgainstSixTables:
 
     def test_sampled_degree_4_ideals(self):
         self.assert_agree(degree_n_ideals(4, 200, seed=23), 4, FieldTag.F2)
+
+    @pytest.mark.parametrize("field", [FieldTag.F2, FieldTag.RATIONALS])
+    @pytest.mark.parametrize("n, count, seed", [(4, 100, 29), (5, 60, 31)])
+    def test_sampled_ideals_over_both_fields(self, n, count, seed, field):
+        # the J refusal stops at J's first entry off the strand; a linear J
+        # hands its whole table to the prediction
+        self.assert_agree(degree_n_ideals(n, count, seed=seed), n, field)
+
+
+@st.composite
+def linearity_subjects(draw):
+    """An equigenerated ideal: a degree-n ideal with n <= 5, one of the
+    pivot halves J and K of one, or a random equigenerated ideal whose
+    generators need not share one neuron set, which is walked."""
+    kind = draw(st.sampled_from(["degree-n", "half", "walked"]))
+    if kind == "walked":
+        return draw(equigenerated_ideals(max_n=5))
+    n = draw(st.integers(1 if kind == "degree-n" else 2, 5))
+    P = degree_n_ideal(draw(st.integers(1, (1 << (1 << n)) - 1)), n)
+    if kind == "degree-n":
+        return P.inner
+    split = split_at_neuron(P, draw(st.integers(1, n)))
+    half = draw(st.sampled_from([split.J, split.K]))
+    assume(half.is_proper_nonzero)
+    return half
+
+
+def record_entries(monkeypatch):
+    """Every (b, ranks) entry that a Betti table or a linearity verdict
+    takes from the oracle's stream from here on."""
+    taken = []
+    entries = betti._entries
+
+    def recording(ideal, field_tag):
+        for entry in entries(ideal, field_tag):
+            taken.append(entry)
+            yield entry
+
+    monkeypatch.setattr(betti, "_entries", recording)
+    return taken
+
+
+class TestLinearVerdictStops:
+    """The table-less linearity verdict reads the oracle's entries up to
+    the first Betti number off the strand, and says what the whole table
+    says."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(linearity_subjects(), st.sampled_from(list(FieldTag)))
+    def test_verdict_is_the_table_regularity(self, ideal, field):
+        degree = is_equigenerated(ideal)
+        table = betti_table(ideal, field)
+        linear = has_linear_resolution(ideal, field)
+        assert linear == (table.reg == degree)
+        assert betti._linear_table(ideal, field, degree) == (table if linear else None)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_a_non_linear_table_stops_at_its_first_off_strand_entry(self, monkeypatch, field):
+        n = 5
+        ideal = degree_n_ideal(sample_degree_n_subsets(n, 1, seed=5)[0], n).inner
+        taken = record_entries(monkeypatch)
+        table = betti_table(ideal, field)
+        stream = len(taken)
+        taken.clear()
+        assert not has_linear_resolution(ideal, field)
+        assert len(taken) < len({b for _, b in table.fine}) <= stream
+        off = [any(b.bit_count() - dim - 1 != n for dim in ranks) for b, ranks in taken]
+        assert off == [False] * (len(taken) - 1) + [True]
+
+    def test_a_linear_table_is_read_once_and_whole(self, monkeypatch):
+        P = family_thm36(4, 4)
+        taken = record_entries(monkeypatch)
+        table = betti_table(P.inner)
+        stream = taken[:]
+        taken.clear()
+        assert betti._linear_table(P.inner, FieldTag.F2, 4) == table
+        assert taken == stream and table.reg == 4
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_mixed_degrees_warn_and_refuse(self, field):
+        # J = (x1, y1*x2) has two degrees; I = x3*J + y3*(y2)
+        n = 3
+        J = minimalize([parse_monomial(t, n) for t in ("x1", "y1*x2")], n)
+        K = minimalize([parse_monomial("y2", n)], n)
+        ideal = minimalize([parse_monomial(t, n) for t in ("x1*x3", "y1*x2*x3", "y2*y3")], n)
+        warning = "linear resolution queried on a non-equigenerated ideal"
+        with pytest.warns(UserWarning, match=warning) as caught:
+            assert not has_linear_resolution(J, field)
+        with pytest.warns(UserWarning, match=warning) as also:
+            with pytest.raises(JNotLinearError, match=rf"^J branch {re.escape(str(J))} "
+                                                      "does not have linear resolution$"):
+                betti_splitting_predict(ideal, NeuronSplit(3, J, K), field)
+        # both warnings point at this file, the caller of the public function
+        assert {w.filename for w in [*caught, *also]} == {__file__}
 
 
 class TestTruthTableCodec:

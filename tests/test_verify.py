@@ -36,8 +36,10 @@ def _replace_everywhere(monkeypatch, original, replacement) -> None:
 def planted_faults(monkeypatch):
     """At n = 2 and n = 3, a wrong oracle on each ideal of two generators
     that differ at one neuron, all of them LR: it gives the table of two
-    generators that differ at every neuron.  A linear-quotient ideal of
-    three generators gets a search that finds no order."""
+    generators that differ at every neuron, and so does the linearity
+    verdict that stops at the first entry off the strand.  A
+    linear-quotient ideal of three generators gets a search that finds
+    no order."""
     wrong_table, no_order = {}, set()
     for n in (2, 3):
         non_lr = degree_n_ideal(1 | 1 << (1 << n) - 1, n).inner
@@ -46,14 +48,20 @@ def planted_faults(monkeypatch):
                 wrong_table[degree_n_ideal(1 << c | 1 << (c ^ 1 << k), n).inner] = non_lr
         no_order.add(degree_n_ideal(0b0111, n).inner)
     oracle, search = betti.betti_table, structure.linear_quotients_search
+    linear = betti._linear_table
 
     def faulty_oracle(ideal, field_tag=FieldTag.F2):
         return oracle(wrong_table.get(ideal, ideal), field_tag)
+
+    def faulty_linear(ideal, field_tag, degree):
+        return linear(wrong_table.get(ideal, ideal), field_tag, degree)
 
     def faulty_search(ideal):
         return None if ideal in no_order else search(ideal)
 
     _replace_everywhere(monkeypatch, oracle, faulty_oracle)
+    # the table-less linearity verdict reads the same wrong tables
+    _replace_everywhere(monkeypatch, linear, faulty_linear)
     _replace_everywhere(monkeypatch, search, faulty_search)
 
 
