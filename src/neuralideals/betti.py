@@ -11,8 +11,9 @@ Combinatorial Commutative Algebra, Thm 1.34).  Only multidegrees in the
 lcm closure of the minimal generators can carry a nonzero Betti number,
 so the table scans exactly that set, and there b is the lcm of its
 divisors: no vertex lies in every facet.  Up to three facets, the ranks
-are those of the nerve, read off which pairs of facets meet.  The sphere
-rule: d > 3 facets of which every d - 1 meet have the boundary of a
+are those of the nerve, read off which pairs of facets meet, and b / g
+and b / g' meet iff g | g' != b: the walk reads pairwise joins.  The
+sphere rule: d > 3 facets of which every d - 1 meet have the boundary of a
 (d-1)-simplex as nerve, so by the nerve lemma K^b is a (d-2)-sphere and
 its one rank is H̃_{d-2} = 1, the d-facet form of the hollow triangle.
 Every d - 1 facets b / g meet iff each divisor g has a variable of b
@@ -466,7 +467,7 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     their strong-collapse core, whose ranks a memo keeps for this call,
     or from the cubical complex of its codewords.  A transversal ideal
     with q generators that differ on |V| neurons, 2^|V| <= 4 q, is swept
-    (`_sweep`); every other ideal is walked (`_lcm_levels`).  The module
+    (`_sweep`); every other ideal is walked (`_walk_ranks`).  The module
     docstring gives each rule.  Raises LcmDegreeError for three or more
     generators with deg lcm(gens) > MAX_LCM_DEGREE.
     """
@@ -498,8 +499,20 @@ def _entries(ideal: MonomialIdeal, field_tag: FieldTag
     cube = _cube_points(gens, n)
     if cube and _sweeps(len(gens), len(cube[0])):
         return _sweep(gens, n, *cube, field_tag, memo)
-    return ((b, _koszul_ranks(_koszul_facets(gens, b), field_tag, memo))
-            for b in _lcm_levels(ideal))
+    return ((b, _walk_ranks(gens, b, field_tag, memo)) for b in _lcm_levels(gens))
+
+
+def _walk_ranks(gens: list[int], b: int, field_tag: FieldTag,
+                memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
+    """Ranks of K^b at a closure multidegree b: up to three divisors read
+    the nerve rule off pairwise joins (two join to b); more build facets."""
+    divisors = [g for g in gens if g | b == b]
+    if len(divisors) > 3:
+        return _koszul_ranks({b & ~g for g in divisors}, field_tag, memo)
+    if len(divisors) == 3:
+        g, h, e = divisors
+        return _NERVE_RANKS[3, (g | h != b) + (g | e != b) + (h | e != b)]
+    return _NERVE_RANKS[len(divisors), 0]
 
 
 def _table(entries: Iterator[tuple[int, dict[int, int]]], n: int,
@@ -718,7 +731,7 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     coeff: dict[int, int] = {}
     for (i, m), rank in table.fine.items():
         coeff[m] = coeff.get(m, 0) + (-rank if i & 1 else rank)
-    corners = [g.mask for g in ideal.gens]
+    gens = corners = [g.mask for g in ideal.gens]
     top = reduce(or_, corners, 0)
     positions = _positions(top)
     s = len(positions)
@@ -743,6 +756,6 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     if p == n + member:
         return {m: e for m, e in coeff.items() if e and m | top != top}
     member = _subcube_closure(sum(1 << c for c in corners), _bit_clear_patterns(s))
-    for b, count in _signed_counts(member, positions, sorted(_lcm_levels(ideal))).items():
+    for b, count in _signed_counts(member, positions, sorted(_lcm_levels(gens))).items():
         coeff[b] = coeff.get(b, 0) - count
     return {m: e for m, e in coeff.items() if e}

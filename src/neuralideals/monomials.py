@@ -248,13 +248,18 @@ def minimalize(gens: Iterable[Monomial], n: int) -> MonomialIdeal:
         if g.n != n:
             raise ValueError(f"generator {g} lives over n = {g.n}, expected {n}")
         masks.add(g.mask)
-    minimal = [
-        m for m in masks
-        if not any(other != m and other | m == m for other in masks)
-    ]
-    out = [Monomial(m, n) for m in minimal]
-    out.sort(key=Monomial.sort_key)
-    return MonomialIdeal(n, tuple(out))
+    return _masks_ideal(masks, n)
+
+
+def _masks_ideal(masks: Iterable[int], n: int) -> MonomialIdeal:
+    """`minimalize` on int masks, each minimal one wrapped in a `Monomial`
+    once.  In (degree, mask) order a mask's proper divisors come first."""
+    _check_n(n)
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(k | m == m for k in kept):
+            kept.append(m)
+    return MonomialIdeal(n, tuple(Monomial(m, n) for m in kept))
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -319,14 +324,13 @@ def _cube_points(gens: list[int], n: int) -> Optional[tuple[tuple[int, ...], int
     return positions, table
 
 
-def _lcm_levels(ideal: MonomialIdeal) -> dict[int, int]:
-    """Each lcm-closure mask mapped to the fewest generators whose lcm it is.
+def _lcm_levels(gens: list[int]) -> dict[int, int]:
+    """Each lcm-closure mask of `gens` mapped to the fewest generators whose lcm it is.
 
     Breadth-first search: level k+1 joins every mask first reached at
     level k with one more generator, so a mask's level is the size of
     its smallest generating subset.  Costs |closure| * q joins.
     """
-    gens = [g.mask for g in ideal.gens]
     levels = dict.fromkeys(gens, 1)
     frontier = list(levels)
     level = 1
@@ -349,7 +353,7 @@ def lcm_closure(ideal: MonomialIdeal) -> list[Monomial]:
     Multigraded Betti numbers vanish off this set, so it is the only
     multidegree range the homology oracle ever needs to scan.
     """
-    out = [Monomial(m, ideal.n) for m in _lcm_levels(ideal)]
+    out = [Monomial(m, ideal.n) for m in _lcm_levels([g.mask for g in ideal.gens])]
     out.sort(key=Monomial.sort_key)
     return out
 

@@ -43,6 +43,11 @@ class NotEquigeneratedDegreeNError(ValueError):
 class JNotLinearError(ValueError):
     """Splitting prediction refused: the J branch lacks linear resolution."""
 
+    J = property(lambda self: self.args[0])
+
+    def __str__(self) -> str:  # J is named only when the message is read
+        return f"J branch {self.J} does not have linear resolution"
+
 
 class FamilyParameterError(ValueError):
     """Family parameter out of its documented range."""
@@ -124,7 +129,7 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
         raise UnitOrZeroIdealError("splitting prediction needs proper nonzero J and K")
     linear, tj = _linear_verdict(J, field_tag)
     if not linear:
-        raise JNotLinearError(f"J branch {J} does not have linear resolution")
+        raise JNotLinearError(J)
     tk = betti_table(K, field_tag)
     tm = betti_table(intersect(J, K), field_tag)
     pd_pred = max(tj.pd, tk.pd, tm.pd + 1)

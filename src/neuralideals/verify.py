@@ -19,7 +19,6 @@ from typing import Callable, Iterator, Optional
 from . import codes as codes_mod
 from .betti import (
     betti_table,
-    dominant_check,
     dominant_invariants,
     euler_discrepancy,
     has_linear_resolution,
@@ -32,9 +31,11 @@ from .monomials import (
     MonomialIdeal,
     NeuronCountError,
     PolarizedNeuralIdeal,
+    _lcm_levels,
+    _masks_ideal,
     _require_table_size,
     degree_n_ideal,
-    lcm_closure,
+    mask_text,
     minimalize,
     scale,
 )
@@ -247,16 +248,17 @@ def _restriction_failures(table: int, n: int, verdicts: dict[int, list[bool]],
     fails = []
     if not (lr or lq):
         return fails
-    for m in lcm_closure(degree_n_ideal(table, n).inner):
+    gens = [c << n | (1 << n) - 1 ^ c for c in range(1 << n) if table >> c & 1]
+    for m in sorted(_lcm_levels(gens), key=lambda m: (m.bit_count(), m)):
         # m is an lcm of generators, so the restriction is nonzero
-        sub = table & divisors[m.mask]
+        sub = table & divisors[m]
         if sub == table:
             continue
         sub_lr, sub_lq = verdicts[sub]
         if lr and not sub_lr:
-            fails.append(f"restriction to {m} loses linear resolution")
+            fails.append(f"restriction to {mask_text(m, n)} loses linear resolution")
         if lq and not sub_lq:
-            fails.append(f"restriction to {m} loses linear quotients")
+            fails.append(f"restriction to {mask_text(m, n)} loses linear quotients")
     return fails
 
 
@@ -273,7 +275,7 @@ def random_polarized_ideal(rng: random.Random, n: int,
     """A random pair-excluding squarefree ideal, optionally confined to `neurons`."""
     pool = neurons if neurons is not None else list(range(1, n + 1))
     while True:
-        gens = []
+        masks = []
         for _ in range(rng.randint(1, max_gens)):
             mask = 0
             for i in pool:
@@ -283,15 +285,26 @@ def random_polarized_ideal(rng: random.Random, n: int,
                 elif r < 2 / 3:
                     mask |= 1 << (n + i - 1)
             if mask:
-                gens.append(Monomial(mask, n))
-        ideal = minimalize(gens, n)
+                masks.append(mask)
+        ideal = _masks_ideal(masks, n)
         if ideal.is_proper_nonzero:
             return ideal
+
+
+def _invariants_once(seen: dict, ideal: MonomialIdeal) -> tuple[int, int]:
+    """(pd, reg) by `betti_table`, kept in `seen` by (n, generator masks)."""
+    key = ideal.n, tuple(g.mask for g in ideal.gens)
+    got = seen.get(key)
+    if got is None:
+        table = betti_table(ideal)
+        got = seen[key] = table.pd, table.reg
+    return got
 
 
 def scaling_suite(report: VerificationReport, trials: int, seed: int, n: int = 3) -> None:
     """pd(uI) = pd(I) and reg(uI) = reg(I) + deg(u) for variable-disjoint u."""
     rng = random.Random(seed)
+    seen: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     for _ in range(trials):
         k = rng.randint(1, n - 1)
         inside = sorted(rng.sample(range(1, n + 1), k))
@@ -306,46 +319,45 @@ def scaling_suite(report: VerificationReport, trials: int, seed: int, n: int = 3
                 umask |= 1 << (n + i - 1)
         u = Monomial(umask, n)
         scaled = scale(u, ideal)
-        t0 = betti_table(ideal)
-        t1 = betti_table(scaled)
+        pd0, reg0 = _invariants_once(seen, ideal)
+        pd1, reg1 = _invariants_once(seen, scaled)
         fails = []
-        if t1.pd != t0.pd:
-            fails.append(f"pd changed {t0.pd} -> {t1.pd} under scaling by {u}")
-        if t1.reg != t0.reg + u.degree:
-            fails.append(f"reg {t0.reg} + deg {u.degree} != {t1.reg} under scaling by {u}")
+        if pd1 != pd0:
+            fails.append(f"pd changed {pd0} -> {pd1} under scaling by {u}")
+        if reg1 != reg0 + u.degree:
+            fails.append(f"reg {reg0} + deg {u.degree} != {reg1} under scaling by {u}")
         report.record("scaling", lambda: f"{u} * {ideal}", fails)
 
 
 def random_dominant_ideal(rng: random.Random, n: int) -> MonomialIdeal:
-    """A random ideal whose minimal generators form a dominant set."""
-    while True:
-        variables = list(range(2 * n))
-        rng.shuffle(variables)
-        q = rng.randint(1, min(4, 2 * n))
-        private, shared = variables[:q], variables[q:]
-        gens = []
-        for k in range(q):
-            mask = 1 << private[k]
-            for b in shared:
-                if rng.random() < 0.3:
-                    mask |= 1 << b
-            gens.append(Monomial(mask, n))
-        ideal = minimalize(gens, n)
-        if len(ideal.gens) == q and dominant_check(ideal) is not None:
-            return ideal
+    """A random ideal whose minimal generators form a dominant set: each of
+    the q drawn generators holds a variable that no other one holds."""
+    variables = list(range(2 * n))
+    rng.shuffle(variables)
+    q = rng.randint(1, min(4, 2 * n))
+    private, shared = variables[:q], variables[q:]
+    masks = []
+    for k in range(q):
+        mask = 1 << private[k]
+        for b in shared:
+            if rng.random() < 0.3:
+                mask |= 1 << b
+        masks.append(mask)
+    return _masks_ideal(masks, n)
 
 
 def dominant_suite(report: VerificationReport, trials: int, seed: int, n_max: int = 4) -> None:
     """Closed-form dominant (pd, reg) equals the homology oracle exactly."""
     rng = random.Random(seed)
+    seen: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
     for _ in range(trials):
         n = rng.randint(1, n_max)
         ideal = random_dominant_ideal(rng, n)
         closed = dominant_invariants(ideal)
-        t = betti_table(ideal)
+        pd, reg = _invariants_once(seen, ideal)
         fails = []
-        if closed != (t.pd, t.reg):
-            fails.append(f"closed form {closed} != oracle ({t.pd}, {t.reg})")
+        if closed != (pd, reg):
+            fails.append(f"closed form {closed} != oracle ({pd}, {reg})")
         report.record("dominant", ideal.__str__, fails)
 
 
@@ -359,16 +371,22 @@ def code_suite(report: VerificationReport, trials: int, seed: int, n_max: int = 
         ideal = codes_mod.code_to_polarized_ideal(code)
         full = (1 << n) - 1
         non_words = (1 << n) - len(words)
-        fails = []
-        covered = set()
+        codewords = sum(1 << w for w in words)  # bit w set iff w is a codeword
+        fails, covered = [], 0
         for g in ideal.inner.gens:
-            # g is 1 at w iff its x-bits lie in w and its y-bits miss w
-            hits = [w for w in range(1 << n)
-                    if not g.mask & full & ~w and not (g.mask >> n) & w]
-            fails.extend(f"{g} does not vanish on codeword {codes_mod.word_to_string(w, n)}"
-                         for w in hits if w in words)
-            covered.update(hits)
-        if covered != set(range(1 << n)) - words:
+            # g is 1 at w iff its x-bits lie in w and its y-bits miss w: at
+            # x plus any set of its free neurons, or nowhere if x and y meet
+            x, y = g.mask & full, g.mask >> n & full
+            support = 0 if x & y else 1 << x
+            free = full & ~(x | y)
+            while free:
+                support |= support << (free & -free)
+                free &= free - 1
+            covered |= support
+            if support & codewords:
+                fails.extend(f"{g} does not vanish on codeword {codes_mod.word_to_string(w, n)}"
+                             for w in sorted(words) if support >> w & 1)
+        if covered != (1 << (1 << n)) - 1 ^ codewords:
             fails.append("generator supports do not cover exactly the non-codewords")
         # for the full code this is the zero-ideal check
         if len(ideal.inner.gens) != non_words:

@@ -31,16 +31,22 @@ and ranks any complex with a square by `chain_ranks`, where
 ranks the subcubes of at most four free neurons from popcounts.
 `reg_upper_bound_levels` walks the whole lcm closure, where
 `betti.reg_upper_bound_lcm` stops at the level that decides the bound.
+`random_polarized_ideal` and `random_dominant_ideal` are `verify`'s
+draws as they were, through a `Monomial` per drawn mask and
+`minimalize`, with the dominance re-check; `code_suite` finds each
+generator's support by scanning every word, where `verify` grows it
+from the generator's free neurons.
 """
 
+import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from neuralideals import betti, structure
-from neuralideals.betti import BettiTable, has_linear_resolution
-from neuralideals.codes import LengthMismatchError, NeuralCode
+from neuralideals import betti, codes, structure
+from neuralideals.betti import BettiTable, dominant_check, has_linear_resolution
+from neuralideals.codes import LengthMismatchError, NeuralCode, word_to_string
 from neuralideals.homology import FieldTag, SimplicialComplex, chain_ranks, rank_f2
 from neuralideals.monomials import (
     MAX_LCM_DEGREE,
@@ -122,7 +128,8 @@ def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:
 def reg_upper_bound_levels(ideal: MonomialIdeal) -> int:
     """The same bound over the whole lcm closure, each mask at the fewest
     generators whose lcm it is, with no stop."""
-    return 1 + max(b.bit_count() - k for b, k in _lcm_levels(ideal).items())
+    levels = _lcm_levels([g.mask for g in ideal.gens])
+    return 1 + max(b.bit_count() - k for b, k in levels.items())
 
 
 def lcm_closure(ideal: MonomialIdeal) -> list[Monomial]:
@@ -580,7 +587,7 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
         raise UnitOrZeroIdealError("splitting prediction needs proper nonzero J and K")
     tj = betti.betti_table(J, field_tag)
     if not has_linear_resolution(J, field_tag, table=tj):
-        raise JNotLinearError(f"J branch {J} does not have linear resolution")
+        raise JNotLinearError(J)
     n = ideal.n
     xJ = scale(x_var(split.pivot, n), J)
     yK = scale(y_var(split.pivot, n), K)
@@ -682,3 +689,72 @@ def code_to_polarized_ideal(code: NeuralCode) -> PolarizedNeuralIdeal:
     """Vanishing generators -> minimize -> polarize -> minimalize."""
     pseudos = minimize_pseudos(vanishing_generators(code))
     return validate_polarized_neural(minimalize((polarize(p) for p in pseudos), code.n))
+
+
+def random_polarized_ideal(rng: random.Random, n: int, max_gens: int = 6,
+                           neurons: Optional[list[int]] = None) -> MonomialIdeal:
+    """`verify.random_polarized_ideal` through `Monomial` and `minimalize`."""
+    pool = neurons if neurons is not None else list(range(1, n + 1))
+    while True:
+        gens = []
+        for _ in range(rng.randint(1, max_gens)):
+            mask = 0
+            for i in pool:
+                r = rng.random()
+                if r < 1 / 3:
+                    mask |= 1 << (i - 1)
+                elif r < 2 / 3:
+                    mask |= 1 << (n + i - 1)
+            if mask:
+                gens.append(Monomial(mask, n))
+        ideal = minimalize(gens, n)
+        if ideal.is_proper_nonzero:
+            return ideal
+
+
+def random_dominant_ideal(rng: random.Random, n: int) -> MonomialIdeal:
+    """`verify.random_dominant_ideal`, drawing again until `minimalize`
+    keeps q generators and `dominant_check` passes."""
+    while True:
+        variables = list(range(2 * n))
+        rng.shuffle(variables)
+        q = rng.randint(1, min(4, 2 * n))
+        private, shared = variables[:q], variables[q:]
+        gens = []
+        for k in range(q):
+            mask = 1 << private[k]
+            for b in shared:
+                if rng.random() < 0.3:
+                    mask |= 1 << b
+            gens.append(Monomial(mask, n))
+        ideal = minimalize(gens, n)
+        if len(ideal.gens) == q and dominant_check(ideal) is not None:
+            return ideal
+
+
+def code_suite(report, trials: int, seed: int, n_max: int = 4) -> None:
+    """`verify.code_suite`, scanning every word for each generator's support."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n = rng.randint(1, n_max)
+        words = frozenset(w for w in range(1 << n) if rng.random() < 0.5)
+        code = NeuralCode(n, words)
+        ideal = codes.code_to_polarized_ideal(code)
+        full = (1 << n) - 1
+        non_words = (1 << n) - len(words)
+        fails = []
+        covered = set()
+        for g in ideal.inner.gens:
+            # g is 1 at w iff its x-bits lie in w and its y-bits miss w
+            hits = [w for w in range(1 << n)
+                    if not g.mask & full & ~w and not (g.mask >> n) & w]
+            fails.extend(f"{g} does not vanish on codeword {word_to_string(w, n)}"
+                         for w in hits if w in words)
+            covered.update(hits)
+        if covered != set(range(1 << n)) - words:
+            fails.append("generator supports do not cover exactly the non-codewords")
+        if len(ideal.inner.gens) != non_words:
+            fails.append(f"{len(ideal.inner.gens)} generators for {non_words} non-codewords")
+        if any(g.degree != n for g in ideal.inner.gens):
+            fails.append("pipeline output not equigenerated in degree n")
+        report.record("code-pipeline", lambda: ",".join(code.word_strings()) or "{}", fails)

@@ -13,7 +13,8 @@ degree-n universe and the pseudomonomial pipeline, and the splitting
 prediction against the one built from six Betti tables.  The linearly-related refusal in the
 linear-quotient search must never refuse an ideal for which the
 reference finds an order.  The strong-collapse core and the nerve rule
-for at most three facets must give the homology of the whole complex,
+for at most three facets, which the walk of the lcm closure reads off
+the divisors' pairwise joins, must give the homology of the whole complex,
 and the cubical side of the Betti table, on the codewords of ideals
 generated by transversals of one neuron set, the ranks of the upper
 Koszul complex.  The points of those generators in the cube, which
@@ -201,7 +202,7 @@ class TestAgainstBruteForce:
 
 def first_level_of_max(ideal):
     """The fewest generators of any subset that attains the lcm bound."""
-    levels = _lcm_levels(ideal)
+    levels = _lcm_levels(masks_of(ideal))
     best = max(b.bit_count() - k for b, k in levels.items())
     return min(k for b, k in levels.items() if b.bit_count() - k == best)
 
@@ -310,7 +311,7 @@ class TestBettiTableAgainstBruteForce:
         n = 3
         ideal = minimalize([parse_monomial(t, n) for t in ("x1*x2", "x2*x3", "x1*x3")], n)
         b = parse_monomial("x1*x2*x3", n)
-        assert _lcm_levels(ideal)[b.mask] == 2
+        assert _lcm_levels(masks_of(ideal))[b.mask] == 2
         built = record_complexes(monkeypatch)
         table = betti_table(ideal)
         assert table == brute_force.betti_table(ideal)
@@ -530,6 +531,41 @@ class TestSphereRule:
                 assert cores == [subject]
 
 
+class TestFacetFreeWalk:
+    """The walk of the lcm closure ranks a multidegree with at most three
+    divisors from their pairwise joins, as facets b / g and b / g' meet
+    iff g | g' != b, and builds facets only for more divisors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 6), st.booleans())
+    def test_against_brute_force(self, seed, n, dominant):
+        rng = random.Random(seed)
+        ideal = (verify.random_dominant_ideal(rng, n) if dominant
+                 else random_polarized_ideal(rng, n, max_gens=8))
+        with pytest.MonkeyPatch.context() as mp:
+            sweep_forced(mp, False)
+            for field in FieldTag:
+                assert betti_table(ideal, field) == brute_force.betti_table(ideal, field)
+
+    def test_few_divisors_never_reach_the_facet_rules(self, monkeypatch):
+        sweep_forced(monkeypatch, False)
+        reached = []
+        ranks = betti._koszul_ranks
+        monkeypatch.setattr(betti, "_koszul_ranks",
+                            lambda facets, *a: reached.append(len(facets)) or ranks(facets, *a))
+        rng = random.Random(28)
+        few = many = 0
+        for _ in range(200):
+            ideal = random_polarized_ideal(rng, rng.randint(2, 6), max_gens=8)
+            gens = masks_of(ideal)
+            counts = [len(betti._koszul_facets(gens, b)) for b in _lcm_levels(gens)]
+            few += sum(d <= 3 for d in counts)
+            many += sum(d > 3 for d in counts)
+            betti_table(ideal)
+        assert few and len(reached) == many > 0
+        assert min(reached) > 3
+
+
 @cache
 def _cube_constants(v):
     """For each free set g of {0,1}^v: the table of its subsets, and the
@@ -722,7 +758,7 @@ class TestCubicalSideAgainstBruteForce:
         ideal = family_thm36(n, k).inner
         self.assert_tables_agree([ideal])
         assert len(cubical) == 2 * sum(
-            1 for b in _lcm_levels(ideal) if (b & b >> n).bit_count() >= 2)
+            1 for b in _lcm_levels(masks_of(ideal)) if (b & b >> n).bit_count() >= 2)
 
     @settings(max_examples=200, deadline=None)
     @given(transversal_ideals())
@@ -732,7 +768,7 @@ class TestCubicalSideAgainstBruteForce:
         # or more divisors would take, the two give the same ranks
         gens = masks_of(ideal)
         assert (_cube_points(gens, ideal.n) is not None) == (len(gens) > 1)
-        for b in _lcm_levels(ideal):
+        for b in _lcm_levels(masks_of(ideal)):
             facets = betti._koszul_facets(gens, b)
             if len(facets) > 3:
                 for field in FieldTag:
@@ -807,7 +843,7 @@ class TestCubicalSideAgainstBruteForce:
         # multidegrees that a sweep would rank cubically: d >= 4 divisors,
         # and k <= 4 free neurons or 2^k <= 3 d points
         dense = []
-        for b in _lcm_levels(ideal):
+        for b in _lcm_levels(masks_of(ideal)):
             d = len(betti._koszul_facets(gens, b))
             k = (b & b >> n).bit_count()
             if d > 3 and (k <= 4 or 1 << k <= 3 * d):
@@ -985,7 +1021,7 @@ class TestSubcubeSweep:
         if len(ideal.gens) > 1:
             visited = sweep_multidegrees(ideal)
             assert len(set(visited)) == len(visited)
-            assert set(visited) == set(_lcm_levels(ideal))
+            assert set(visited) == set(_lcm_levels(masks_of(ideal)))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 7).flatmap(lambda v: st.tuples(
@@ -1694,7 +1730,7 @@ class TestEulerLanes:
     @given(polarized_ideals(), st.data())
     def test_signed_perturbations(self, ideal, data):
         table = betti_table(ideal)
-        closure = list(_lcm_levels(ideal))
+        closure = list(_lcm_levels(masks_of(ideal)))
         top = ideal.lcm_of_gens().mask
         for _ in range(data.draw(st.integers(1, 4))):
             i = data.draw(st.integers(0, 2 * ideal.n))

@@ -2,23 +2,35 @@
 
 import hashlib
 import json
+import random
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import brute_force
 import pytest
 
-from neuralideals import betti, codes, structure, verify
+from neuralideals import betti, codes, monomials, structure, verify
+from neuralideals.betti import BettiTable, dominant_check, dominant_invariants
+from neuralideals.codes import NeuralCode
 from neuralideals.homology import FieldTag
-from neuralideals.monomials import degree_n_ideal
+from neuralideals.monomials import (
+    Monomial,
+    MonomialIdeal,
+    PolarizedNeuralIdeal,
+    degree_n_ideal,
+    minimalize,
+)
+from neuralideals.structure import JNotLinearError
 from neuralideals.verify import (
     Counterexample,
     VerificationReport,
     check_degree_n_ideal,
     code_suite,
+    dominant_suite,
     enumerate_degree_n_subsets,
     run_verification,
     sample_degree_n_subsets,
+    scaling_suite,
 )
 
 
@@ -127,6 +139,146 @@ class TestCodeSuite:
         code_suite(report, trials=40, seed=3, n_max=1)
         subjects = {c.subject for c in report.counterexamples}
         assert {"{}", "0"} <= subjects
+
+
+def _drop_last_neuron(ideal):
+    """The ideal with neuron n's letter dropped from every generator:
+    generators with a free neuron, whose supports hold two words."""
+    n = ideal.n
+    keep = ~(1 << n - 1 | 1 << 2 * n - 1)
+    gens = [Monomial(g.mask & keep, n) for g in ideal.inner.gens]
+    return PolarizedNeuralIdeal(minimalize(gens, n))
+
+
+PIPELINE_FAULTS = {
+    "none": lambda pipeline, code: pipeline(code),
+    "zero ideal": lambda pipeline, code: degree_n_ideal(0, code.n),
+    "word 0 toggled": lambda pipeline, code: pipeline(NeuralCode(code.n, code.words ^ {0})),
+    "every degree-n generator": lambda pipeline, code:
+        degree_n_ideal((1 << (1 << code.n)) - 1, code.n),
+    "last neuron dropped": lambda pipeline, code: _drop_last_neuron(pipeline(code)),
+    "x1*y1 only": lambda pipeline, code:
+        PolarizedNeuralIdeal(MonomialIdeal(code.n, (Monomial(1 | 1 << code.n, code.n),))),
+}
+
+
+class TestCodeSuiteAgainstScan:
+    """Each generator's support grown from its free neurons gives the
+    counterexamples that scanning every word gave, for faulty pipelines."""
+
+    @pytest.mark.parametrize("fault", PIPELINE_FAULTS)
+    def test_same_counterexamples(self, monkeypatch, fault):
+        pipeline = codes.code_to_polarized_ideal
+        monkeypatch.setattr(codes, "code_to_polarized_ideal",
+                            lambda code: PIPELINE_FAULTS[fault](pipeline, code))
+        ours = VerificationReport(n=5, mode="sample", seed=0)
+        ref = VerificationReport(n=5, mode="sample", seed=0)
+        code_suite(ours, trials=150, seed=11, n_max=5)
+        brute_force.code_suite(ref, trials=150, seed=11, n_max=5)
+        assert ours.counterexamples == ref.counterexamples
+        assert ours.suite_checked == ref.suite_checked == {"code-pipeline": 150}
+        assert bool(ours.counterexamples) == (fault != "none")
+
+
+class TestDrawsAgainstReference:
+    """The mask-level draws give the ideals that a `Monomial` per mask and
+    `minimalize` gave, and leave the generator in the same state."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_polarized_draws(self, n):
+        shapes = [None] + [[i + 1 for i in range(n) if s >> i & 1] for s in range(1, 1 << n)]
+        for seed, neurons in enumerate(shapes):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for max_gens in (1, 2, 6, 8):
+                for _ in range(4):
+                    assert verify.random_polarized_ideal(ours, n, max_gens, neurons) == \
+                        brute_force.random_polarized_ideal(ref, n, max_gens, neurons)
+                    assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dominant_draws(self, n):
+        ours, ref = random.Random(n), random.Random(n)
+        for _ in range(300):
+            assert verify.random_dominant_ideal(ours, n) == \
+                brute_force.random_dominant_ideal(ref, n)
+            assert ours.getstate() == ref.getstate()
+
+    def test_dominant_draws_are_dominant_with_q_generators(self):
+        # q is drawn right after the shuffle; a copy of the generator reads it
+        rng = random.Random(28)
+        for _ in range(10_000):
+            n = rng.randint(1, 6)
+            peek = random.Random()
+            peek.setstate(rng.getstate())
+            peek.shuffle(list(range(2 * n)))
+            q = peek.randint(1, min(4, 2 * n))
+            ideal = verify.random_dominant_ideal(rng, n)
+            assert len(ideal.gens) == q and dominant_check(ideal) is not None
+
+
+class TestOracleOncePerDistinctIdeal:
+    """The scaling and dominant suites ask `betti_table` once per distinct
+    ideal in one call, and still record every trial."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        asked = []
+        oracle = verify.betti_table
+        monkeypatch.setattr(verify, "betti_table",
+                            lambda ideal, *a: asked.append(ideal) or oracle(ideal, *a))
+        return asked
+
+    @pytest.mark.parametrize("suite, kwargs, draws", [
+        (scaling_suite, dict(trials=100, n=3), 200),
+        (dominant_suite, dict(trials=200, n_max=4), 200),
+    ])
+    def test_one_call_per_distinct_ideal(self, monkeypatch, suite, kwargs, draws):
+        asked = self.spy(monkeypatch)
+        report = VerificationReport(n=4, mode="sample", seed=0)
+        suite(report, seed=7, **kwargs)
+        # seed 7 repeats ideals, so the draws outnumber the distinct ideals
+        assert len(asked) == len(set(asked)) < draws
+        assert sum(report.suite_checked.values()) == kwargs["trials"]
+        assert report.ok
+
+    def test_wrong_table_fails_every_draw_of_its_ideal(self, monkeypatch):
+        rng = random.Random(7)
+        draws = [verify.random_dominant_ideal(rng, rng.randint(1, 4)) for _ in range(200)]
+        target, times = Counter(draws).most_common(1)[0]
+        assert times > 1
+        oracle = verify.betti_table
+        wrong = BettiTable(target.n, coarse={(9, 10): 1})
+        monkeypatch.setattr(verify, "betti_table",
+                            lambda ideal, *a: wrong if ideal == target else oracle(ideal, *a))
+        report = VerificationReport(n=4, mode="sample", seed=0)
+        dominant_suite(report, trials=200, seed=7, n_max=4)
+        detail = f"closed form {dominant_invariants(target)} != oracle (9, 1)"
+        assert [(c.subject, c.detail) for c in report.counterexamples] == \
+            [(str(target), detail)] * times
+
+
+class TestRefusalText:
+    def test_refused_splits_name_no_monomial(self, monkeypatch):
+        """A J refusal inside `check_degree_n_ideal` builds no message."""
+        named = []
+        text = monomials.mask_text
+        _replace_everywhere(monkeypatch, text, lambda *a: named.append(a) or text(*a))
+        refusals = []
+        predict = verify.betti_splitting_predict
+
+        def counting(ideal, split, *args):
+            try:
+                return predict(ideal, split, *args)
+            except JNotLinearError as exc:
+                refusals.append((exc, split))
+                raise
+
+        monkeypatch.setattr(verify, "betti_splitting_predict", counting)
+        for table in sample_degree_n_subsets(4, 40, 28):
+            check_degree_n_ideal(degree_n_ideal(table, 4), exhaustive=False)
+        assert refusals and named == []
+        # the refused J stays on the exception, to be named when read
+        assert all(exc.J is split.J for exc, split in refusals)
 
 
 class TestRunVerification:
