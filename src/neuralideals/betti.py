@@ -91,7 +91,7 @@ from .monomials import (
     _compress,
     _cube_points,
     _expand,
-    _lcm_levels,
+    _lcm_masks,
     _positions,
     _require_table_size,
     _subcube_closure,
@@ -499,7 +499,7 @@ def _entries(ideal: MonomialIdeal, field_tag: FieldTag
     cube = _cube_points(gens, n)
     if cube and _sweeps(len(gens), len(cube[0])):
         return _sweep(gens, n, *cube, field_tag, memo)
-    return ((b, _walk_ranks(gens, b, field_tag, memo)) for b in _lcm_levels(gens))
+    return ((b, _walk_ranks(gens, b, field_tag, memo)) for b in _lcm_masks(gens))
 
 
 def _walk_ranks(gens: list[int], b: int, field_tag: FieldTag,
@@ -550,35 +550,29 @@ def invariants(ideal: MonomialIdeal,
 
 
 def has_linear_resolution(ideal: MonomialIdeal,
-                          field_tag: FieldTag = FieldTag.F2,
-                          table: Optional[BettiTable] = None) -> bool:
+                          field_tag: FieldTag = FieldTag.F2) -> bool:
     """True iff the ideal is equigenerated in degree d and reg = d.
 
-    Without a `table`, the verdict stops at the first Betti number off
-    the linear strand, beta_{i,b} with deg b - i != d, so a non-linear
-    ideal is refused without the rest of its table; a linear one costs
-    one `betti_table`.  Non-equigenerated input returns False with a
-    warning: linearity is only defined in the equigenerated case.
+    The verdict stops at the first Betti number off the linear strand,
+    beta_{i,b} with deg b - i != d, so a non-linear ideal is refused
+    without the rest of its table; a linear one costs one `betti_table`.
+    Non-equigenerated input returns False with a warning: linearity is
+    only defined in the equigenerated case.
     """
-    return _linear_verdict(ideal, field_tag, table)[0]
+    return _linear_verdict(ideal, field_tag) is not None
 
 
-def _linear_verdict(ideal: MonomialIdeal, field_tag: FieldTag,
-                    table: Optional[BettiTable] = None
-                    ) -> tuple[bool, Optional[BettiTable]]:
-    """(`has_linear_resolution`, the table when one was passed or the
-    resolution is linear); the warning for mixed degrees points at the
-    caller of the public function that called this one."""
+def _linear_verdict(ideal: MonomialIdeal, field_tag: FieldTag) -> Optional[BettiTable]:
+    """The table when the resolution is linear, else None; the warning for
+    mixed degrees points at the caller of the public function that
+    called this one."""
     _require_proper_nonzero(ideal)
     degree = is_equigenerated(ideal)
     if degree is None:
         warnings.warn("linear resolution queried on a non-equigenerated ideal",
                       stacklevel=3)
-        return False, table
-    if table is None:
-        table = _linear_table(ideal, field_tag, degree)
-        return table is not None, table
-    return table.reg == degree, table
+        return None
+    return _linear_table(ideal, field_tag, degree)
 
 
 def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:
@@ -756,6 +750,6 @@ def euler_discrepancy(ideal: MonomialIdeal, table: BettiTable) -> dict[int, int]
     if p == n + member:
         return {m: e for m, e in coeff.items() if e and m | top != top}
     member = _subcube_closure(sum(1 << c for c in corners), _bit_clear_patterns(s))
-    for b, count in _signed_counts(member, positions, sorted(_lcm_levels(gens))).items():
+    for b, count in _signed_counts(member, positions, sorted(_lcm_masks(gens))).items():
         coeff[b] = coeff.get(b, 0) - count
     return {m: e for m, e in coeff.items() if e}

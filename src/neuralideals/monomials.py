@@ -270,13 +270,16 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def scale(u: Monomial, ideal: MonomialIdeal) -> MonomialIdeal:
-    """The ideal u*I for a multiplier u sharing no variable with any generator."""
+    """The ideal u*I for a multiplier u sharing no variable with any generator:
+    the products keep the generators' (degree, mask) order and stay an antichain."""
+    if u.n != ideal.n:
+        raise ValueError(f"multiplier {u} lives over n = {u.n}, expected {ideal.n}")
     for g in ideal.gens:
         if g.mask & u.mask:
             raise NonSquarefreeProductError(
                 f"multiplier {u} shares a variable with generator {g}"
             )
-    return minimalize((u * g for g in ideal.gens), ideal.n)
+    return MonomialIdeal(ideal.n, tuple(Monomial(g.mask | u.mask, u.n) for g in ideal.gens))
 
 
 def restrict(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -324,27 +327,17 @@ def _cube_points(gens: list[int], n: int) -> Optional[tuple[tuple[int, ...], int
     return positions, table
 
 
-def _lcm_levels(gens: list[int]) -> dict[int, int]:
-    """Each lcm-closure mask of `gens` mapped to the fewest generators whose lcm it is.
+def _lcm_masks(gens: list[int]) -> set[int]:
+    """The lcm closure of the masks `gens`: the lcm of every nonempty subset.
 
-    Breadth-first search: level k+1 joins every mask first reached at
-    level k with one more generator, so a mask's level is the size of
-    its smallest generating subset.  Costs |closure| * q joins.
+    Each round joins the masks first reached in the round before with
+    every generator, so the closure costs |closure| * q joins.
     """
-    levels = dict.fromkeys(gens, 1)
-    frontier = list(levels)
-    level = 1
+    closure = frontier = set(gens)
     while frontier:
-        level += 1
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = a | g
-                if c not in levels:
-                    levels[c] = level
-                    new.append(c)
-        frontier = new
-    return levels
+        frontier = {a | g for a in frontier for g in gens} - closure
+        closure |= frontier
+    return closure
 
 
 def lcm_closure(ideal: MonomialIdeal) -> list[Monomial]:
@@ -353,7 +346,7 @@ def lcm_closure(ideal: MonomialIdeal) -> list[Monomial]:
     Multigraded Betti numbers vanish off this set, so it is the only
     multidegree range the homology oracle ever needs to scan.
     """
-    out = [Monomial(m, ideal.n) for m in _lcm_levels([g.mask for g in ideal.gens])]
+    out = [Monomial(m, ideal.n) for m in _lcm_masks([g.mask for g in ideal.gens])]
     out.sort(key=Monomial.sort_key)
     return out
 

@@ -127,8 +127,8 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     J, K = split.J, split.K
     if not (J.is_proper_nonzero and K.is_proper_nonzero):
         raise UnitOrZeroIdealError("splitting prediction needs proper nonzero J and K")
-    linear, tj = _linear_verdict(J, field_tag)
-    if not linear:
+    tj = _linear_verdict(J, field_tag)
+    if tj is None:
         raise JNotLinearError(J)
     tk = betti_table(K, field_tag)
     tm = betti_table(intersect(J, K), field_tag)

@@ -31,7 +31,7 @@ from .monomials import (
     MonomialIdeal,
     NeuronCountError,
     PolarizedNeuralIdeal,
-    _lcm_levels,
+    _lcm_masks,
     _masks_ideal,
     _require_table_size,
     degree_n_ideal,
@@ -87,10 +87,6 @@ class VerificationReport:
                 self.counterexamples.append(Counterexample(suite, text, f))
         else:
             self.suite_passes[suite] = self.suite_passes.get(suite, 0) + 1
-
-    def merge_results(self, subject: Callable[[], str], results: dict[str, list[str]]) -> None:
-        for suite, failures in results.items():
-            self.record(suite, subject, failures)
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,7 +245,7 @@ def _restriction_failures(table: int, n: int, verdicts: dict[int, list[bool]],
     if not (lr or lq):
         return fails
     gens = [c << n | (1 << n) - 1 ^ c for c in range(1 << n) if table >> c & 1]
-    for m in sorted(_lcm_levels(gens), key=lambda m: (m.bit_count(), m)):
+    for m in sorted(_lcm_masks(gens), key=lambda m: (m.bit_count(), m)):
         # m is an lcm of generators, so the restriction is nonzero
         sub = table & divisors[m]
         if sub == table:
@@ -274,6 +270,8 @@ def random_polarized_ideal(rng: random.Random, n: int,
                            neurons: Optional[list[int]] = None) -> MonomialIdeal:
     """A random pair-excluding squarefree ideal, optionally confined to `neurons`."""
     pool = neurons if neurons is not None else list(range(1, n + 1))
+    if not pool:
+        raise ValueError("an empty neuron pool draws only the unit monomial")
     while True:
         masks = []
         for _ in range(rng.randint(1, max_gens)):
@@ -463,7 +461,8 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
         divisors = _divisor_tables(n)
     for s, (results, _) in zip(subsets, outcomes):
         subject = functools.partial(_table_text, s, n)
-        report.merge_results(subject, results)
+        for suite, failures in results.items():
+            report.record(suite, subject, failures)
         if exhaustive:
             report.record("restriction", subject,
                           _restriction_failures(s, n, verdicts, divisors))

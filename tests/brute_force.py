@@ -29,8 +29,12 @@ builds the cells of a cubical complex from its codewords on every call
 and ranks any complex with a square by `chain_ranks`, where
 `betti._cube_ranks` reads them off the subcube sweep's cell table and
 ranks the subcubes of at most four free neurons from popcounts.
-`reg_upper_bound_levels` walks the whole lcm closure, where
-`betti.reg_upper_bound_lcm` stops at the level that decides the bound.
+`lcm_levels` maps each mask of the lcm closure to the fewest generators
+whose lcm it is, by the breadth-first search that the package's
+`_lcm_masks` runs without levels, and `reg_upper_bound_levels` walks
+all of those levels, where `betti.reg_upper_bound_lcm` stops at the
+level that decides the bound.  `scale` reduces the products u*g again
+with `minimalize`, which the package's version skips.
 `random_polarized_ideal` and `random_dominant_ideal` are `verify`'s
 draws as they were, through a `Monomial` per drawn mask and
 `minimalize`, with the dominance re-check; `code_suite` finds each
@@ -52,12 +56,12 @@ from neuralideals.monomials import (
     MAX_LCM_DEGREE,
     Monomial,
     MonomialIdeal,
+    NonSquarefreeProductError,
     PolarizedNeuralIdeal,
     UnitOrZeroIdealError,
-    _lcm_levels,
     intersect,
+    is_equigenerated,
     minimalize,
-    scale,
     validate_polarized_neural,
     variable_name,
 )
@@ -125,10 +129,33 @@ def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:
     return 1 + max(m.bit_count() - s.bit_count() for s, m in _subset_lcms(ideal))
 
 
+def lcm_levels(gens: list[int]) -> dict[int, int]:
+    """Each lcm-closure mask of `gens` mapped to the fewest generators whose lcm it is.
+
+    Breadth-first search: level k+1 joins every mask first reached at
+    level k with one more generator, so a mask's level is the size of
+    its smallest generating subset.
+    """
+    levels = dict.fromkeys(gens, 1)
+    frontier = list(levels)
+    level = 1
+    while frontier:
+        level += 1
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = a | g
+                if c not in levels:
+                    levels[c] = level
+                    new.append(c)
+        frontier = new
+    return levels
+
+
 def reg_upper_bound_levels(ideal: MonomialIdeal) -> int:
     """The same bound over the whole lcm closure, each mask at the fewest
     generators whose lcm it is, with no stop."""
-    levels = _lcm_levels([g.mask for g in ideal.gens])
+    levels = lcm_levels([g.mask for g in ideal.gens])
     return 1 + max(b.bit_count() - k for b, k in levels.items())
 
 
@@ -176,6 +203,17 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The colon ideal I : u, via m -> m / gcd(u, m) over the minimal generators."""
     return minimalize((Monomial(g.mask & ~u.mask, ideal.n) for g in ideal.gens), ideal.n)
+
+
+def scale(u: Monomial, ideal: MonomialIdeal) -> MonomialIdeal:
+    """u*I as the minimal generators of the products u*g, each checked
+    squarefree by `Monomial.__mul__`."""
+    for g in ideal.gens:
+        if g.mask & u.mask:
+            raise NonSquarefreeProductError(
+                f"multiplier {u} shares a variable with generator {g}"
+            )
+    return minimalize((u * g for g in ideal.gens), ideal.n)
 
 
 def restrict(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -586,7 +624,7 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     if not (J.is_proper_nonzero and K.is_proper_nonzero):
         raise UnitOrZeroIdealError("splitting prediction needs proper nonzero J and K")
     tj = betti.betti_table(J, field_tag)
-    if not has_linear_resolution(J, field_tag, table=tj):
+    if tj.reg != is_equigenerated(J):
         raise JNotLinearError(J)
     n = ideal.n
     xJ = scale(x_var(split.pivot, n), J)

@@ -61,7 +61,7 @@ from neuralideals.monomials import (
     _compress,
     _cube_points,
     _expand,
-    _lcm_levels,
+    _lcm_masks,
     _positions,
     _subcube_closure,
     degree_n_ideal,
@@ -171,6 +171,23 @@ class TestAgainstBruteForce:
     def test_lcm_closure(self, ideal):
         assert lcm_closure(ideal) == brute_force.lcm_closure(ideal)
 
+    @settings(max_examples=200, deadline=None)
+    @given(polarized_ideals(max_n=5, max_gens=10))
+    def test_lcm_masks_are_the_subset_lcms(self, ideal):
+        closure = _lcm_masks(masks_of(ideal))
+        assert closure == {m for _, m in brute_force._subset_lcms(ideal)}
+        assert closure == set(brute_force.lcm_levels(masks_of(ideal)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_lcm_masks_of_one_and_two_generators(self, n):
+        # every mask, the unit among them, at n <= 3; 60 seeded ones above
+        masks = range(1 << 2 * n) if n <= 3 else random.Random(n).sample(
+            range(1 << 2 * n), 60)
+        for a in masks:
+            assert _lcm_masks([a]) == {a}
+            for b in masks:
+                assert _lcm_masks([a, b]) == {a, b, a | b}
+
     @settings(max_examples=100, deadline=None)
     @given(polarized_ideals(), st.data())
     def test_euler_discrepancy_on_perturbed_tables(self, ideal, data):
@@ -202,7 +219,7 @@ class TestAgainstBruteForce:
 
 def first_level_of_max(ideal):
     """The fewest generators of any subset that attains the lcm bound."""
-    levels = _lcm_levels(masks_of(ideal))
+    levels = brute_force.lcm_levels(masks_of(ideal))
     best = max(b.bit_count() - k for b, k in levels.items())
     return min(k for b, k in levels.items() if b.bit_count() - k == best)
 
@@ -311,7 +328,7 @@ class TestBettiTableAgainstBruteForce:
         n = 3
         ideal = minimalize([parse_monomial(t, n) for t in ("x1*x2", "x2*x3", "x1*x3")], n)
         b = parse_monomial("x1*x2*x3", n)
-        assert _lcm_levels(masks_of(ideal))[b.mask] == 2
+        assert brute_force.lcm_levels(masks_of(ideal))[b.mask] == 2
         built = record_complexes(monkeypatch)
         table = betti_table(ideal)
         assert table == brute_force.betti_table(ideal)
@@ -558,7 +575,7 @@ class TestFacetFreeWalk:
         for _ in range(200):
             ideal = random_polarized_ideal(rng, rng.randint(2, 6), max_gens=8)
             gens = masks_of(ideal)
-            counts = [len(betti._koszul_facets(gens, b)) for b in _lcm_levels(gens)]
+            counts = [len(betti._koszul_facets(gens, b)) for b in brute_force.lcm_levels(gens)]
             few += sum(d <= 3 for d in counts)
             many += sum(d > 3 for d in counts)
             betti_table(ideal)
@@ -758,7 +775,7 @@ class TestCubicalSideAgainstBruteForce:
         ideal = family_thm36(n, k).inner
         self.assert_tables_agree([ideal])
         assert len(cubical) == 2 * sum(
-            1 for b in _lcm_levels(masks_of(ideal)) if (b & b >> n).bit_count() >= 2)
+            1 for b in brute_force.lcm_levels(masks_of(ideal)) if (b & b >> n).bit_count() >= 2)
 
     @settings(max_examples=200, deadline=None)
     @given(transversal_ideals())
@@ -768,7 +785,7 @@ class TestCubicalSideAgainstBruteForce:
         # or more divisors would take, the two give the same ranks
         gens = masks_of(ideal)
         assert (_cube_points(gens, ideal.n) is not None) == (len(gens) > 1)
-        for b in _lcm_levels(masks_of(ideal)):
+        for b in brute_force.lcm_levels(masks_of(ideal)):
             facets = betti._koszul_facets(gens, b)
             if len(facets) > 3:
                 for field in FieldTag:
@@ -843,7 +860,7 @@ class TestCubicalSideAgainstBruteForce:
         # multidegrees that a sweep would rank cubically: d >= 4 divisors,
         # and k <= 4 free neurons or 2^k <= 3 d points
         dense = []
-        for b in _lcm_levels(masks_of(ideal)):
+        for b in brute_force.lcm_levels(masks_of(ideal)):
             d = len(betti._koszul_facets(gens, b))
             k = (b & b >> n).bit_count()
             if d > 3 and (k <= 4 or 1 << k <= 3 * d):
@@ -1021,7 +1038,7 @@ class TestSubcubeSweep:
         if len(ideal.gens) > 1:
             visited = sweep_multidegrees(ideal)
             assert len(set(visited)) == len(visited)
-            assert set(visited) == set(_lcm_levels(masks_of(ideal)))
+            assert set(visited) == set(brute_force.lcm_levels(masks_of(ideal)))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 7).flatmap(lambda v: st.tuples(
@@ -1425,7 +1442,7 @@ def record_entries(monkeypatch):
 
 
 class TestLinearVerdictStops:
-    """The table-less linearity verdict reads the oracle's entries up to
+    """The linearity verdict reads the oracle's entries up to
     the first Betti number off the strand, and says what the whole table
     says."""
 
@@ -1730,7 +1747,7 @@ class TestEulerLanes:
     @given(polarized_ideals(), st.data())
     def test_signed_perturbations(self, ideal, data):
         table = betti_table(ideal)
-        closure = list(_lcm_levels(masks_of(ideal)))
+        closure = list(brute_force.lcm_levels(masks_of(ideal)))
         top = ideal.lcm_of_gens().mask
         for _ in range(data.draw(st.integers(1, 4))):
             i = data.draw(st.integers(0, 2 * ideal.n))

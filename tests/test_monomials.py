@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import brute_force
 import pytest
 from brute_force import colon, contains, monomial_text
 from hypothesis import given, settings
@@ -172,6 +173,44 @@ class TestScaleRestrict:
         assert scale(Monomial.one(2), I) == I
         with pytest.raises(NonSquarefreeProductError):
             scale(m("x1", 2), ideal(2, "x1"))
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << 2 * n) - 1),
+        st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=8))))
+    @settings(max_examples=300, deadline=None)
+    def test_scale_against_minimalized_products(self, case):
+        # u is cut down to the variables no generator holds, so it is disjoint
+        n, u, masks = case
+        I = minimalize([Monomial(mk, n) for mk in masks], n)
+        for g in I.gens:
+            u &= ~g.mask
+        u = Monomial(u, n)
+        got = scale(u, I)
+        assert got == brute_force.scale(u, I)
+        assert list(got.gens) == sorted(got.gens, key=Monomial.sort_key)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_scale_of_the_zero_and_unit_ideals(self, n):
+        for u in (Monomial.one(n), Monomial(1, n), Monomial((1 << 2 * n) - 1, n)):
+            for I in (minimalize([], n), minimalize([Monomial.one(n)], n)):
+                assert scale(u, I) == brute_force.scale(u, I)
+        assert scale(Monomial(1, n), minimalize([], n)).is_zero
+        assert scale(Monomial(1, n), minimalize([Monomial.one(n)], n)).gens == (Monomial(1, n),)
+
+    def test_scale_refusals(self):
+        I = ideal(3, "x1*y2", "y1*x3")
+        for u in (m("y2", 3), m("x2*x3", 3)):
+            with pytest.raises(NonSquarefreeProductError, match="shares a variable"):
+                scale(u, I)
+            with pytest.raises(NonSquarefreeProductError, match="shares a variable"):
+                brute_force.scale(u, I)
+        # a multiplier over another neuron count; the reference refuses
+        # it too, through minimalize
+        for u in (m("x1", 2), m("x4", 4)):
+            with pytest.raises(ValueError, match=f"lives over n = {u.n}, expected 3"):
+                scale(u, ideal(3, "y3"))
+            with pytest.raises(ValueError):
+                brute_force.scale(u, ideal(3, "y3"))
 
     def test_restrict_examples(self):
         I = ideal(2, "x1*y2", "y1*x2", "x1*x2")

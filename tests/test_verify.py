@@ -72,7 +72,7 @@ def planted_faults(monkeypatch):
         return None if ideal in no_order else search(ideal)
 
     _replace_everywhere(monkeypatch, oracle, faulty_oracle)
-    # the table-less linearity verdict reads the same wrong tables
+    # the linearity verdict reads the same wrong tables
     _replace_everywhere(monkeypatch, linear, faulty_linear)
     _replace_everywhere(monkeypatch, search, faulty_search)
 
@@ -194,6 +194,15 @@ class TestDrawsAgainstReference:
                     assert verify.random_polarized_ideal(ours, n, max_gens, neurons) == \
                         brute_force.random_polarized_ideal(ref, n, max_gens, neurons)
                     assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_neuron_pool_is_refused(self, n):
+        # every mask drawn from no neuron is the unit, so a draw would never end
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="empty neuron pool"):
+            verify.random_polarized_ideal(rng, n, neurons=[])
+        assert rng.getstate() == state
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_dominant_draws(self, n):
