@@ -251,22 +251,27 @@ def minimalize(gens: Iterable[Monomial], n: int) -> MonomialIdeal:
     return _masks_ideal(masks, n)
 
 
-def _masks_ideal(masks: Iterable[int], n: int) -> MonomialIdeal:
-    """`minimalize` on int masks, each minimal one wrapped in a `Monomial`
-    once.  In (degree, mask) order a mask's proper divisors come first."""
-    _check_n(n)
+def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    """The minimal masks among `masks`, in (degree, mask) order, in which a
+    mask's proper divisors come first."""
     kept: list[int] = []
     for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
         if not any(k | m == m for k in kept):
             kept.append(m)
-    return MonomialIdeal(n, tuple(Monomial(m, n) for m in kept))
+    return tuple(kept)
+
+
+def _masks_ideal(masks: Iterable[int], n: int) -> MonomialIdeal:
+    """`minimalize` on int masks, each minimal one wrapped in a `Monomial` once."""
+    _check_n(n)
+    return MonomialIdeal(n, tuple(Monomial(m, n) for m in _minimal_masks(masks)))
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """I ∩ J, generated by the pairwise lcms of minimal generators."""
+    """I ∩ J, generated by the pairwise lcms (joined masks) of minimal generators."""
     if a.n != b.n:
         raise ValueError("intersect requires ideals over the same neuron count")
-    return minimalize((g.lcm(h) for g in a.gens for h in b.gens), a.n)
+    return _masks_ideal({g.mask | h.mask for g in a.gens for h in b.gens}, a.n)
 
 
 def scale(u: Monomial, ideal: MonomialIdeal) -> MonomialIdeal:

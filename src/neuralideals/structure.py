@@ -27,8 +27,9 @@ from .monomials import (
     UnitOrZeroIdealError,
     _bit_clear_patterns,
     _cube_points,
+    _masks_ideal,
+    _minimal_masks,
     _subcube_closure,
-    intersect,
     is_equigenerated,
     minimalize,
     truth_table,
@@ -95,7 +96,8 @@ class SplitPrediction:
 
 
 def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
-                            field_tag: FieldTag = FieldTag.F2) -> SplitPrediction:
+                            field_tag: FieldTag = FieldTag.F2,
+                            memo: Optional[dict] = None) -> SplitPrediction:
     """Predict pd, reg and the fine Betti table of I from its pivot splitting.
 
     When the J branch has linear resolution this is a Betti splitting
@@ -123,19 +125,41 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     it stops at J's first Betti number off the linear strand, so a
     non-linear J is refused without the rest of its table, and a linear
     J's table is the one the prediction reads.
+
+    A `memo` dict that the caller keeps across calls holds J's verdict,
+    K's table and the table of J ∩ K under their generator masks and
+    the field, so that each distinct one is decided once; `verify` keeps one for each chunk of ideals a run checks.
+    Without one, every call decides all three.  J ∩ K is keyed by the minimal masks of the
+    joins of J's and K's masks, before any `Monomial` is built.
     """
     J, K = split.J, split.K
     if not (J.is_proper_nonzero and K.is_proper_nonzero):
         raise UnitOrZeroIdealError("splitting prediction needs proper nonzero J and K")
-    tj = _linear_verdict(J, field_tag)
+    if memo is None:
+        memo = {}
+    n = ideal.n
+    j_masks = tuple(g.mask for g in J.gens)
+    key = ("J", field_tag, j_masks)
+    if key in memo:
+        tj = memo[key]
+    else:
+        tj = memo[key] = _linear_verdict(J, field_tag)
     if tj is None:
         raise JNotLinearError(J)
-    tk = betti_table(K, field_tag)
-    tm = betti_table(intersect(J, K), field_tag)
+    k_masks = tuple(g.mask for g in K.gens)
+    key = (field_tag, k_masks)
+    tk = memo.get(key)
+    if tk is None:
+        tk = memo[key] = betti_table(K, field_tag)
+    m_masks = _minimal_masks({a | b for a in j_masks for b in k_masks})
+    key = (field_tag, m_masks)
+    tm = memo.get(key)
+    if tm is None:
+        tm = memo[key] = betti_table(_masks_ideal(m_masks, n), field_tag)
     pd_pred = max(tj.pd, tk.pd, tm.pd + 1)
     reg_pred = max(tj.reg + 1, tk.reg + 1, tm.reg + 1)
     x = 1 << (split.pivot - 1)
-    y = 1 << (ideal.n + split.pivot - 1)
+    y = 1 << (n + split.pivot - 1)
     fine: dict[tuple[int, int], int] = {}
     for shift, table, lift in ((0, tj, x), (0, tk, y), (1, tm, x | y)):
         for (i, b), r in table.fine.items():

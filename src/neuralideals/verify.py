@@ -123,14 +123,18 @@ def sample_degree_n_subsets(n: int, count: int, seed: int) -> list[int]:
 def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
                          field_tag: FieldTag = FieldTag.F2,
                          exhaustive: bool = True,
-                         verdict: Optional[list[bool]] = None) -> dict[str, list[str]]:
+                         verdict: Optional[list[bool]] = None,
+                         memo: Optional[dict] = None) -> dict[str, list[str]]:
     """Run every per-ideal suite; returns suite name -> list of failures.
 
     `exhaustive` adds the F2-against-Q table comparison, which only
     exhaustive runs afford.  A `verdict` list, when given, receives the
     ideal's linear resolution and linear quotients verdicts, in that
     order: `run_verification` decides the restriction suite from them
-    once every ideal is checked.
+    once every ideal is checked.  A `memo` dict is handed to the
+    splitting suite's `betti_splitting_predict`, which keeps the pivot
+    halves' verdicts and tables in it; `run_verification` keeps one for
+    each chunk of ideals it checks.
     """
     inner = ideal.inner
     n = inner.n
@@ -184,7 +188,7 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
     split = split_at_neuron(ideal, n)
     if split.J.is_proper_nonzero and split.K.is_proper_nonzero:
         try:
-            pred = betti_splitting_predict(inner, split, field_tag)
+            pred = betti_splitting_predict(inner, split, field_tag, memo)
         except JNotLinearError:
             pred = None
         if pred is not None:
@@ -206,14 +210,20 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
     return results
 
 
-def _check_subset(args) -> tuple[dict[str, list[str]], Optional[list[bool]]]:
-    """(suite failures, verdicts): the (LR, LQ) verdicts in exhaustive
-    runs, None in sampled ones."""
-    n, subset, field_value, exhaustive = args
-    ideal = degree_n_ideal(subset, n)
-    verdict = [] if exhaustive else None
-    results = check_degree_n_ideal(ideal, FieldTag(field_value), exhaustive, verdict)
-    return results, verdict
+def _check_subsets(args) -> list[tuple[dict[str, list[str]], Optional[list[bool]]]]:
+    """(suite failures, verdicts) for each truth table of a chunk: the
+    (LR, LQ) verdicts in exhaustive runs, None in sampled ones.  One
+    splitting memo serves the whole chunk and ends with it."""
+    n, subsets, field_value, exhaustive = args
+    field_tag = FieldTag(field_value)
+    memo: dict = {}
+    outcomes = []
+    for subset in subsets:
+        verdict = [] if exhaustive else None
+        results = check_degree_n_ideal(degree_n_ideal(subset, n), field_tag, exhaustive,
+                                       verdict, memo)
+        outcomes.append((results, verdict))
+    return outcomes
 
 
 def _table_text(table: int, n: int) -> str:
@@ -446,15 +456,19 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
         subsets = list(enumerate_degree_n_subsets(n))
     else:
         subsets = sample_degree_n_subsets(n, count, seed)
-    args = [(n, s, field_tag.value, exhaustive) for s in subsets]
     # the output does not depend on the worker count, and a pool forks
     # all its workers up front
-    workers = min(jobs, len(args), _usable_cpus())
+    workers = min(jobs, len(subsets), _usable_cpus())
     if workers > 1:
+        # contiguous chunks, so that each chunk's memo sees tables that
+        # share their pivot halves
+        bounds = [len(subsets) * w // workers for w in range(workers + 1)]
+        chunks = [(n, subsets[a:b], field_tag.value, exhaustive)
+                  for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_check_subset, args, chunksize=16))
+            outcomes = [o for chunk in pool.map(_check_subsets, chunks) for o in chunk]
     else:
-        outcomes = [_check_subset(a) for a in args]
+        outcomes = _check_subsets((n, subsets, field_tag.value, exhaustive))
     if exhaustive:
         # every nonzero table is checked, so every restriction is looked up
         verdicts = {s: verdict for s, (_, verdict) in zip(subsets, outcomes)}

@@ -59,7 +59,6 @@ from neuralideals.monomials import (
     NonSquarefreeProductError,
     PolarizedNeuralIdeal,
     UnitOrZeroIdealError,
-    intersect,
     is_equigenerated,
     minimalize,
     validate_polarized_neural,
@@ -203,6 +202,14 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The colon ideal I : u, via m -> m / gcd(u, m) over the minimal generators."""
     return minimalize((Monomial(g.mask & ~u.mask, ideal.n) for g in ideal.gens), ideal.n)
+
+
+def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """I ∩ J as the minimal generators of the pairwise lcms, each built as
+    a validated `Monomial` by `Monomial.lcm`."""
+    if a.n != b.n:
+        raise ValueError("intersect requires ideals over the same neuron count")
+    return minimalize((g.lcm(h) for g in a.gens for h in b.gens), a.n)
 
 
 def scale(u: Monomial, ideal: MonomialIdeal) -> MonomialIdeal:

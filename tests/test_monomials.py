@@ -165,6 +165,35 @@ class TestColonIntersect:
                 for w in monos:
                     assert contains(meet, w) == (contains(I, w) and contains(J, w))
 
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=8),
+        st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=8))))
+    @settings(max_examples=300, deadline=None)
+    def test_intersect_against_minimalized_lcms(self, case):
+        # empty lists give the zero ideal, a 0 mask the unit ideal
+        n, a, b = case
+        I, J = (minimalize([Monomial(mk, n) for mk in masks], n) for masks in (a, b))
+        assert intersect(I, J) == brute_force.intersect(I, J)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_intersect_of_the_zero_and_unit_ideals(self, n):
+        zero, unit = minimalize([], n), minimalize([Monomial.one(n)], n)
+        I = minimalize([Monomial(1, n), Monomial(1 << 2 * n - 1, n)], n)
+        for a in (zero, unit, I):
+            for b in (zero, unit, I):
+                assert intersect(a, b) == brute_force.intersect(a, b)
+        assert intersect(unit, I) == I and intersect(zero, I).is_zero
+        assert intersect(unit, unit).is_unit
+
+    def test_intersect_refuses_another_neuron_count(self):
+        for other in (ideal(2, "x1"), minimalize([], 4)):
+            for a, b in ((ideal(3, "y3"), other), (other, ideal(3, "y3"))):
+                with pytest.raises(ValueError, match="same neuron count"):
+                    intersect(a, b)
+                with pytest.raises(ValueError, match="same neuron count"):
+                    brute_force.intersect(a, b)
+
 
 class TestScaleRestrict:
     def test_scale_examples(self):

@@ -10,7 +10,12 @@ import brute_force
 import pytest
 
 from neuralideals import betti, codes, monomials, structure, verify
-from neuralideals.betti import BettiTable, dominant_check, dominant_invariants
+from neuralideals.betti import (
+    BettiTable,
+    dominant_check,
+    dominant_invariants,
+    has_linear_resolution,
+)
 from neuralideals.codes import NeuralCode
 from neuralideals.homology import FieldTag
 from neuralideals.monomials import (
@@ -18,6 +23,7 @@ from neuralideals.monomials import (
     MonomialIdeal,
     PolarizedNeuralIdeal,
     degree_n_ideal,
+    intersect,
     minimalize,
 )
 from neuralideals.structure import JNotLinearError
@@ -389,6 +395,197 @@ class TestRestrictionSuite:
 
         assert sorted(report.counterexamples, key=key) == sorted(want, key=key)
         assert any(c.suite == "restriction" for c in want)
+
+
+# the pivot halves of degree-3 tables: J is the low nibble, K the high one
+WRONG_K_HALF = 0b0011
+
+
+def half_ideal(half: int) -> MonomialIdeal:
+    """The K branch at neuron 3 of the degree-3 table with high nibble `half`;
+    it is also the J branch of the table with low nibble `half`."""
+    return structure.split_at_neuron(degree_n_ideal(half << 4, 3), 3).K
+
+
+@pytest.fixture
+def wrong_k_table(monkeypatch):
+    """An oracle that gives the K branch of high nibble WRONG_K_HALF the
+    table of the non-linear branch of nibble 0b1001; lists each ideal it
+    was asked for."""
+    target, wrong = half_ideal(WRONG_K_HALF), half_ideal(0b1001)
+    oracle, asked = betti.betti_table, []
+
+    def faulty_oracle(ideal, field_tag=FieldTag.F2):
+        asked.append(ideal)
+        return oracle(wrong if ideal == target else ideal, field_tag)
+
+    _replace_everywhere(monkeypatch, oracle, faulty_oracle)
+    return target, asked
+
+
+class TestSplittingMemo:
+    """A run decides each distinct J, K and J ∩ K once, and predicts what
+    `brute_force.betti_splitting_predict` predicts from six tables."""
+
+    @staticmethod
+    def recorded_predictions(monkeypatch):
+        """(ideal, split, field, memo, prediction or refusal) of every
+        prediction `check_degree_n_ideal` asks for from here on."""
+        calls = []
+        predict = verify.betti_splitting_predict
+
+        def recording(ideal, split, field_tag, memo):
+            try:
+                got = predict(ideal, split, field_tag, memo)
+            except JNotLinearError as exc:
+                calls.append((ideal, split, field_tag, memo, (JNotLinearError, str(exc))))
+                raise
+            calls.append((ideal, split, field_tag, memo, (got.pd, got.reg, got.fine)))
+            return got
+
+        monkeypatch.setattr(verify, "betti_splitting_predict", recording)
+        return calls
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    @pytest.mark.parametrize("n, mode, count, seed", [
+        (1, "exhaustive", 0, 0), (2, "exhaustive", 0, 0), (3, "exhaustive", 0, 0),
+        (4, "sample", 40, 11), (5, "sample", 8, 13),
+    ])
+    def test_memoized_run_matches_the_reference(self, monkeypatch, n, mode, count, seed,
+                                                field):
+        calls = self.recorded_predictions(monkeypatch)
+        report = run_verification(n, mode, seed=seed, count=count, field_tag=field)
+        assert report.ok
+        tables = (list(enumerate_degree_n_subsets(n)) if mode == "exhaustive"
+                  else sample_degree_n_subsets(n, count, seed))
+        splits = [verify.split_at_neuron(degree_n_ideal(t, n), n) for t in tables]
+        assert len(calls) == sum(s.J.is_proper_nonzero and s.K.is_proper_nonzero
+                                 for s in splits)
+        # one memo for the whole serial run
+        assert len({id(memo) for *_, memo, _ in calls}) <= 1
+        assert all(isinstance(memo, dict) for *_, memo, _ in calls)
+        for ideal, split, field_tag, memo, outcome in calls:
+            assert field_tag is field
+            try:
+                want = brute_force.betti_splitting_predict(ideal, split, field)
+            except JNotLinearError as exc:
+                assert outcome == (JNotLinearError, str(exc))
+            else:
+                assert outcome == (want.pd, want.reg, want.fine)
+
+    def test_one_memo_across_neuron_counts_and_fields(self):
+        # first a split whose K is the ideal of the 6-vertex real
+        # projective plane, whose table has torsion: F2 and Q predict apart.
+        # The keys leave n out: one set of masks at n = 2 and at n = 3
+        # names other variables but has the same Betti numbers
+        n = 4
+        rp2 = ["x1*x2*y1", "x2*x3*y1", "x1*x2*y2", "x1*x3*y2", "x3*y1*y2",
+               "x1*x3*y3", "x2*x3*y3", "x1*y1*y3", "x2*y2*y3", "y1*y2*y3"]
+        K = minimalize([monomials.parse_monomial(t, n) for t in rp2], n)
+        J = minimalize([monomials.parse_monomial("x1", n)], n)
+        ideal = minimalize([Monomial(1 | 1 << 3, n)]
+                           + [Monomial(g.mask | 1 << 7, n) for g in K.gens], n)
+        splits = [(ideal, structure.NeuronSplit(4, J, K))]
+        for n in (2, 3):
+            for table in enumerate_degree_n_subsets(n):
+                P = degree_n_ideal(table, n)
+                split = structure.split_at_neuron(P, n)
+                if split.J.is_proper_nonzero and split.K.is_proper_nonzero:
+                    splits.append((P.inner, split))
+        memo = {}
+        for field in FieldTag:
+            for ideal, split in splits:
+                outcomes = []
+                for m in (memo, None):
+                    try:
+                        outcomes.append(structure.betti_splitting_predict(
+                            ideal, split, field, m))
+                    except JNotLinearError as exc:
+                        assert exc.J is split.J
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+        torsion = [structure.betti_splitting_predict(*splits[0], field).fine
+                   for field in FieldTag]
+        assert torsion[0] != torsion[1]
+
+    def test_halves_are_decided_once_per_run(self, monkeypatch):
+        # at n = 3, 15 J verdicts for 225 ideals, and for the 195 of them
+        # with a linear J, 15 K tables and 42 J ∩ K tables
+        linear, oracle = betti._linear_table, betti.betti_table
+        asked = Counter()
+
+        def counting_linear(ideal, field_tag, degree):
+            asked["J"] += 1
+            return linear(ideal, field_tag, degree)
+
+        def counting_oracle(ideal, field_tag=FieldTag.F2):
+            asked["table"] += 1
+            return oracle(ideal, field_tag)
+
+        monkeypatch.setattr(betti, "_linear_table", counting_linear)
+        monkeypatch.setattr(structure, "betti_table", counting_oracle)
+        calls = self.recorded_predictions(monkeypatch)
+        verify._check_subsets((3, list(enumerate_degree_n_subsets(3)), "f2", True))
+        assert len(calls) == 225
+        assert len({split.J for _, split, *_ in calls}) == 15
+        predicted = [split for _, split, *_, outcome in calls if isinstance(outcome[0], int)]
+        Ks = {split.K for split in predicted}
+        meets = {intersect(split.J, split.K) for split in predicted}
+        assert (len(predicted), len(Ks), len(meets)) == (195, 15, 42)
+        # a K and a J ∩ K with the same generators share one table
+        assert asked == {"J": 15, "table": len(Ks | meets)}
+
+    def test_a_wrong_k_table_fails_every_ideal_with_that_half(self, wrong_k_table):
+        target, asked = wrong_k_table
+        report = run_verification(3, "exhaustive", seed=0)
+        got = {c.subject for c in report.counterexamples if c.suite == "splitting"}
+        # every ideal with that K half and a linear J fails, not only the
+        # first one, whose check filled the memo
+        failing = set()
+        for table in enumerate_degree_n_subsets(3):
+            P = degree_n_ideal(table, 3)
+            if table >> 4 == WRONG_K_HALF and table & 0xF:
+                if has_linear_resolution(structure.split_at_neuron(P, 3).J):
+                    failing.add(str(P))
+        assert len(failing) == 13 and failing <= got
+        # the same splitting counterexamples as checking each ideal alone
+        want = []
+        for table in enumerate_degree_n_subsets(3):
+            P = degree_n_ideal(table, 3)
+            want += [(str(P), f) for f in check_degree_n_ideal(P)["splitting"]]
+        assert sorted((c.subject, c.detail) for c in report.counterexamples
+                      if c.suite == "splitting") == sorted(want)
+        # one run's checks asked the oracle for that table once
+        asked.clear()
+        verify._check_subsets((3, list(enumerate_degree_n_subsets(3)), "f2", True))
+        assert asked.count(target) == 1
+
+    def test_pool_chunks_are_contiguous_with_one_memo_each(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+        chunks, memos = [], []
+        check_chunk, check = verify._check_subsets, verify.check_degree_n_ideal
+
+        def recording_chunk(args):
+            chunks.append(args[1])
+            memos.append([])
+            return check_chunk(args)
+
+        def recording_check(ideal, field_tag, exhaustive, verdict, memo):
+            memos[-1].append(memo)
+            return check(ideal, field_tag, exhaustive, verdict, memo)
+
+        monkeypatch.setattr(verify, "_check_subsets", recording_chunk)
+        monkeypatch.setattr(verify, "check_degree_n_ideal", recording_check)
+        parallel = run_verification(3, "exhaustive", seed=1, jobs=2).to_json_dict()
+        assert pool_sizes == [2]
+        assert [t for chunk in chunks for t in chunk] == list(enumerate_degree_n_subsets(3))
+        assert [len(chunk) for chunk in chunks] == [127, 128]
+        assert [len({id(m) for m in ms}) for ms in memos] == [1, 1]
+        assert memos[0][0] is not memos[1][0]
+        serial = run_verification(3, "exhaustive", seed=1).to_json_dict()
+        parallel.pop("timings")
+        serial.pop("timings")
+        assert parallel == serial
 
 
 class TestCounterexampleText:
