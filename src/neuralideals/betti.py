@@ -69,11 +69,10 @@ every other ideal is walked.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import reduce
 from json.encoder import encode_basestring_ascii
 from operator import and_, or_
-from typing import Iterator, Optional
 
 from .homology import (
     FieldTag,
@@ -87,6 +86,7 @@ from .monomials import (
     MonomialIdeal,
     UnitOrZeroIdealError,
     ZeroIdealError,
+    _Value,
     _bit_clear_patterns,
     _compress,
     _cube_points,
@@ -183,8 +183,7 @@ def _strong_core(facets: set[int]) -> set[int]:
     return facets
 
 
-@dataclass
-class BettiTable:
+class BettiTable(_Value):
     """Fine (multigraded) and coarse Betti numbers of one ideal.
 
     fine maps (homological index i, multidegree mask) -> rank;
@@ -193,9 +192,11 @@ class BettiTable:
     each multidegree named from its mask by `mask_text`.
     """
 
-    n: int
-    fine: dict[tuple[int, int], int] = field(default_factory=dict)
-    coarse: dict[tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self, n: int, fine: dict[tuple[int, int], int] | None = None,
+                 coarse: dict[tuple[int, int], int] | None = None):
+        self.n = n
+        self.fine = {} if fine is None else fine
+        self.coarse = {} if coarse is None else coarse
 
     @property
     def pd(self) -> int:
@@ -475,7 +476,7 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
 
 
 def _linear_table(ideal: MonomialIdeal, field_tag: FieldTag,
-                  degree: int) -> Optional[BettiTable]:
+                  degree: int) -> BettiTable | None:
     """The Betti table of an ideal generated in `degree`, or None once the
     stream of entries reaches one off the linear strand.  The table of a
     linear resolution is the whole `betti_table`, and a non-linear one is
@@ -516,7 +517,7 @@ def _walk_ranks(gens: list[int], b: int, field_tag: FieldTag,
 
 
 def _table(entries: Iterator[tuple[int, dict[int, int]]], n: int,
-           strand: Optional[int] = None) -> Optional[BettiTable]:
+           strand: int | None = None) -> BettiTable | None:
     """The table of the (b, ranks) entries; with a `strand` d, None at the
     first Betti number beta_{i,b} with deg b - i != d."""
     table = BettiTable(n)
@@ -562,7 +563,7 @@ def has_linear_resolution(ideal: MonomialIdeal,
     return _linear_verdict(ideal, field_tag) is not None
 
 
-def _linear_verdict(ideal: MonomialIdeal, field_tag: FieldTag) -> Optional[BettiTable]:
+def _linear_verdict(ideal: MonomialIdeal, field_tag: FieldTag) -> BettiTable | None:
     """The table when the resolution is linear, else None; the warning for
     mixed degrees points at the caller of the public function that
     called this one."""
@@ -618,7 +619,7 @@ def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:
     return 1 + best
 
 
-def dominant_check(ideal: MonomialIdeal) -> Optional[dict[Monomial, int]]:
+def dominant_check(ideal: MonomialIdeal) -> dict[Monomial, int] | None:
     """Assign each generator a private variable (a bit dividing no other generator).
 
     Returns the witness map, or None when some generator has no private

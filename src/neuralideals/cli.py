@@ -14,7 +14,8 @@ stderr, with nothing on stdout.
 
 The argument parser is built once per process, on the first `main`
 call, and reused by every later call; importing the module builds
-nothing.
+nothing, and loads no process pool (`verify --jobs` imports one only
+when it forks workers) and no dataclass machinery.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .betti import LcmDegreeError, betti_table, dominant_check
 from .codes import CodeParseError, code_to_polarized_ideal, parse_code
@@ -62,7 +62,8 @@ class _Refused(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _Refused(f"cannot read {path}: {exc}") from None
 

@@ -12,12 +12,13 @@ full ^ v (that generator's y-bits) set for each non-codeword v, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .monomials import (
     NeuronCountError,
     PolarizedNeuralIdeal,
+    _Frozen,
+    _set,
     _check_n,
     _content_lines,
     degree_n_ideal,
@@ -35,18 +36,16 @@ class CodeParseError(ValueError):
     """Malformed code file."""
 
 
-@dataclass(frozen=True)
-class NeuralCode:
+class NeuralCode(_Frozen):
     """A set of binary codewords of common length n (codewords as ints)."""
 
-    n: int
-    words: frozenset[int]
-
-    def __post_init__(self):
-        _check_n(self.n)
-        for w in self.words:
-            if w < 0 or w >> self.n:
-                raise LengthMismatchError(f"codeword {w:#x} does not fit {self.n} bits")
+    def __init__(self, n: int, words: frozenset[int]):
+        _check_n(n)
+        for w in words:
+            if w < 0 or w >> n:
+                raise LengthMismatchError(f"codeword {w:#x} does not fit {n} bits")
+        _set(self, "n", n)
+        _set(self, "words", words)
 
     @classmethod
     def from_strings(cls, lines: Iterable[str]) -> "NeuralCode":

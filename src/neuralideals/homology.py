@@ -23,12 +23,13 @@ homology is {1: 1, 2: 1} over F2 and zero over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
 from functools import reduce
 from math import gcd
 from operator import or_
-from typing import Callable
+
+from .monomials import _Frozen, _set
 
 
 class FieldTag(str, Enum):
@@ -36,8 +37,7 @@ class FieldTag(str, Enum):
     RATIONALS = "q"
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """A downward-closed face family, stored with every face explicit.
 
     Vertices are bit positions: `vertices` is an int mask and each face
@@ -47,12 +47,11 @@ class SimplicialComplex:
     by downward closure).
     """
 
-    vertices: int
-    faces: frozenset[int]
-
-    def __post_init__(self):
-        if reduce(or_, self.faces, 0) & ~self.vertices:
+    def __init__(self, vertices: int, faces: frozenset[int]):
+        if reduce(or_, faces, 0) & ~vertices:
             raise ValueError("a face uses vertices outside the vertex set")
+        _set(self, "vertices", vertices)
+        _set(self, "faces", faces)
 
     @property
     def is_void(self) -> bool:

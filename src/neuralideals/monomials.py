@@ -14,9 +14,8 @@ mutate their arguments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cache
-from typing import Iterable, Optional
 
 MAX_NEURONS = 32  # 2n must fit a single machine word
 
@@ -109,17 +108,59 @@ def mask_text(mask: int, n: int) -> str:
         tables, mask.to_bytes(len(tables), "little"))])[:-1] or "1"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class _Value:
+    """A plain value class, equal to another of its class with equal fields (`vars`)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+
+class _Frozen(_Value):
+    """A `_Value` whose `__init__` sets each field once, by `_set`
+    (`object.__setattr__`): assigning or deleting a field later raises
+    AttributeError, and the value hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
+_set = object.__setattr__
+
+
+class Monomial(_Frozen):
     """A squarefree monomial over x_1..x_n, y_1..y_n, stored as a bit mask."""
 
-    mask: int
-    n: int
+    __slots__ = ("mask", "n")
 
-    def __post_init__(self):
-        _check_n(self.n)
-        if self.mask < 0 or self.mask >> (2 * self.n):
-            raise ValueError(f"mask {self.mask:#x} does not fit 2n = {2 * self.n} bits")
+    def __init__(self, mask: int, n: int):
+        _check_n(n)
+        if mask < 0 or mask >> (2 * n):
+            raise ValueError(f"mask {mask:#x} does not fit 2n = {2 * n} bits")
+        _set_mask(self, mask)
+        _set_n(self, n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.mask == other.mask and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.mask, self.n))
+
+    def __reduce__(self):
+        return Monomial, (self.mask, self.n)
 
     @classmethod
     def one(cls, n: int) -> "Monomial":
@@ -152,7 +193,7 @@ class Monomial:
             )
         return Monomial(self.mask | other.mask, self.n)
 
-    def pair_violation(self) -> Optional[int]:
+    def pair_violation(self) -> int | None:
         """The least neuron i with both x_i and y_i dividing self, if any."""
         both = self.mask & (self.mask >> self.n)
         if both:
@@ -164,6 +205,10 @@ class Monomial:
 
     def __str__(self) -> str:
         return mask_text(self.mask, self.n)
+
+
+# the slots' own setters, which the frozen `__setattr__` does not guard
+_set_mask, _set_n = Monomial.mask.__set__, Monomial.n.__set__
 
 
 _TOKEN_RE = re.compile(r"^([xy])(\d+)$")
@@ -192,8 +237,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
     return Monomial(mask, n)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """A monomial ideal given by its unique minimal generating set.
 
     `gens` is an antichain under divisibility, sorted by (degree, mask)
@@ -202,8 +246,9 @@ class MonomialIdeal:
     one from an arbitrary generator list.
     """
 
-    n: int
-    gens: tuple[Monomial, ...]
+    def __init__(self, n: int, gens: tuple[Monomial, ...]):
+        _set(self, "n", n)
+        _set(self, "gens", gens)
 
     @property
     def is_zero(self) -> bool:
@@ -253,10 +298,15 @@ def minimalize(gens: Iterable[Monomial], n: int) -> MonomialIdeal:
 
 def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """The minimal masks among `masks`, in (degree, mask) order, in which a
-    mask's proper divisors come first."""
+    mask's proper divisors come first.  Each mask is tested only against
+    the kept masks of lower degree: distinct masks of one degree never
+    divide each other."""
     kept: list[int] = []
+    lower, degree = (), 0
     for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        if not any(k | m == m for k in kept):
+        if m.bit_count() > degree:
+            lower, degree = tuple(kept), m.bit_count()
+        if not any(k | m == m for k in lower):
             kept.append(m)
     return tuple(kept)
 
@@ -296,7 +346,7 @@ def restrict(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     return MonomialIdeal(ideal.n, tuple(g for g in ideal.gens if g.divides(m)))
 
 
-def is_equigenerated(ideal: MonomialIdeal) -> Optional[int]:
+def is_equigenerated(ideal: MonomialIdeal) -> int | None:
     """The common generator degree, or None if generators have mixed degrees."""
     if ideal.is_zero:
         raise ZeroIdealError("equigeneration is undefined for the zero ideal")
@@ -304,7 +354,7 @@ def is_equigenerated(ideal: MonomialIdeal) -> Optional[int]:
     return degrees.pop() if len(degrees) == 1 else None
 
 
-def _cube_points(gens: list[int], n: int) -> Optional[tuple[tuple[int, ...], int]]:
+def _cube_points(gens: list[int], n: int) -> tuple[tuple[int, ...], int] | None:
     """The generator masks `gens` as points of {0,1}^V, when each is a
     transversal of one neuron set N: one of x_i and y_i for each neuron
     of N and no other variable, as for a degree-n ideal, its pivot
@@ -356,15 +406,15 @@ def lcm_closure(ideal: MonomialIdeal) -> list[Monomial]:
     return out
 
 
-@dataclass(frozen=True)
-class PolarizedNeuralIdeal:
+class PolarizedNeuralIdeal(_Frozen):
     """A squarefree monomial ideal none of whose generators x_i*y_i divides.
 
     Wraps a plain MonomialIdeal; construct via `validate_polarized_neural`
     so the pair-exclusion invariant is always checked.
     """
 
-    inner: MonomialIdeal
+    def __init__(self, inner: MonomialIdeal):
+        _set(self, "inner", inner)
 
     @property
     def n(self) -> int:
@@ -483,7 +533,7 @@ def _content_lines(text: str) -> list[str]:
     return [line for line in lines if line]
 
 
-def parse_ideal(text: str, n: Optional[int] = None) -> MonomialIdeal:
+def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
     """Parse an ideal file: one monomial per line, `#` comments, blanks ignored.
 
     The printed form `(m1, m2, ...)` of a `MonomialIdeal`, possibly over

@@ -13,8 +13,6 @@ linear-quotient search works on sets of generator indices as bit masks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
 
 from .betti import _linear_verdict, _require_proper_nonzero, betti_table
 from .codes import MAX_CODE_NEURONS
@@ -25,10 +23,12 @@ from .monomials import (
     NotSplittableError,
     PolarizedNeuralIdeal,
     UnitOrZeroIdealError,
+    _Frozen,
     _bit_clear_patterns,
     _cube_points,
     _masks_ideal,
     _minimal_masks,
+    _set,
     _subcube_closure,
     is_equigenerated,
     minimalize,
@@ -54,13 +54,13 @@ class FamilyParameterError(ValueError):
     """Family parameter out of its documented range."""
 
 
-@dataclass(frozen=True)
-class NeuronSplit:
+class NeuronSplit(_Frozen):
     """I = x_i*J + y_i*K at pivot neuron i; J, K carry no bit of pair i."""
 
-    pivot: int
-    J: MonomialIdeal
-    K: MonomialIdeal
+    def __init__(self, pivot: int, J: MonomialIdeal, K: MonomialIdeal):
+        _set(self, "pivot", pivot)
+        _set(self, "J", J)
+        _set(self, "K", K)
 
 
 def split_at_neuron(ideal: PolarizedNeuralIdeal, i: int) -> NeuronSplit:
@@ -86,18 +86,18 @@ def split_at_neuron(ideal: PolarizedNeuralIdeal, i: int) -> NeuronSplit:
     return NeuronSplit(i, MonomialIdeal(n, tuple(j_gens)), MonomialIdeal(n, tuple(k_gens)))
 
 
-@dataclass(frozen=True)
-class SplitPrediction:
+class SplitPrediction(_Frozen):
     """Invariants and fine Betti numbers predicted from a pivot splitting."""
 
-    pd: int
-    reg: int
-    fine: dict[tuple[int, int], int]
+    def __init__(self, pd: int, reg: int, fine: dict[tuple[int, int], int]):
+        _set(self, "pd", pd)
+        _set(self, "reg", reg)
+        _set(self, "fine", fine)
 
 
 def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
                             field_tag: FieldTag = FieldTag.F2,
-                            memo: Optional[dict] = None) -> SplitPrediction:
+                            memo: dict | None = None) -> SplitPrediction:
     """Predict pd, reg and the fine Betti table of I from its pivot splitting.
 
     When the J branch has linear resolution this is a Betti splitting
@@ -168,7 +168,7 @@ def betti_splitting_predict(ideal: MonomialIdeal, split: NeuronSplit,
     return SplitPrediction(pd_pred, reg_pred, fine)
 
 
-def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ...]]:
+def linear_quotients_search(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None:
     """Find a linear-quotient order of the minimal generators, or None.
 
     In an order g_1, ..., g_q every colon (g_1, ..., g_{j-1}) : g_j must
@@ -216,7 +216,7 @@ def linear_quotients_search(ideal: MonomialIdeal) -> Optional[tuple[Monomial, ..
             v = g & -g
             holders[v] = holders.get(v, 0) | 1 << u
             g ^= v
-    rows: list[Optional[list[tuple[int, int]]]] = [None] * q
+    rows: list[list[tuple[int, int]] | None] = [None] * q
 
     def admissible(placed: int, c: int) -> bool:
         row = rows[c]

@@ -12,9 +12,7 @@ import functools
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from collections.abc import Callable, Iterator
 
 from . import codes as codes_mod
 from .betti import (
@@ -31,6 +29,7 @@ from .monomials import (
     MonomialIdeal,
     NeuronCountError,
     PolarizedNeuralIdeal,
+    _Value,
     _lcm_masks,
     _masks_ideal,
     _require_table_size,
@@ -48,30 +47,31 @@ from .structure import (
 )
 
 
-@dataclass
-class Counterexample:
-    suite: str
-    subject: str
-    detail: str
+class Counterexample(_Value):
+    def __init__(self, suite: str, subject: str, detail: str):
+        self.suite = suite
+        self.subject = subject
+        self.detail = detail
 
     def to_json_dict(self) -> dict:
         return {"suite": self.suite, "subject": self.subject, "detail": self.detail}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of one verification run; deterministic given (n, mode, seed)."""
 
-    n: int
-    mode: str
-    seed: int
-    examined: int = 0
-    field_tag: str = FieldTag.F2.value
-    suite_passes: dict[str, int] = field(default_factory=dict)
-    suite_checked: dict[str, int] = field(default_factory=dict)
-    counterexamples: list[Counterexample] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    def __init__(self, n: int, mode: str, seed: int, examined: int = 0,
+                 field_tag: str = FieldTag.F2.value):
+        self.n = n
+        self.mode = mode
+        self.seed = seed
+        self.examined = examined
+        self.field_tag = field_tag
+        self.suite_passes: dict[str, int] = {}
+        self.suite_checked: dict[str, int] = {}
+        self.counterexamples: list[Counterexample] = []
+        self.findings: list[str] = []
+        self.timings: dict[str, float] = {}
 
     @property
     def ok(self) -> bool:
@@ -123,8 +123,8 @@ def sample_degree_n_subsets(n: int, count: int, seed: int) -> list[int]:
 def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
                          field_tag: FieldTag = FieldTag.F2,
                          exhaustive: bool = True,
-                         verdict: Optional[list[bool]] = None,
-                         memo: Optional[dict] = None) -> dict[str, list[str]]:
+                         verdict: list[bool] | None = None,
+                         memo: dict | None = None) -> dict[str, list[str]]:
     """Run every per-ideal suite; returns suite name -> list of failures.
 
     `exhaustive` adds the F2-against-Q table comparison, which only
@@ -210,7 +210,7 @@ def check_degree_n_ideal(ideal: PolarizedNeuralIdeal,
     return results
 
 
-def _check_subsets(args) -> list[tuple[dict[str, list[str]], Optional[list[bool]]]]:
+def _check_subsets(args) -> list[tuple[dict[str, list[str]], list[bool] | None]]:
     """(suite failures, verdicts) for each truth table of a chunk: the
     (LR, LQ) verdicts in exhaustive runs, None in sampled ones.  One
     splitting memo serves the whole chunk and ends with it."""
@@ -277,7 +277,7 @@ def _usable_cpus() -> int:
 
 def random_polarized_ideal(rng: random.Random, n: int,
                            max_gens: int = 6,
-                           neurons: Optional[list[int]] = None) -> MonomialIdeal:
+                           neurons: list[int] | None = None) -> MonomialIdeal:
     """A random pair-excluding squarefree ideal, optionally confined to `neurons`."""
     pool = neurons if neurons is not None else list(range(1, n + 1))
     if not pool:
@@ -432,7 +432,9 @@ def lr_lq_witness_findings(n: int, degree: int, trials: int, seed: int) -> list[
 def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
                      count: int = 500, field_tag: FieldTag = FieldTag.F2,
                      jobs: int = 1) -> VerificationReport:
-    """Full verification pass; see the CLI `verify` subcommand."""
+    """Full verification pass; see the CLI `verify` subcommand.  With `jobs`
+    > 1 and more than one usable CPU the ideals are checked in a process
+    pool, imported only then; the report is the same for every `jobs`."""
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= n <= MAX_NEURONS:
@@ -465,6 +467,7 @@ def run_verification(n: int, mode: str = "exhaustive", seed: int = 0,
         bounds = [len(subsets) * w // workers for w in range(workers + 1)]
         chunks = [(n, subsets[a:b], field_tag.value, exhaustive)
                   for a, b in zip(bounds, bounds[1:])]
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = [o for chunk in pool.map(_check_subsets, chunks) for o in chunk]
     else:

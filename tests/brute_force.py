@@ -35,6 +35,9 @@ whose lcm it is, by the breadth-first search that the package's
 all of those levels, where `betti.reg_upper_bound_lcm` stops at the
 level that decides the bound.  `scale` reduces the products u*g again
 with `minimalize`, which the package's version skips.
+`minimal_masks` keeps the masks that no other one divides by a scan of
+every pair, where `monomials._minimal_masks` tests each mask only
+against the kept masks of lower degree.
 `random_polarized_ideal` and `random_dominant_ideal` are `verify`'s
 draws as they were, through a `Monomial` per drawn mask and
 `minimalize`, with the dominance re-check; `code_suite` finds each
@@ -202,6 +205,13 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 def colon(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The colon ideal I : u, via m -> m / gcd(u, m) over the minimal generators."""
     return minimalize((Monomial(g.mask & ~u.mask, ideal.n) for g in ideal.gens), ideal.n)
+
+
+def minimal_masks(masks: list[int]) -> tuple[int, ...]:
+    """The distinct masks that no other one divides, in (degree, mask) order."""
+    distinct = set(masks)
+    return tuple(sorted((m for m in distinct if not any(k | m == m != k for k in distinct)),
+                        key=lambda m: (m.bit_count(), m)))
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -6,11 +6,12 @@ import tracemalloc
 import brute_force
 import pytest
 from brute_force import colon, contains, monomial_text
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuralideals.monomials import (
     Monomial,
+    _minimal_masks,
     MonomialParseError,
     NeuronCountError,
     NonSquarefreeProductError,
@@ -193,6 +194,33 @@ class TestColonIntersect:
                     intersect(a, b)
                 with pytest.raises(ValueError, match="same neuron count"):
                     brute_force.intersect(a, b)
+
+
+class TestMinimalMasks:
+    # masks over 6 variables: every degree 0-6, frequent repeats and divisors
+    @given(st.lists(st.integers(0, 63), max_size=24))
+    @example([0, 5, 0, 63, 5])
+    @example([3, 1, 2, 3, 7, 6])
+    @settings(max_examples=400, deadline=None)
+    def test_against_a_pairwise_scan(self, masks):
+        want = brute_force.minimal_masks(masks)
+        assert _minimal_masks(masks) == want
+        assert _minimal_masks(reversed(masks)) == want
+
+    def test_masks_of_one_degree_are_never_compared(self):
+        joins = []
+
+        class Mask(int):
+            def __or__(self, other):
+                joins.append((self, other))
+                return int(self) | other
+
+        masks = [Mask(m) for m in range(64) if m.bit_count() == 3]
+        assert _minimal_masks(masks) == tuple(sorted(masks))
+        assert joins == []
+        # a degree-2 mask is tested against both kept masks of degree 1
+        assert _minimal_masks([Mask(0b1100), Mask(0b10), Mask(0b1)]) == (1, 2, 12)
+        assert len(joins) == 2
 
 
 class TestScaleRestrict:

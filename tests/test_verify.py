@@ -1,5 +1,6 @@
 """The verification harness itself: enumeration, sampling, reporting."""
 
+import concurrent.futures
 import hashlib
 import json
 import random
@@ -101,7 +102,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    # run_verification imports the pool class from here when it forks
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
