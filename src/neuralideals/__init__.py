@@ -58,6 +58,18 @@ from .structure import (
     recursive_linear_check,
     split_at_neuron,
 )
-from .verify import VerificationReport, run_verification
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# `verify`, and `random` with it, loads on first use of these names
+_FROM_VERIFY = ("VerificationReport", "run_verification")
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + [*_FROM_VERIFY, "verify"])
+
+
+def __getattr__(name):
+    if name not in _FROM_VERIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    return getattr(verify, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,7 +15,8 @@ stderr, with nothing on stdout.
 The argument parser is built once per process, on the first `main`
 call, and reused by every later call; importing the module builds
 nothing, and loads no process pool (`verify --jobs` imports one only
-when it forks workers) and no dataclass machinery.
+when it forks workers), no dataclass machinery, and not `verify` itself,
+which only `cmd_verify` imports.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .structure import (
     linear_quotients_search,
     recursive_linear_check,
 )
-from .verify import run_verification
 
 EXIT_PARSE = 2
 EXIT_PAIR_VIOLATION = 3
@@ -232,6 +232,8 @@ def cmd_family(args):
 
 
 def cmd_verify(args):
+    from .verify import run_verification  # only this subcommand loads it, and `random`
+
     try:
         report = run_verification(
             n=args.n, mode=args.mode or ("exhaustive" if args.n <= 3 else "sample"),

@@ -12,8 +12,6 @@ linear-quotient search works on sets of generator indices as bit masks.
 
 from __future__ import annotations
 
-import functools
-
 from .betti import _linear_verdict, _require_proper_nonzero, betti_table
 from .codes import MAX_CODE_NEURONS
 from .homology import FieldTag
@@ -25,6 +23,7 @@ from .monomials import (
     UnitOrZeroIdealError,
     _Frozen,
     _bit_clear_patterns,
+    _compress,
     _cube_points,
     _masks_ideal,
     _minimal_masks,
@@ -186,7 +185,23 @@ def linear_quotients_search(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None
     order it reaches is the lexicographically least admissible one, and
     it memoizes dead prefixes by their set, which is sound because
     whether a prefix can be completed depends only on the set placed.
-    It is exponential in q on some ideals.
+
+    On a transversal ideal, whose generators are points T of {0,1}^V
+    (`_cube_points`), the first dead end asks `_restriction_witness` for
+    a refusal.  At |V| <= 4 the dead end is one: colons depend only on
+    T, so the ideal is a degree-4 table up to shared letters, and over
+    all 65,535 of those the 5,529 with an order have 1,073,426 reachable
+    admissible prefix sets, none dead (`tests/test_structure.py` replays
+    the scan; Danaraj-Klee's extendable shellability, through
+    Herzog-Hibi-Zheng's linear quotients iff shellable).  At |V| >= 5 a
+    4-dim subcube whose points have no order is one, by the restriction
+    lemma: an order of I induces one of every I_{<=m}, the generators
+    dividing m.  Take g_i, g_j dividing m with i < j; some k < j has
+    g_k : g_j = x_v dividing g_i : g_j, so g_k divides g_j x_v, which
+    divides lcm(g_i, g_j), which divides m.  So found orders do not
+    change.  The search still backtracks, exponential in q, on
+    transversal ideals with |V| >= 5 and no such subcube (`0x7ffffffe`
+    at n = 5), on other equigenerated ideals and on mixed degrees.
 
     Sets are bit masks of generator indices.  The colon S : c is
     generated by the quotients g_u & ~c over u in S, and is generated
@@ -200,6 +215,7 @@ def linear_quotients_search(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None
     _require_proper_nonzero(ideal)
     gens = ideal.gens
     masks = [g.mask for g in gens]
+    cube = None
     if is_equigenerated(ideal) is not None:
         cube = _cube_points(masks, ideal.n)
         if cube:
@@ -241,7 +257,7 @@ def linear_quotients_search(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None
     used = c = 0
     while used != full:
         if c == q:
-            if not order:
+            if not order or cube and not dead and _restriction_witness(ideal, cube[0]):
                 return None
             dead.add(used)
             c = order.pop()
@@ -254,6 +270,34 @@ def linear_quotients_search(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None
         else:
             c += 1
     return tuple(gens[i] for i in order)
+
+
+def _restriction_witness(ideal: MonomialIdeal, positions: tuple[int, ...]) -> MonomialIdeal | None:
+    """At the first dead end on a transversal ideal with varying neurons
+    `positions`: a restriction I_{<=m} without linear quotients, or None.
+    At |V| <= 4 that is the ideal itself; wider, the points in some 4-dim
+    subcube.  Their values on its span fix their colons, so each set of
+    values is decided once, by the search with the |V| <= 4 stop."""
+    if len(positions) <= 4:
+        return ideal
+    n = ideal.n
+    # ascending points are in canonical order, so each subcube's list is sorted
+    at = {_compress(g.mask >> n, positions): g for g in ideal.gens}
+    decided = set()
+    for span in range(1 << len(positions)):
+        if span.bit_count() != 4:
+            continue
+        subcubes: dict[int, list[int]] = {}
+        for p in at:
+            subcubes.setdefault(p & ~span, []).append(p)
+        for inside in subcubes.values():
+            shape = tuple(p & span for p in inside)
+            if len(shape) > 1 and shape not in decided:
+                decided.add(shape)
+                sub = MonomialIdeal(n, tuple(at[p] for p in inside))
+                if linear_quotients_search(sub) is None:
+                    return sub
+    return None
 
 
 def _linearly_related(masks: list[int]) -> bool:
@@ -358,16 +402,18 @@ def recursive_linear_check(ideal: PolarizedNeuralIdeal, pivot: str = "last") -> 
     table = truth_table(inner)
     patterns = _bit_clear_patterns(n)  # their low 2^m bits serve level m
 
-    @functools.cache  # one memo per call
+    memo: dict[tuple[int, int], bool] = {}  # one memo per call
+
     def linear(t: int, m: int) -> bool:
         if m == 1:
             return True  # subsets of {x1, y1} are variable ideals
-        j, k = _halves(t, m, m - 1 if pivot == "last" else _most_even_bit(t, m, patterns),
-                       patterns)
-        if not (j and k):
-            return linear(j | k, m - 1)
-        return (_shared_divide_lcms(j, k, j & k, patterns[:m - 1]) and linear(j, m - 1)
-                and linear(k, m - 1) and linear(j & k, m - 1))
+        if (t, m) not in memo:
+            j, k = _halves(t, m, m - 1 if pivot == "last" else _most_even_bit(t, m, patterns),
+                           patterns)
+            memo[t, m] = (linear(j | k, m - 1) if not (j and k) else
+                          _shared_divide_lcms(j, k, j & k, patterns[:m - 1]) and linear(j, m - 1)
+                          and linear(k, m - 1) and linear(j & k, m - 1))
+        return memo[t, m]
 
     return linear(table, n)
 

@@ -7,9 +7,11 @@ import brute_force
 import pytest
 from brute_force import drop_neuron
 
+from neuralideals import structure
 from neuralideals.betti import betti_table, has_linear_resolution, invariants
 from neuralideals.monomials import (
     PolarizedNeuralIdeal,
+    _cube_points,
     degree_n_ideal,
     intersect,
     minimalize,
@@ -22,6 +24,7 @@ from neuralideals.structure import (
     JNotLinearError,
     NotEquigeneratedDegreeNError,
     NotSplittableError,
+    _restriction_witness,
     betti_splitting_predict,
     family_prop32,
     family_prop33,
@@ -272,6 +275,82 @@ class TestDenseTail:
         assert not recursive_linear_check(P)
         assert not has_linear_resolution(P.inner)
         assert betti_table(P.inner).reg == 6
+
+
+class TestTransversalStop:
+    """The search on transversal ideals stops at its first dead end for
+    |V| <= 4, and refuses wider ones by a 4-dim restriction witness."""
+
+    def test_prefix_certificate_on_every_degree_4_table(self):
+        # a set of points has an order iff some admissible walk from the
+        # empty set reaches it, whatever table it sits in; so the prefix
+        # sets reachable in a table T are the ordered sets inside T, and
+        # one is dead when no point of T outside it is admissible after it
+        masks = [p << 4 | 15 & ~p for p in range(16)]
+        after = {}
+        ordered = bytearray(1 << 16)
+        ordered[0] = 1
+        for placed in range(1 << 16):
+            if ordered[placed]:
+                prefix = [masks[p] for p in range(16) if placed >> p & 1]
+                nxt = [c for c in range(16) if not placed >> c & 1
+                       and brute_force._step_admissible(prefix, masks[c])]
+                after[placed] = sum(1 << c for c in nxt)
+                for c in nxt:
+                    ordered[placed | 1 << c] = 1
+        tables = [t for t in after if t]
+        prefixes = dead = 0
+        for placed, admissible in after.items():
+            around = [t for t in tables if t & placed == placed]
+            prefixes += len(around)
+            dead += sum(t != placed and not t & admissible for t in around)
+        assert (len(tables), prefixes, dead) == (5529, 1073426, 0)
+
+    def test_found_orders_match_the_unstopped_search(self, monkeypatch):
+        ideals = [degree_n_ideal(t, n).inner for n in (1, 2, 3, 4) for t in range(1, 1 << (1 << n))]
+        stopped = [linear_quotients_search(I) for I in ideals]
+        monkeypatch.setattr(structure, "_restriction_witness", lambda ideal, positions: None)
+        assert stopped == [linear_quotients_search(I) for I in ideals]
+        assert sum(order is not None for order in stopped[-65535:]) == 5529
+
+    @staticmethod
+    def spied(monkeypatch):
+        calls = []
+
+        def spy(ideal, positions):
+            calls.append(_restriction_witness(ideal, positions))
+            return calls[-1]
+
+        monkeypatch.setattr(structure, "_restriction_witness", spy)
+        return calls
+
+    def test_a_narrow_table_stops_at_its_first_dead_end(self, monkeypatch):
+        calls = self.spied(monkeypatch)
+        I = degree_n_ideal(0x7ffe, 4).inner
+        assert linear_quotients_search(I) is None
+        assert calls == [I]  # one dead end, and the table is its own witness
+
+    def test_without_a_witness_the_search_backtracks(self, monkeypatch):
+        # 00000 and 11111 removed: every 4-dim subcube holds an ordered
+        # set, so the first dead end, reached with a nonempty prefix, gives
+        # no witness, and None comes from backtracking that prefix away
+        calls = self.spied(monkeypatch)
+        assert linear_quotients_search(degree_n_ideal(0x7ffffffe, 5).inner) is None
+        assert calls == [None]
+
+    # ROADMAP item 1's three q = 30 tables, and the one table of the n = 5
+    # bench pool that passes the linearly-related refusal without an order
+    @pytest.mark.parametrize("table", [0xfffff7bf, 0xdffff7ff, 0x7fffffbf, 0x80bd8daf])
+    def test_refused_by_a_restriction_witness(self, table):
+        I = degree_n_ideal(table, 5).inner
+        start = time.perf_counter()
+        assert linear_quotients_search(I) is None
+        assert time.perf_counter() - start < 2.0
+        positions, _ = _cube_points([g.mask for g in I.gens], 5)
+        witness = _restriction_witness(I, positions)
+        assert witness == brute_force.restrict(I, witness.lcm_of_gens())
+        assert len(_cube_points([g.mask for g in witness.gens], 5)[0]) <= 4
+        assert brute_force.linear_quotients_search(witness) is None
 
 
 class TestFamilies:
