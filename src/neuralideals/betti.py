@@ -475,15 +475,6 @@ def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> Bett
     return _table(_entries(ideal, field_tag), ideal.n)
 
 
-def _linear_table(ideal: MonomialIdeal, field_tag: FieldTag,
-                  degree: int) -> BettiTable | None:
-    """The Betti table of an ideal generated in `degree`, or None once the
-    stream of entries reaches one off the linear strand.  The table of a
-    linear resolution is the whole `betti_table`, and a non-linear one is
-    refused without the rest of its entries."""
-    return _table(_entries(ideal, field_tag), ideal.n, degree)
-
-
 def _entries(ideal: MonomialIdeal, field_tag: FieldTag
              ) -> Iterator[tuple[int, dict[int, int]]]:
     """(b, reduced homology ranks of K^b) for every multidegree b of the
@@ -564,16 +555,17 @@ def has_linear_resolution(ideal: MonomialIdeal,
 
 
 def _linear_verdict(ideal: MonomialIdeal, field_tag: FieldTag) -> BettiTable | None:
-    """The table when the resolution is linear, else None; the warning for
-    mixed degrees points at the caller of the public function that
-    called this one."""
+    """The whole `betti_table` when the resolution is linear, else None,
+    read from the stream of entries up to the first one off the linear
+    strand; the warning for mixed degrees points at the caller of the
+    public function that called this one."""
     _require_proper_nonzero(ideal)
     degree = is_equigenerated(ideal)
     if degree is None:
         warnings.warn("linear resolution queried on a non-equigenerated ideal",
                       stacklevel=3)
         return None
-    return _linear_table(ideal, field_tag, degree)
+    return _table(_entries(ideal, field_tag), ideal.n, degree)
 
 
 def reg_upper_bound_lcm(ideal: MonomialIdeal) -> int:

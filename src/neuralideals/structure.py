@@ -172,36 +172,39 @@ def linear_quotients_search(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None
 
     In an order g_1, ..., g_q every colon (g_1, ..., g_{j-1}) : g_j must
     be generated by variables; the colon depends only on the set placed
-    before g_j.
+    before g_j.  One forward backtracking over prefix sets decides the
+    question: it tries the generators in canonical order at each step, so
+    the first complete order it reaches is the lexicographically least
+    admissible one, and it memoizes dead prefixes by their set, which is
+    sound because whether a prefix can be completed depends only on the
+    set placed.
 
-    When the generators share one degree, the search first refuses any
-    ideal that is not linearly related, a test polynomial in q that
-    needs no Betti table: on the points of the cube when `_cube_points`
-    gives them, for transversals of one neuron set that differ on at
-    most MAX_LCM_DEGREE / 2 neurons (`_points_linearly_related`), pair
-    by pair otherwise (`_linearly_related`).  Otherwise one forward
-    backtracking over prefix sets decides the question: it tries the
-    generators in canonical order at each step, so the first complete
-    order it reaches is the lexicographically least admissible one, and
-    it memoizes dead prefixes by their set, which is sound because
-    whether a prefix can be completed depends only on the set placed.
-
-    On a transversal ideal, whose generators are points T of {0,1}^V
-    (`_cube_points`), the first dead end asks `_restriction_witness` for
-    a refusal.  At |V| <= 4 the dead end is one: colons depend only on
-    T, so the ideal is a degree-4 table up to shared letters, and over
-    all 65,535 of those the 5,529 with an order have 1,073,426 reachable
-    admissible prefix sets, none dead (`tests/test_structure.py` replays
-    the scan; Danaraj-Klee's extendable shellability, through
-    Herzog-Hibi-Zheng's linear quotients iff shellable).  At |V| >= 5 a
-    4-dim subcube whose points have no order is one, by the restriction
-    lemma: an order of I induces one of every I_{<=m}, the generators
-    dividing m.  Take g_i, g_j dividing m with i < j; some k < j has
-    g_k : g_j = x_v dividing g_i : g_j, so g_k divides g_j x_v, which
-    divides lcm(g_i, g_j), which divides m.  So found orders do not
-    change.  The search still backtracks, exponential in q, on
-    transversal ideals with |V| >= 5 and no such subcube (`0x7ffffffe`
-    at n = 5), on other equigenerated ideals and on mixed degrees.
+    Generators of one degree must first each be admissible after all the
+    others, a test on the search's own rows.  Linear quotients imply linear
+    relatedness (`_linearly_related`), which implies the test: a chain from
+    u to c inside lcm(u, c) ends in some w, and w : c is a variable dividing
+    u : c.  On a transversal ideal, whose generators are points T of {0,1}^V
+    (`_cube_points`), u : c is one variable iff u is a neighbour of c, so
+    the test is exact: a passing c has, for each u, a neighbour in the
+    subcube of u and c one step nearer to u, and induction on the distance
+    joins u to c.  Elsewhere it is weaker ((x2*x3*x5*y1, x3*x4*x5*y1,
+    x2*x4*x5*y3, x2*x4*y1*y3) at n = 5 passes it), so the first dead end of
+    an equigenerated ideal with no points refuses it if `_linearly_related`
+    fails.  That of one with points asks `_restriction_witness` for a
+    refusal.  At |V| <= 4 the dead end is one: colons depend only on T, so
+    the ideal is a degree-4 table up to shared letters, and over all 65,535
+    of those the 5,529 with an order have 1,073,426 reachable admissible
+    prefix sets, none dead (`tests/test_structure.py` replays the scan;
+    Danaraj-Klee's extendable shellability, through Herzog-Hibi-Zheng's
+    linear quotients iff shellable).  At |V| >= 5 a 4-dim subcube whose
+    points have no order is one, by the restriction lemma: an order of I
+    induces one of every I_{<=m}, the generators dividing m.  Take g_i, g_j
+    dividing m with i < j; some k < j has g_k : g_j = x_v dividing g_i :
+    g_j, so g_k divides g_j x_v, which divides lcm(g_i, g_j), which divides
+    m.  So found orders do not change.  The search still backtracks,
+    exponential in q, on transversal ideals with |V| >= 5 and no such
+    subcube (`0x7ffffffe` at n = 5), on other linearly related equigenerated
+    ideals and on mixed degrees.
 
     Sets are bit masks of generator indices.  The colon S : c is
     generated by the quotients g_u & ~c over u in S, and is generated
@@ -215,16 +218,6 @@ def linear_quotients_search(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None
     _require_proper_nonzero(ideal)
     gens = ideal.gens
     masks = [g.mask for g in gens]
-    cube = None
-    if is_equigenerated(ideal) is not None:
-        cube = _cube_points(masks, ideal.n)
-        if cube:
-            positions, points = cube
-            related = _points_linearly_related(points, len(positions))
-        else:
-            related = _linearly_related(masks)
-        if not related:
-            return None
     q = len(masks)
     holders: dict[int, int] = {}
     for u, g in enumerate(masks):
@@ -249,16 +242,23 @@ def linear_quotients_search(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None
                 covered |= cover
         return placed & ~covered == 0
 
+    full = (1 << q) - 1
+    equigenerated = is_equigenerated(ideal) is not None
+    if equigenerated and not all(admissible(full ^ 1 << c, c) for c in range(q)):
+        return None
     # the placed prefix is `order`, with set `used`; c is the next
     # candidate to try after it, and a prefix with none left is dead
-    full = (1 << q) - 1
     order: list[int] = []
     dead: set[int] = set()
     used = c = 0
     while used != full:
         if c == q:
-            if not order or cube and not dead and _restriction_witness(ideal, cube[0]):
+            if not order:
                 return None
+            if equigenerated and not dead:
+                cube = _cube_points(masks, ideal.n)
+                if _restriction_witness(ideal, cube[0]) if cube else not _linearly_related(masks):
+                    return None
             dead.add(used)
             c = order.pop()
             used ^= 1 << c
@@ -335,38 +335,6 @@ def _linearly_related(masks: list[int]) -> bool:
                 reach |= frontier
             if not reach >> v & 1:
                 return False
-    return True
-
-
-def _points_linearly_related(points: int, v: int) -> bool:
-    """`_linearly_related` for transversals of one neuron set, given as
-    the 2^v-bit table of their points in {0,1}^V (`_cube_points`).
-
-    One variable step between such generators flips one coordinate
-    (x_i <-> y_i), and the generators dividing lcm(u, w) are the points
-    of the subcube that u and w span, with u a corner.  So a chain from
-    u to w inside it starts with a neighbour of u across a coordinate
-    where u and w differ, and from there w is nearer.  Hence the ideal
-    is linearly related iff, for every point u, the subcube through u
-    along the coordinates where u has no neighbour in T holds no other
-    point.  near[k] holds the points with a neighbour across bit k: v
-    AND-shifts, then at most v shift-ORs per point.
-    """
-    near = []
-    for k, clear in enumerate(_bit_clear_patterns(v)):
-        pairs = points & points >> (1 << k) & clear
-        near.append(pairs | pairs << (1 << k))
-    rest = points
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        cube = low
-        for k, has in enumerate(near):
-            if not has & low:
-                cube |= cube >> (1 << k) if u >> k & 1 else cube << (1 << k)
-        if points & cube != low:
-            return False
     return True
 
 

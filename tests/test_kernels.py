@@ -18,8 +18,8 @@ the divisors' pairwise joins, must give the homology of the whole complex,
 and the cubical side of the Betti table, on the codewords of ideals
 generated by transversals of one neuron set, the ranks of the upper
 Koszul complex.  The points of those generators in the cube, which
-both the Betti table and the linearly-related refusal read, must be
-those of a per-neuron scan.
+both the Betti table and the linear-quotient search's first dead end
+read, must be those of a per-neuron scan.
 """
 
 import random
@@ -77,7 +77,6 @@ from neuralideals.structure import (
     NeuronSplit,
     _halves,
     _linearly_related,
-    _points_linearly_related,
     _most_even_bit,
     betti_splitting_predict,
     family_prop33,
@@ -1206,7 +1205,10 @@ class TestLinearQuotientsAgainstBacktracking:
 
 class TestLinearlyRelatedRefusal:
     """The refusal is sound: whenever the forward search finds an order,
-    the generators are linearly related."""
+    the generators are linearly related.  On transversal ideals the
+    search's up-front test, that each generator is admissible after all
+    the others, is a test on their points, and it refuses exactly the
+    ideals that are not linearly related."""
 
     def test_every_degree_3_ideal_and_its_restrictions(self):
         refused = 0
@@ -1251,63 +1253,96 @@ class TestLinearlyRelatedRefusal:
         assert brute_force.linear_quotients_search(ideal) is None
 
     @staticmethod
-    def points_related(ideal):
-        masks = masks_of(ideal)
-        positions, points = _cube_points(masks, ideal.n)
-        return _points_linearly_related(points, len(positions))
+    def assert_refused_up_front_iff_unrelated(monkeypatch, ideals):
+        # refused up front: None before the search reaches a dead end and
+        # asks for a refusal there, which stops it
+        class DeadEnd(Exception):
+            pass
 
-    def assert_points_test_agrees(self, ideals):
+        def stop(*args):
+            raise DeadEnd
+        for name in ("_restriction_witness", "_linearly_related"):
+            monkeypatch.setattr(structure, name, stop)
         refused = 0
         for ideal in ideals:
-            if len(ideal.gens) > 1:
-                related = self.points_related(ideal)
-                assert related == _linearly_related(masks_of(ideal))
-                refused += not related
+            try:
+                up_front = linear_quotients_search(ideal) is None
+            except DeadEnd:
+                up_front = False
+            assert up_front == (not _linearly_related(masks_of(ideal)))
+            refused += up_front
         return refused
 
-    def test_points_test_on_every_table_up_to_degree_3(self):
-        ideals = []
-        for n in (1, 2, 3):
-            for P in degree_n_ideals(n):
-                ideals.append(P.inner)
-                for pivot in range(1, n + 1):
-                    split = split_at_neuron(P, pivot)
-                    ideals += [h for h in (split.J, split.K) if h.is_proper_nonzero]
-        assert self.assert_points_test_agrees(ideals) > 100
+    def test_points_test_on_every_table_up_to_degree_4(self, monkeypatch):
+        # a table's half at neuron k + 1 is also the half of the table of
+        # its points on that side of bit k alone, so splitting the tables
+        # whose points all lie on one side gives every half
+        ideals = {}
+        for n in (1, 2, 3, 4):
+            for s in range(1, 1 << (1 << n)):
+                P = degree_n_ideal(s, n)
+                ideals[P.inner] = None
+                for k, clear in enumerate(_bit_clear_patterns(n)):
+                    if s & clear in (0, s):
+                        split = split_at_neuron(P, k + 1)
+                        ideals.update(dict.fromkeys(h for h in (split.J, split.K)
+                                                    if h.is_proper_nonzero))
+        assert len(ideals) == 65535 + 255 + 15 + 3 + 4 * 255 + 3 * 15 + 2 * 3
+        assert self.assert_refused_up_front_iff_unrelated(monkeypatch, ideals) == 59514
 
     @pytest.mark.parametrize("n, count", [(4, 300), (5, 200), (6, 30)])
-    def test_points_test_on_sampled_tables(self, n, count):
-        assert self.assert_points_test_agrees(
-            [P.inner for P in degree_n_ideals(n, count, seed=70 + n)]) > 0
+    def test_points_test_on_sampled_tables(self, monkeypatch, n, count):
+        assert self.assert_refused_up_front_iff_unrelated(
+            monkeypatch, [P.inner for P in degree_n_ideals(n, count, seed=70 + n)]) > 0
 
-    def test_points_test_on_dense_and_gapped_tables(self):
+    def test_points_test_on_dense_and_gapped_tables(self, monkeypatch):
         rng = random.Random(5)
         ideals = [degree_n_ideal(sum(1 << c for c in rng.sample(range(32), q)), 5).inner
                   for q in range(24, 32) for _ in range(8)]
         ideals += [family_thm36(n, k).inner for n in range(2, 6) for k in range(1, n + 1)]
         ideals += [split_at_neuron(P, 2).K for P in degree_n_ideals(4, 40, seed=4)]
-        self.assert_points_test_agrees([i for i in ideals if i.is_proper_nonzero])
+        self.assert_refused_up_front_iff_unrelated(
+            monkeypatch, [i for i in ideals if i.is_proper_nonzero])
+
+    def test_unrelated_ideal_passing_the_up_front_test(self, monkeypatch):
+        # not transversal: each generator can be placed after all the
+        # others, but no generator of the first two differs from one of the
+        # last two in a single variable, and all four divide the lcm of the
+        # first and the last, so the pair loop refuses it at the first dead end
+        texts = ("x2*x3*x5*y1", "x3*x4*x5*y1", "x2*x4*x5*y3", "x2*x4*y1*y3")
+        ideal = minimalize([parse_monomial(t, 5) for t in texts], 5)
+        assert not _linearly_related(masks_of(ideal))
+        calls = []
+        for name in ("_restriction_witness", "_linearly_related"):
+            def spy(*args, name=name, original=getattr(structure, name)):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(structure, name, spy)
+        assert linear_quotients_search(ideal) is None
+        assert calls == ["_linearly_related"]
+        assert brute_force.linear_quotients_search(ideal) is None
 
     @pytest.mark.parametrize("v, points_test", [(12, True), (13, False)])
     def test_points_test_only_on_bounded_tables(self, monkeypatch, v, points_test):
-        # the points test's tables have 2^v bits, so two transversals that
-        # differ on more than MAX_LCM_DEGREE / 2 neurons take the pair loop
+        # x1*...*xv and y1*...*yv: two points of {0,1}^v, on either side of
+        # the width bound |V| <= 12 of `_cube_points`.  The up-front test on
+        # the search's own rows refuses both before any dead end asks for
+        # their points
+        ideal = family_prop33(v, v).inner
+        assert (_cube_points(masks_of(ideal), v) is not None) == points_test
         calls = []
-
-        def recording(points, width):
-            calls.append(width)
-            return _points_linearly_related(points, width)
-
-        monkeypatch.setattr(structure, "_points_linearly_related", recording)
-        ideal = minimalize([Monomial(((1 << v) - 1) << shift, v) for shift in (0, v)], v)
+        monkeypatch.setattr(structure, "_cube_points", lambda *args: calls.append(args))
+        start = time.perf_counter()
         assert linear_quotients_search(ideal) is None
+        assert time.perf_counter() - start < 2.0
+        assert calls == []
         assert brute_force.linear_quotients_search(ideal) is None
-        assert calls == ([v] if points_test else [])
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_wide_transversals_refused_at_once(self, q):
-        # generators differing on all 32 neurons: 2^32-bit tables if the
-        # points test ran, instant for the pair loop
+        # generators differing on all 32 neurons: 2^32-bit tables if their
+        # points were read up front, but no colon by one of them is a
+        # single variable, so none can be placed after the others
         n = 32
         full = (1 << n) - 1
         masks = [full, full << n, (full >> 16) | (full >> 16) << (n + 16)][:q]
@@ -1453,7 +1488,7 @@ class TestLinearVerdictStops:
         table = betti_table(ideal, field)
         linear = has_linear_resolution(ideal, field)
         assert linear == (table.reg == degree)
-        assert betti._linear_table(ideal, field, degree) == (table if linear else None)
+        assert betti._linear_verdict(ideal, field) == (table if linear else None)
 
     @pytest.mark.parametrize("field", list(FieldTag))
     def test_a_non_linear_table_stops_at_its_first_off_strand_entry(self, monkeypatch, field):
@@ -1474,7 +1509,7 @@ class TestLinearVerdictStops:
         table = betti_table(P.inner)
         stream = taken[:]
         taken.clear()
-        assert betti._linear_table(P.inner, FieldTag.F2, 4) == table
+        assert betti._linear_verdict(P.inner, FieldTag.F2) == table
         assert taken == stream and table.reg == 4
 
     @pytest.mark.parametrize("field", list(FieldTag))

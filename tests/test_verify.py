@@ -67,13 +67,13 @@ def planted_faults(monkeypatch):
                 wrong_table[degree_n_ideal(1 << c | 1 << (c ^ 1 << k), n).inner] = non_lr
         no_order.add(degree_n_ideal(0b0111, n).inner)
     oracle, search = betti.betti_table, structure.linear_quotients_search
-    linear = betti._linear_table
+    linear = structure._linear_verdict
 
     def faulty_oracle(ideal, field_tag=FieldTag.F2):
         return oracle(wrong_table.get(ideal, ideal), field_tag)
 
-    def faulty_linear(ideal, field_tag, degree):
-        return linear(wrong_table.get(ideal, ideal), field_tag, degree)
+    def faulty_linear(ideal, field_tag):
+        return linear(wrong_table.get(ideal, ideal), field_tag)
 
     def faulty_search(ideal):
         return None if ideal in no_order else search(ideal)
@@ -513,18 +513,18 @@ class TestSplittingMemo:
     def test_halves_are_decided_once_per_run(self, monkeypatch):
         # at n = 3, 15 J verdicts for 225 ideals, and for the 195 of them
         # with a linear J, 15 K tables and 42 J ∩ K tables
-        linear, oracle = betti._linear_table, betti.betti_table
+        linear, oracle = structure._linear_verdict, betti.betti_table
         asked = Counter()
 
-        def counting_linear(ideal, field_tag, degree):
+        def counting_linear(ideal, field_tag):
             asked["J"] += 1
-            return linear(ideal, field_tag, degree)
+            return linear(ideal, field_tag)
 
         def counting_oracle(ideal, field_tag=FieldTag.F2):
             asked["table"] += 1
             return oracle(ideal, field_tag)
 
-        monkeypatch.setattr(betti, "_linear_table", counting_linear)
+        monkeypatch.setattr(structure, "_linear_verdict", counting_linear)
         monkeypatch.setattr(structure, "betti_table", counting_oracle)
         calls = self.recorded_predictions(monkeypatch)
         verify._check_subsets((3, list(enumerate_degree_n_subsets(3)), "f2", True))
