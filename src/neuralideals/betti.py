@@ -45,10 +45,13 @@ are all codewords, and the empty complex has H̃_{-1} = 1.  So pd <= k
 != 0} over the closure, which is >= |N|: the ideal has a linear
 resolution iff every □(W ∩ b) is empty or acyclic.  The cubical side
 runs only inside the subcube sweep below: there a multidegree with
-d_b >= 4 divisors takes it at k <= 4, ranked from popcounts, and at
-k >= 5 when |W ∩ b| = 2^k - d_b is at most 2 d_b, so the smaller of
-the two complexes is built.  A walked ideal takes the nerve rule or the
-strong core at every multidegree.
+d_b >= 4 divisors takes it at k <= 4, and at k >= 5 when |W ∩ b| =
+2^k - d_b is at most 2 d_b, so the smaller of the two complexes is
+built.  It is ranked from the components of the codewords and, at
+k >= 4, the Euler characteristic of its cells, counted level by level;
+only a complex with a square at k >= 5 gets a homology computation.  A
+walked ideal takes the nerve rule or the strong core at every
+multidegree.
 
 The subcube sweep.  Such an ideal's closure can be read off its points
 T in {0,1}^V, V the neurons on which the generators differ: the
@@ -187,9 +190,11 @@ class BettiTable(_Value):
     """Fine (multigraded) and coarse Betti numbers of one ideal.
 
     fine maps (homological index i, multidegree mask) -> rank;
-    coarse aggregates by total degree: (i, j) -> rank.  The JSON form
-    and the `betti` text list the fine entries in `fine_entries` order,
-    each multidegree named from its mask by `mask_text`.
+    coarse aggregates by total degree: (i, j) -> rank.  pd and reg, the
+    max of i and of j - i over coarse, are set when the table is built,
+    None for an empty one.  The JSON form and the `betti` text list the
+    fine entries in `fine_entries` order, each multidegree named from its
+    mask by `mask_text`.
     """
 
     def __init__(self, n: int, fine: dict[tuple[int, int], int] | None = None,
@@ -197,14 +202,8 @@ class BettiTable(_Value):
         self.n = n
         self.fine = {} if fine is None else fine
         self.coarse = {} if coarse is None else coarse
-
-    @property
-    def pd(self) -> int:
-        return max(i for i, _ in self.coarse)
-
-    @property
-    def reg(self) -> int:
-        return max(j - i for i, j in self.coarse)
+        self.pd = max((i for i, _ in self.coarse), default=None)
+        self.reg = max((j - i for i, j in self.coarse), default=None)
 
     def fine_entries(self) -> list[tuple[int, int, int]]:
         """(i, multidegree mask, rank) of every fine entry, sorted by i,
@@ -212,8 +211,9 @@ class BettiTable(_Value):
         return sorted(((i, m, r) for (i, m), r in self.fine.items()),
                       key=lambda t: (t[0], t[1].bit_count(), t[1]))
 
-    def to_json_dict(self) -> dict:
-        """The Betti payload; its "fine" list is `_fine_json`, which `cli.json_text` calls."""
+    def _json_payload(self) -> dict:
+        """The Betti payload for `cli.json_text`, not for `json.dumps`: its
+        "fine" list is the method `_fine_json`, which `json_text` calls."""
         return {
             "fine": self._fine_json,
             "coarse": [
@@ -388,12 +388,12 @@ def _cube_ranks(full: list[int], box: list[int], c: int, free: int, k: int,
     third divisor is antipodal to at most one of them, so K^b is
     connected: H̃_{k-2}(□) = H̃_0(K^b) = 0, and H̃_{k-1}(□) = H̃_{-1}(K^b)
     = 0.  So at k <= 3 only H̃_0(□) = C - 1 is left, C the components of
-    the codewords along cube edges; at k = 4 also H̃_1(□) = C - 1 - χ̃,
-    χ̃ = -1 + sum_g (-1)^|g| #cells(g); both over every field.  At k >= 5
-    the cells are grown level by level: a graph takes the same two ranks,
-    a complex with a square `chain_ranks`, with `_cube_boundary`."""
-    cube = box[free] << c
-    codewords = full[0] & cube
+    the codewords along cube edges.  At k >= 4 the cells are grown level
+    by level, and χ̃ = -1 + sum_d (-1)^d #cells of dimension d.  At k = 4,
+    and for a graph at k >= 5, H̃_1(□) = C - 1 - χ̃ is the only other rank,
+    over every field; a complex with a square at k >= 5 takes
+    `chain_ranks`, with `_cube_boundary`."""
+    codewords = full[0] & box[free] << c
     if not codewords:  # K^b is the whole sphere
         return {k - 1: 1}
     edges, rest = [], free  # each free bit j, with the bases of c' + span(j)
@@ -401,19 +401,14 @@ def _cube_ranks(full: list[int], box: list[int], c: int, free: int, k: int,
         j = rest & -rest
         rest ^= j
         edges.append((j, full[j]))
-    if k == 4:
-        signed = [(0, 1)]  # each free set g ⊆ free, with (-1)^|g|
-        for j, _ in edges:
-            signed += [(g | j, -sign) for g, sign in signed]
-        euler = sum(sign * (full[g] & cube).bit_count() for g, sign in signed) - 1
-    elif k > 4:
+    if k > 3:
         # levels[d]: free set g of d bits -> the base points in b of the
         # cells c' + span(g), where there are any; the last level is empty
         levels = [{0: codewords}]
         while levels[-1]:
             levels.append({g | j: wide for g, bases in levels[-1].items() for j, _ in edges
                            if j > g and (wide := full[g | j] & bases)})
-        if len(levels) > 3:
+        if k > 4 and len(levels) > 3:
             # cells[d]: the cells of dimension d, each the int g << 16 | c'
             # for free set g and base point c', which has at most 12 bits
             cells = []
@@ -427,7 +422,8 @@ def _cube_ranks(full: list[int], box: list[int], c: int, free: int, k: int,
                 cells.append(same)
             ranks = chain_ranks(cells, _cube_boundary, field_tag)
             return {k - 2 - d: rank for d, rank in ranks.items()}
-        euler = codewords.bit_count() - 1 - sum(map(int.bit_count, levels[1].values()))
+        euler = sum((-1) ** d * sum(map(int.bit_count, level.values()))
+                    for d, level in enumerate(levels)) - 1
     # grow each component from its lowest codeword along the edges
     components, rest = 0, codewords
     while rest:
@@ -511,16 +507,16 @@ def _table(entries: Iterator[tuple[int, dict[int, int]]], n: int,
            strand: int | None = None) -> BettiTable | None:
     """The table of the (b, ranks) entries; with a `strand` d, None at the
     first Betti number beta_{i,b} with deg b - i != d."""
-    table = BettiTable(n)
+    fine, coarse = {}, {}
     for b, ranks in entries:
         j = b.bit_count()
         for dim, rank in ranks.items():
             i = dim + 1
             if strand is not None and j - i != strand:
                 return None
-            table.fine[(i, b)] = rank
-            table.coarse[(i, j)] = table.coarse.get((i, j), 0) + rank
-    return table
+            fine[(i, b)] = rank
+            coarse[(i, j)] = coarse.get((i, j), 0) + rank
+    return BettiTable(n, fine, coarse)
 
 
 def _sweeps(q: int, v: int) -> bool:

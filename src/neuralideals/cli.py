@@ -122,7 +122,7 @@ def _ideal_report(ideal, field_tag: FieldTag) -> dict:
         "ideal": [str(g) for g in ideal.gens],
         "pd": table.pd,
         "reg": table.reg,
-        "betti": table.to_json_dict(),
+        "betti": table._json_payload(),
         # None == reg for mixed degrees: no linear resolution
         "linear_resolution": table.reg == is_equigenerated(ideal),
         "linear_quotients": [str(m) for m in lq] if lq is not None else None,
@@ -163,7 +163,7 @@ def cmd_betti(args):
     text = "\n".join([f"pd {table.pd}, reg {table.reg}",
                       *(f"  i={i} b={mask_text(m, ideal.n)}  rank {r}"
                         for i, m, r in table.fine_entries())])
-    return 0, {"schema": 1, "n": ideal.n, **table.to_json_dict()}, text, []
+    return 0, {"schema": 1, "n": ideal.n, **table._json_payload()}, text, []
 
 
 def cmd_check_linear(args):

@@ -174,15 +174,8 @@ class Monomial(_Frozen):
     def is_unit(self) -> bool:
         return self.mask == 0
 
-    def support(self) -> tuple[int, ...]:
-        """Bit positions of the variables dividing this monomial."""
-        return tuple(b for b in range(2 * self.n) if self.mask >> b & 1)
-
     def divides(self, other: "Monomial") -> bool:
         return self.mask | other.mask == other.mask
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.mask | other.mask, self.n)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         shared = self.mask & other.mask

@@ -28,7 +28,8 @@ with `minimalize`, which the package's version skips.  `cube_ranks`
 builds the cells of a cubical complex from its codewords on every call
 and ranks any complex with a square by `chain_ranks`, where
 `betti._cube_ranks` reads them off the subcube sweep's cell table and
-ranks the subcubes of at most four free neurons from popcounts.
+ranks the subcubes of at most four free neurons, and graphs, from their
+components and the Euler characteristic of their cell levels.
 `lcm_levels` maps each mask of the lcm closure to the fewest generators
 whose lcm it is, by the breadth-first search that the package's
 `_lcm_masks` runs without levels, and `reg_upper_bound_levels` walks
@@ -216,10 +217,10 @@ def minimal_masks(masks: list[int]) -> tuple[int, ...]:
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """I ∩ J as the minimal generators of the pairwise lcms, each built as
-    a validated `Monomial` by `Monomial.lcm`."""
+    a validated `Monomial` from the OR of two masks."""
     if a.n != b.n:
         raise ValueError("intersect requires ideals over the same neuron count")
-    return minimalize((g.lcm(h) for g in a.gens for h in b.gens), a.n)
+    return minimalize((Monomial(g.mask | h.mask, a.n) for g in a.gens for h in b.gens), a.n)
 
 
 def scale(u: Monomial, ideal: MonomialIdeal) -> MonomialIdeal:
@@ -445,20 +446,20 @@ def _graph_ranks(points: int, edges: dict[int, int], k: int) -> dict[int, int]:
 def betti_table(ideal: MonomialIdeal, field_tag: FieldTag = FieldTag.F2) -> BettiTable:
     """Betti table from the submask-enumerated upper Koszul complexes and
     the tuple-based homology above, at every lcm-closure multidegree."""
-    table = BettiTable(ideal.n)
+    fine, coarse = {}, {}
     for b in lcm_closure(ideal):
         for dim, rank in reduced_homology_ranks(upper_koszul(ideal, b), field_tag).items():
-            table.fine[(dim + 1, b.mask)] = rank
+            fine[(dim + 1, b.mask)] = rank
             key = (dim + 1, b.degree)
-            table.coarse[key] = table.coarse.get(key, 0) + rank
-    return table
+            coarse[key] = coarse.get(key, 0) + rank
+    return BettiTable(ideal.n, fine, coarse)
 
 
 def monomial_text(m: Monomial) -> str:
     """`x1*y2` text of m, one `variable_name` per variable of its support."""
     if m.mask == 0:
         return "1"
-    return "*".join(variable_name(b, m.n) for b in m.support())
+    return "*".join(variable_name(b, m.n) for b in range(2 * m.n) if m.mask >> b & 1)
 
 
 def fine_entries(table: BettiTable) -> list[tuple[int, Monomial, int]]:
@@ -471,7 +472,7 @@ def fine_entries(table: BettiTable) -> list[tuple[int, Monomial, int]]:
 def betti_json_dict(table: BettiTable) -> dict:
     """The Betti payload as plain dicts, its fine entries rendered through
     `fine_entries` above: `json.dumps(indent=2)` of it is the reference
-    for `cli.json_text` of `BettiTable.to_json_dict`."""
+    for `cli.json_text` of `BettiTable._json_payload`."""
     return {
         "fine": [
             {"i": i, "b": monomial_text(m), "rank": r} for i, m, r in fine_entries(table)
@@ -619,8 +620,8 @@ def _recursive_check(ideal: MonomialIdeal, rule: str) -> bool:
     # by a shared generator; only then can the splitting keep reg at n
     for a in J.gens:
         for b in K.gens:
-            l = a.lcm(b)
-            if not any(c.divides(l) for c in common):
+            l = a.mask | b.mask
+            if not any(c.mask | l == l for c in common):
                 return False
     return _recursive_check(minimalize(sorted(common, key=Monomial.sort_key), n - 1), rule)
 

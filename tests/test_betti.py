@@ -10,6 +10,7 @@ import brute_force
 import pytest
 
 from neuralideals.betti import (
+    BettiTable,
     LcmDegreeError,
     NotDominantError,
     betti_table,
@@ -91,9 +92,37 @@ class TestBettiTable:
         assert {b for _, b in t.fine} <= closure
 
     def test_json_schema_fields(self):
-        d = json.loads(json_text(betti_table(ideal(1, "x1", "y1")).to_json_dict()))
+        d = json.loads(json_text(betti_table(ideal(1, "x1", "y1"))._json_payload()))
         assert list(d) == ["fine", "coarse", "pd", "reg"]
         assert d["fine"][0] == {"i": 0, "b": "x1", "rank": 1}
+
+
+class TestPdAndRegAreFields:
+    """pd and reg are set once, from coarse, when a table is built."""
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_maxima_over_coarse(self, field):
+        # every table with n <= 3, and sampled ones with n = 4 and 5
+        rng = random.Random(34)
+        ideals = [degree_n_ideal(subset, n).inner
+                  for n in (1, 2, 3) for subset in range(1, 1 << (1 << n))]
+        ideals += [degree_n_ideal(rng.randrange(1, 1 << (1 << n)), n).inner
+                   for n, count in ((4, 200), (5, 40)) for _ in range(count)]
+        for I in ideals:
+            t = betti_table(I, field)
+            assert vars(t)["pd"] == max(i for i, _ in t.coarse)
+            assert vars(t)["reg"] == max(j - i for i, j in t.coarse)
+
+    def test_coarse_only_table(self):
+        # the form of the verify tests' planted faults
+        t = BettiTable(4, coarse={(9, 10): 1})
+        assert (t.fine, t.pd, t.reg) == ({}, 9, 1)
+
+    def test_empty_table(self):
+        assert (BettiTable(2).pd, BettiTable(2).reg) == (None, None)
+
+    def test_no_property_computes_them(self):
+        assert not {"pd", "reg"} & vars(BettiTable).keys()
 
 
 def three_generators(n):

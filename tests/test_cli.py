@@ -169,7 +169,7 @@ class TestBettiRenderingAgainstMonomials:
         for subset in range(1, 256):
             ideal = degree_n_ideal(subset, 3).inner
             table = betti_table(ideal)
-            assert cli.json_text(table.to_json_dict()) == indented(
+            assert cli.json_text(table._json_payload()) == indented(
                 brute_force.betti_json_dict(table))
             path.write_text(render_ideal(ideal))
             code, out, _ = run_cli(capsys, "betti", "-n", "3", str(path))
@@ -179,7 +179,7 @@ class TestBettiRenderingAgainstMonomials:
     @given(st.integers(3, 6), st.integers(0, 2 ** 32))
     def test_random_polarized_ideals(self, n, seed):
         table = betti_table(random_polarized_ideal(random.Random(seed), n))
-        assert cli.json_text(table.to_json_dict()) == indented(brute_force.betti_json_dict(table))
+        assert cli.json_text(table._json_payload()) == indented(brute_force.betti_json_dict(table))
 
     @pytest.mark.parametrize("field", ["f2", "q"])
     def test_projective_plane(self, capsys, tmp_path, field):
@@ -215,7 +215,7 @@ def _writer_payloads():
     list by the dicts of `brute_force.betti_json_dict`; json writes a
     tuple as a list."""
     leaves = _SCALARS.map(lambda v: (v, v)) | betti_tables(max_entries=4).map(
-        lambda t: (t.to_json_dict()["fine"], brute_force.betti_json_dict(t)["fine"]))
+        lambda t: (t._json_payload()["fine"], brute_force.betti_json_dict(t)["fine"]))
 
     def containers(children):
         return (st.tuples(st.sampled_from([list, tuple]), st.lists(children, max_size=4)).map(
@@ -249,7 +249,7 @@ class TestJsonWriter:
         `invariants` and `from-code` reports at depth 2."""
         for wrap in (lambda b: {"schema": 1, "n": table.n, **b},
                      lambda b: {"schema": 1, "n": table.n, "betti": b, "dominant": None}):
-            assert cli.json_text(wrap(table.to_json_dict())) == indented(
+            assert cli.json_text(wrap(table._json_payload())) == indented(
                 wrap(brute_force.betti_json_dict(table)))
 
 

@@ -809,13 +809,21 @@ class TestCubicalSideAgainstBruteForce:
                 if codewords.bit_count() <= (1 << k) - 3:
                     self.assert_cube_ranks_agree(codewords, k, 0, (1 << k) - 1, [field])
 
-    def test_every_pattern_on_four_free_neurons_over_f2(self):
+    def assert_every_pattern_on_four_free_neurons(self, field):
         checked = 0
         for codewords in range(1 << 16):
             if codewords.bit_count() <= 13:
-                self.assert_cube_ranks_agree(codewords, 4, 0, 0b1111, [FieldTag.F2])
+                self.assert_cube_ranks_agree(codewords, 4, 0, 0b1111, [field])
                 checked += 1
         assert checked == 65399
+
+    def test_every_pattern_on_four_free_neurons_over_f2(self):
+        self.assert_every_pattern_on_four_free_neurons(FieldTag.F2)
+
+    def test_every_pattern_on_four_free_neurons_over_q(self):
+        # k = 4 takes the Euler characteristic of its cell levels, as the
+        # graphs at k >= 5 do, whose rule must hold over every field
+        self.assert_every_pattern_on_four_free_neurons(FieldTag.RATIONALS)
 
     @settings(max_examples=60, deadline=None)
     @given(placed_subcubes((2, 3, 4)))

@@ -58,7 +58,7 @@ class TestMonomialBasics:
     def test_divides_lcm_gcd(self):
         a, b = m("x1*x2", 2), m("x1*y2", 2)
         assert not a.divides(b)
-        assert a.lcm(b) == m("x1*x2*y2", 2)
+        assert a.mask | b.mask == m("x1*x2*y2", 2).mask  # lcm
         assert a.mask & b.mask == m("x1", 2).mask  # gcd
         assert m("x1", 2).divides(a)
 

@@ -49,7 +49,7 @@ CASES = {
                           ("vertices", "faces"), True, True),
     "BettiTable": (lambda: betti_table(degree_n_ideal(0b0110, 2).inner),
                    lambda: betti_table(degree_n_ideal(0b1001, 2).inner),
-                   ("n", "fine", "coarse"), False, False),
+                   ("n", "fine", "coarse", "pd", "reg"), False, False),
     "NeuronSplit": (lambda: split_at_neuron(degree_n_ideal(0b0111, 2), 2),
                     lambda: split_at_neuron(degree_n_ideal(0b0111, 2), 1),
                     ("pivot", "J", "K"), True, True),
