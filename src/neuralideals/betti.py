@@ -47,10 +47,12 @@ resolution iff every □(W ∩ b) is empty or acyclic.  The cubical side
 runs only inside the subcube sweep below: there a multidegree with
 d_b >= 4 divisors takes it at k <= 4, and at k >= 5 when |W ∩ b| =
 2^k - d_b is at most 2 d_b, so the smaller of the two complexes is
-built.  It is ranked from the components of the codewords and, at
-k >= 4, the Euler characteristic of its cells, counted level by level;
-only a complex with a square at k >= 5 gets a homology computation.  A
-walked ideal takes the nerve rule or the strong core at every
+built.  One rule ranks it: h_t = n_t - r_t - r_{t+1}, n_t its cells of
+dimension t, a popcount per free set, r_t the boundary rank from them.
+b holds a generator, so no k-cell, and K^b is connected, so h_{k-1} =
+h_{k-2} = 0: that fixes r_{k-1} and r_{k-2}, and r_1 = n_0 - C for C
+components, so k = 3 is χ̃ alone and only r_2 .. r_{k-3} are eliminated.
+A walked ideal takes the nerve rule or the strong core at every
 multidegree.
 
 The subcube sweep.  Such an ideal's closure can be read off its points
@@ -80,7 +82,7 @@ from operator import and_, or_
 from .homology import (
     FieldTag,
     SimplicialComplex,
-    chain_ranks,
+    boundary_rank,
     reduced_homology_ranks,
 )
 from .monomials import (
@@ -383,61 +385,75 @@ def _cube_ranks(full: list[int], box: list[int], c: int, free: int, k: int,
     k = |free|, with d >= 3 divisors, by Alexander duality: H̃_{i-1}(K^b)
     = H̃_{k-1-i}(□), □ the cubical complex of the subcubes of b holding
     only codewords (H̃_{-1} = 1 when empty), whose cells c' + span(g) have
-    their bases c' at the set bits of full[g] & box[free] << c.  Lemma:
-    facets b / g, b / g' of K^b meet unless g, g' are antipodal, and a
-    third divisor is antipodal to at most one of them, so K^b is
-    connected: H̃_{k-2}(□) = H̃_0(K^b) = 0, and H̃_{k-1}(□) = H̃_{-1}(K^b)
-    = 0.  So at k <= 3 only H̃_0(□) = C - 1 is left, C the components of
-    the codewords along cube edges.  At k >= 4 the cells are grown level
-    by level, and χ̃ = -1 + sum_d (-1)^d #cells of dimension d.  At k = 4,
-    and for a graph at k >= 5, H̃_1(□) = C - 1 - χ̃ is the only other rank,
-    over every field; a complex with a square at k >= 5 takes
-    `chain_ranks`, with `_cube_boundary`."""
-    codewords = full[0] & box[free] << c
+    their bases c' at the set bits of full[g] & box[free] << c.
+
+    One rule: h_t = dim H̃_t(□) = n_t - r_t - r_{t+1}, n_t the cells of
+    dimension t (`_cell_counts`), r_t the rank of the boundary from them
+    and r_0 = 1.  Lemma: facets b / g, b / g' of K^b meet unless g, g' are
+    antipodal, and a third divisor is antipodal to at most one of them,
+    so K^b is connected: h_{k-2} = H̃_0(K^b) = 0 and h_{k-1} = H̃_{-1}(K^b)
+    = 0 over every field.  b holds a generator, so r_k = 0, and the two
+    zeros give r_{k-1} = n_{k-1}, r_{k-2} = n_{k-2} - n_{k-1}.  So k = 3
+    is h_0 = χ̃ alone; at k >= 4, r_1 = n_0 - C for C the components of
+    the codewords along cube edges, and only r_2 .. r_{k-3} are
+    eliminated, over F2 and then over Q where both F2 groups beside them
+    are nonzero (see `homology`)."""
+    inside = box[free] << c  # the points of b
+    codewords = full[0] & inside
     if not codewords:  # K^b is the whole sphere
         return {k - 1: 1}
-    edges, rest = [], free  # each free bit j, with the bases of c' + span(j)
-    while rest:
-        j = rest & -rest
-        rest ^= j
-        edges.append((j, full[j]))
-    if k > 3:
-        # levels[d]: free set g of d bits -> the base points in b of the
-        # cells c' + span(g), where there are any; the last level is empty
-        levels = [{0: codewords}]
-        while levels[-1]:
-            levels.append({g | j: wide for g, bases in levels[-1].items() for j, _ in edges
-                           if j > g and (wide := full[g | j] & bases)})
-        if k > 4 and len(levels) > 3:
-            # cells[d]: the cells of dimension d, each the int g << 16 | c'
-            # for free set g and base point c', which has at most 12 bits
-            cells = []
-            for level in levels[:-1]:
-                same = []
-                for g, bases in level.items():
-                    while bases:
-                        low = bases & -bases
-                        bases ^= low
-                        same.append(g << 16 | low.bit_length() - 1)
-                cells.append(same)
-            ranks = chain_ranks(cells, _cube_boundary, field_tag)
-            return {k - 2 - d: rank for d, rank in ranks.items()}
-        euler = sum((-1) ** d * sum(map(int.bit_count, level.values()))
-                    for d, level in enumerate(levels)) - 1
+    n = _cell_counts(full, inside, free, k)
+    if k == 3:
+        euler = n[0] - n[1] + n[2] - 1
+        return {1: euler} if euler else {}
     # grow each component from its lowest codeword along the edges
     components, rest = 0, codewords
     while rest:
         component, reached = 0, rest & -rest
         while reached != component:
             component = reached
-            for j, lower in edges:
-                reached |= (component & lower) << j | component >> j & lower
+            j = free
+            while j:
+                low = j & -j
+                j ^= low
+                lower = full[low]  # the bases of the edges c' + span(low)
+                reached |= (reached & lower) << low | reached >> low & lower
         rest ^= component
         components += 1
-    ranks = {k - 2: components - 1} if components > 1 else {}
-    if k > 3 and components - 1 != euler:
-        ranks[k - 3] = components - 1 - euler
-    return ranks
+    # r[t]: the rank of the boundary from dimension t, t = 0 .. k
+    r = [1, n[0] - components] + [0] * (k - 4) + [n[k - 2] - n[k - 1], n[k - 1], 0]
+    h = [n[t] - r[t] - r[t + 1] for t in range(k - 2)]
+    if k > 4 and n[2]:
+        # cells[t]: the cells of dimension 0 < t <= k - 3, each the int
+        # g << 16 | c' for free set g and base point c', of at most 12 bits
+        cells = [[] for _ in range(k - 2)]
+        g = free
+        while g := g - 1 & free:
+            if (t := g.bit_count()) < k - 2:
+                bases = full[g] & inside
+                while bases:
+                    low = bases & -bases
+                    bases ^= low
+                    cells[t].append(g << 16 | low.bit_length() - 1)
+        # the faces of those rows, cells of dimensions 1 .. k - 4
+        column = {cell: 1 << at for same in cells[1:-1] for at, cell in enumerate(same)}
+        for field in dict.fromkeys((FieldTag.F2, field_tag)):  # F2, then Q if asked
+            for t in range(2, k - 2):
+                if n[t] and (field is FieldTag.F2 or h[t - 1] and h[t]):
+                    r[t] = boundary_rank(cells[t], _cube_boundary, column, field)
+            h = [n[t] - r[t] - r[t + 1] for t in range(k - 2)]
+    return {k - 2 - t: rank for t, rank in enumerate(h) if rank}
+
+
+def _cell_counts(full: list[int], inside: int, free: int, k: int) -> list[int]:
+    """n[t], the cells of dimension t < k of `_cube_ranks`' □, `inside`
+    the points of b: a popcount of full[g] & inside per free set g."""
+    n = [0] * k
+    n[0] = (full[0] & inside).bit_count()
+    g = free
+    while g := g - 1 & free:
+        n[g.bit_count()] += (full[g] & inside).bit_count()
+    return n
 
 
 def _cube_boundary(cell: int) -> list[int]:

@@ -2,12 +2,14 @@
 
 `chain_ranks` ranks the reduced homology of any complex of int cells,
 simplicial or cubical, given a boundary function that lists each cell's
-faces so that the k-th, counting from 0, has sign (-1)^k.  A simplicial
-face is a bit mask over the vertex positions, and its faces clear one
-set bit at a time, lowest first.  Ranks are exact: bit-packed Gaussian
-elimination over F2, and over the rationals fraction-free elimination
-on sparse integer rows (cross-multiplication, then division by the
-row's gcd).  No floating point anywhere.
+faces so that the k-th, counting from 0, has sign (-1)^k; it ranks each
+map by `boundary_rank`, which `betti` also calls on the few cubical maps
+that cell counts leave open.  A simplicial face is a bit mask over the
+vertex positions, and its faces clear one set bit at a time, lowest
+first.  Ranks are exact: bit-packed Gaussian elimination over F2, and
+over the rationals fraction-free elimination on sparse integer rows
+(cross-multiplication, then division by the row's gcd).  No floating
+point anywhere.
 
 Every boundary rank is taken over F2 first, and over Q most of them are
 already exact: a boundary matrix has integer entries, and its rank over
@@ -113,6 +115,28 @@ def rank_rational(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
+def boundary_rank(cells: list[int], boundary: Callable[[int], list[int]],
+                  column: dict[int, int], field: FieldTag) -> int:
+    """Rank of the boundary map on `cells`, of one dimension, whose faces
+    `column` numbers as bits: bit rows by `rank_f2`, signed by `rank_rational`."""
+    if field is FieldTag.F2:
+        rows = []
+        for cell in cells:
+            row = 0
+            for face in boundary(cell):
+                row |= column[face]
+            rows.append(row)
+        return rank_f2(rows)
+    rows = []
+    for cell in cells:
+        row, sign = {}, 1
+        for face in boundary(cell):
+            row[column[face]] = sign
+            sign = -sign
+        rows.append(row)
+    return rank_rational(rows)
+
+
 def chain_ranks(cells: list[list[int]], boundary: Callable[[int], list[int]],
                 field: FieldTag) -> dict[int, int]:
     """Reduced homology ranks of a cell complex, nonzero entries only.
@@ -124,34 +148,16 @@ def chain_ranks(cells: list[list[int]], boundary: Callable[[int], list[int]],
     """
     # column[cell]: the bit 1 << position of the cell among its dimension's
     column = {cell: 1 << at for same in cells for at, cell in enumerate(same)}
-
-    def rank(same: list[int], field: FieldTag) -> int:
-        if field is FieldTag.F2:
-            rows = []
-            for cell in same:
-                row = 0
-                for face in boundary(cell):
-                    row |= column[face]
-                rows.append(row)
-            return rank_f2(rows)
-        rows = []
-        for cell in same:
-            row, sign = {}, 1
-            for face in boundary(cell):
-                row[column[face]] = sign
-                sign = -sign
-            rows.append(row)
-        return rank_rational(rows)
-
     sizes = [1] + [len(same) for same in cells]
     # maps[t]: the rank of the map from dimension t - 1 to dimension t - 2;
     # t = 1 is the augmentation, of rank 1 when there are points
-    maps = [0, min(1, len(cells))] + [rank(same, FieldTag.F2) for same in cells[1:]] + [0]
+    maps = [0, min(1, len(cells))] + [
+        boundary_rank(same, boundary, column, FieldTag.F2) for same in cells[1:]] + [0]
     ranks = [size - maps[t] - maps[t + 1] for t, size in enumerate(sizes)]
     if field is FieldTag.RATIONALS:
         for t in range(2, len(sizes)):
             if ranks[t - 1] and ranks[t]:
-                maps[t] = rank(cells[t - 1], field)
+                maps[t] = boundary_rank(cells[t - 1], boundary, column, field)
         ranks = [size - maps[t] - maps[t + 1] for t, size in enumerate(sizes)]
     return {t - 1: r for t, r in enumerate(ranks) if r}
 

@@ -4,8 +4,8 @@ Each function is the direct enumeration that a kernel in `neuralideals`
 replaced: loops over all 2^q generator subsets, over all submasks of a
 multidegree or of the generators' lcm, over a list of 2^s ints for the
 subset Mobius transform, over pairwise lcms until nothing new appears, over sorted
-vertex tuples of faces, over the generators of an ideal, over the columns of a dense matrix of
-fractions, over every prefix of a generator order, over the
+vertex tuples of faces, over the generators of an ideal, over the columns of a
+dense integer matrix, over every prefix of a generator order, over the
 `Monomial` generators of each branch of a pivot split, over the six
 Betti tables of a split and its scaled branches, over a sorted
 list of all 2^n degree-n monomials, or over the indicator
@@ -26,10 +26,13 @@ restriction, which `verify` looks up among the verdicts of its own run.
 `Monomial.__str__` replaced, and `family_thm36` reduces its generators
 with `minimalize`, which the package's version skips.  `cube_ranks`
 builds the cells of a cubical complex from its codewords on every call
-and ranks any complex with a square by `chain_ranks`, where
-`betti._cube_ranks` reads them off the subcube sweep's cell table and
-ranks the subcubes of at most four free neurons, and graphs, from their
-components and the Euler characteristic of their cell levels.
+and ranks any complex with a square by `chain_ranks`, every map
+eliminated, where `betti._cube_ranks` counts them off the subcube
+sweep's cell table and eliminates only the maps that the counts and its
+lemma leave open; `cube_cell_counts` counts the cells by testing every
+point of every subcube.  `rank_rational` is the fraction-free (Bareiss)
+elimination of a dense integer matrix, and `rank_fractions` the
+Gauss-Jordan elimination on Fractions that checks it on small matrices.
 `lcm_levels` maps each mask of the lcm closure to the fewest generators
 whose lcm it is, by the breadth-first search that the package's
 `_lcm_masks` runs without levels, and `reg_upper_bound_levels` walks
@@ -341,7 +344,7 @@ def _boundary_rank(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]],
 
     Faces are given as sorted vertex tuples; `lower` holds the faces one
     dimension down (possibly the single empty face for the augmentation).
-    Over Q every map is ranked as a dense matrix of Fractions.
+    Over Q every map is ranked as a dense integer matrix by `rank_rational`.
     """
     if not upper or not lower:
         return 0
@@ -424,6 +427,21 @@ def cube_ranks(codewords: int, free: int, field_tag: FieldTag) -> dict[int, int]
     return {k - 2 - d: rank for d, rank in ranks.items()}
 
 
+def cube_cell_counts(codewords: int, c: int, free: int) -> list[int]:
+    """The cells of each dimension 0..k of the cubical complex of the
+    codewords (set bits of `codewords`) in the subcube c + span(free), by
+    a scan of every subcube c' + span(g) of it, point by point."""
+    bits = [1 << t for t in range(free.bit_length()) if free >> t & 1]
+    subsets = [sum(j for t, j in enumerate(bits) if s >> t & 1) for s in range(1 << len(bits))]
+    counts = [0] * (len(bits) + 1)
+    for g in subsets:
+        for base in subsets:
+            if not base & g and all(codewords >> (c | base | s) & 1
+                                    for s in subsets if not s & ~g):
+                counts[g.bit_count()] += 1
+    return counts
+
+
 def _graph_ranks(points: int, edges: dict[int, int], k: int) -> dict[int, int]:
     """`cube_ranks` for a cubical complex with no square: a graph on
     `points`, with an edge from c to c + j for each base point c of
@@ -494,7 +512,41 @@ def betti_text(table: BettiTable) -> str:
 
 
 def rank_rational(rows: list[list[int]]) -> int:
-    """Rank over the rationals of a dense matrix, by Gauss-Jordan on Fractions."""
+    """Rank over the rationals of a dense integer matrix, by fraction-free
+    (Bareiss) elimination.  Step k, with pivot entry p_k in the pivot row
+    P, replaces each row below it by (p_k * row - row[col] * P) / p_{k-1},
+    p_0 = 1; by Sylvester's identity every entry is then a minor of the
+    input, so the division is exact and every entry stays an int.  A row
+    with 0 in the pivot column is only scaled by p_k / p_{k-1}, and over
+    a run of such steps the scales telescope, so each row keeps the pivot
+    `level` it was last brought to and is scaled once, to p_{k-1} /
+    level, when a step next needs it."""
+    mat = [[list(r), 1] for r in rows if any(r)]
+    rank, previous = 0, 1
+    for col in range(len(mat[0][0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][0][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow, level = mat[rank]
+        if level != previous:
+            prow = [x * previous // level for x in prow]
+        p = prow[col]
+        for entry in mat[rank + 1:]:
+            row, level = entry
+            if row[col]:
+                if level != previous:
+                    row = [x * previous // level for x in row]
+                factor = row[col]
+                entry[:] = [(p * x - factor * y) // previous for x, y in zip(row, prow)], p
+        previous = p
+        rank += 1
+    return rank
+
+
+def rank_fractions(rows: list[list[int]]) -> int:
+    """Rank over the rationals of a dense matrix, by Gauss-Jordan on
+    Fractions: the check of `rank_rational` on small matrices."""
     if not rows:
         return 0
     mat = [[Fraction(v) for v in r] for r in rows]

@@ -48,6 +48,8 @@ from neuralideals.betti import (
 from neuralideals.homology import (
     FieldTag,
     SimplicialComplex,
+    boundary_rank,
+    rank_f2,
     rank_rational,
     reduced_homology_ranks,
 )
@@ -658,6 +660,12 @@ def placed(points, c, free):
     return sum(1 << (c | _expand(s, _positions(free))) for s in points)
 
 
+# the codewords of a 5-cube and of a 6-cube whose cubical complexes have
+# H̃_1 = H̃_2 = 1 over F2
+FIVE_CUBE_H1_H2 = [s for s in range(32) if 0xfcbddcfb >> s & 1]
+SIX_CUBE_H1_H2 = [s for s in range(64) if 0x3f277c0f75ff5177 >> s & 1]
+
+
 @st.composite
 def transversal_ideals(draw, max_n=5):
     """Ideals generated by transversals of one neuron set N of at least two
@@ -831,14 +839,55 @@ class TestCubicalSideAgainstBruteForce:
         self.assert_cube_ranks_agree(*case)
 
     @settings(max_examples=40, deadline=None)
-    @given(placed_subcubes((5, 6)))
+    @given(placed_subcubes((5, 6, 7)))
     # the hexagon 1..6 and the point 24 of the 5-cube, a graph, and the
     # 6-cube with four generators, full of squares, at base points 0b10010
     # and 0b10 inside {0,1}^7
     @example((placed([1, 2, 3, 4, 5, 6, 24], 0b10010, 0b1101101), 7, 0b10010, 0b1101101))
     @example((placed(set(range(64)) - {0, 21, 42, 63}, 0b10, 0b1111101), 7, 0b10, 0b1111101))
+    # a 5-cube and a 6-cube whose complexes have H̃_1 and H̃_2 both
+    # nonzero, so the map between them is ranked again over Q
+    @example((placed(FIVE_CUBE_H1_H2, 0b10, 0b111101), 6, 0b10, 0b111101))
+    @example((placed(SIX_CUBE_H1_H2, 0b1, 0b1111110), 7, 0b1, 0b1111110))
     def test_five_and_six_cubes_in_a_wider_cube(self, case):
         self.assert_cube_ranks_agree(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_subcubes((2, 3, 4, 5, 6, 7)))
+    def test_cell_counts_against_a_scan(self, case):
+        # one popcount per free set against a test of every point of every
+        # subcube; b holds a generator, so there is no k-cell to count
+        codewords, v, c, free = case
+        k = free.bit_count()
+        counts = brute_force.cube_cell_counts(codewords, c, free)
+        assert counts[k] == 0
+        full, box = cell_tables(codewords, v)
+        assert betti._cell_counts(full, box[free] << c, free, k) == counts[:k]
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_subcubes((3, 4, 5, 6, 7)))
+    @example((placed(FIVE_CUBE_H1_H2, 0b10, 0b111101), 6, 0b10, 0b111101))
+    @example((placed(SIX_CUBE_H1_H2, 0b1, 0b1111110), 7, 0b1, 0b1111110))
+    def test_only_the_middle_maps_are_eliminated(self, case):
+        # none at k <= 4; at k >= 5 the maps from dimensions 2 .. k - 3
+        # that have cells, over F2, and over Q again only those between
+        # two nonzero F2 groups (dimension t of the complex is dimension
+        # k - 2 - t of K^b), as for the squares of the two examples
+        codewords, v, c, free = case
+        full, box = cell_tables(codewords, v)
+        k = free.bit_count()
+        counts = brute_force.cube_cell_counts(codewords, c, free)
+        over_f2 = brute_force.cube_ranks(codewords & box[free] << c, free, FieldTag.F2)
+        h = [over_f2.get(k - 2 - t, 0) for t in range(k)]
+        middle = [(t, FieldTag.F2) for t in range(2, k - 2) if counts[t]]
+        for field in FieldTag:
+            eliminated = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(betti, "boundary_rank", lambda cells, *a: eliminated.append(
+                    ((cells[0] >> 16).bit_count(), a[-1])) or boundary_rank(cells, *a))
+                betti._cube_ranks(full, box, c, free, k, field)
+            again = [(t, field) for t, _ in middle if h[t - 1] and h[t]]
+            assert eliminated == middle + (again if field is FieldTag.RATIONALS else [])
 
     def test_sweep_cell_table_matches_its_definition(self, monkeypatch):
         # one table per sweep, against `cell_tables` and cell by cell
@@ -890,8 +939,8 @@ class TestCubicalSideAgainstBruteForce:
     def test_rational_rank_only_between_two_nonzero_groups(self, monkeypatch):
         # in the 5-cube, the codewords 1..6 are a hexagon with no full face
         # and 24..27 a full square apart from it: H̃_0 = H̃_1 = 1 with a
-        # 2-cell, so only the map from the 10 edges to the points is ranked
-        # again over Q, and beta_{4,b} = beta_{3,b} = 1 at the top
+        # 2-cell; only the map from the 10 edges to the points could differ
+        # over Q, and beta_{4,b} = beta_{3,b} = 1 at the top
         n = 5
         codewords = {1, 2, 3, 4, 5, 6, 24, 25, 26, 27}
         ideal = degree_n_ideal(sum(1 << c for c in range(32) if c not in codewords), n).inner
@@ -907,14 +956,15 @@ class TestCubicalSideAgainstBruteForce:
             (sum(1 << c for c in codewords), 0b11111, 5)
         assert betti._cube_ranks(*whole, FieldTag.F2) == \
             betti._cube_ranks(*whole, FieldTag.RATIONALS) == {2: 1, 3: 1}
-        assert [len(rows) for rows in ranked] == [10]
+        # that map is n_0 - C over every field, so no rows are built
+        assert ranked == []
         table = betti_table(ideal, FieldTag.RATIONALS)
         assert table == brute_force.betti_table(ideal, FieldTag.RATIONALS)
         assert {i: r for (i, m), r in table.fine.items() if m == b} == {3: 1, 4: 1}
 
     def test_graphs_without_a_square(self, monkeypatch):
         # ranked from components and cycles alone, over both fields
-        monkeypatch.setattr(betti, "chain_ranks", None)
+        monkeypatch.setattr(betti, "boundary_rank", None)
         for points, k, ranks in [
             # the codewords 1..6 and 8 of the 4-cube: a hexagon and a point
             ([1, 2, 3, 4, 5, 6, 8], 4, {2: 1, 1: 1}),
@@ -1108,6 +1158,31 @@ class TestRationalRankAgainstFractions:
         with_zeros = [dict(enumerate(r)) for r in rows]
         assert rank_rational(with_zeros) == brute_force.rank_rational(rows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices(entries=st.integers(-5, 5), max_size=9))
+    # two matrices whose rank comes out wrong when a row that skipped a
+    # step is not scaled up to the current pivot before it is used
+    @example([[9, -4, 2, 2, 2, 9, -2], [5, -3, -5, -1, -2, -3, 4], [-3, -3, -2, -4, 1, 3, 3],
+              [0, 4, 4, 4, 4, 0, -4], [3, 5, -5, 1, -1, -1, -4], [3, 2, 4, 4, 4, 3, -4]])
+    @example([[2, -2, -4, 3, 4, 2, -4], [1, -1, -2, 1, 2, 0, 0], [0, 0, 0, 0, 0, 1, -2],
+              [-3, 3, 6, -5, -6, 2, -4], [-1, 1, 2, -1, -2, -1, 2], [-3, 3, 6, -3, -6, 0, 0],
+              [0, 0, 0, 1, 0, -1, 2], [2, -2, -4, 0, 4, 0, 0], [0, 0, 0, 3, 0, 0, 0]])
+    def test_bareiss_reference_against_fractions(self, rows):
+        assert brute_force.rank_rational(rows) == brute_force.rank_fractions(rows)
+
+    def test_bareiss_reference_on_the_projective_plane(self):
+        # RP^2's boundary maps, from its 15 edges to its 6 points and from
+        # its 10 triangles to the edges, have ranks 5 and 10 over Q; mod 2
+        # the second drops to 9, the torsion
+        triangles = test_homology.TestProjectivePlane.FACES
+        edges = sorted({t[:k] + t[k + 1:] for t in triangles for k in range(3)})
+        points = sorted({e[:k] + e[k + 1:] for e in edges for k in range(2)})
+        for upper, lower, rank, mod_2 in [(edges, points, 5, 5), (triangles, edges, 10, 9)]:
+            rows = [[sum((-1) ** k for k in range(len(f)) if f[:k] + f[k + 1:] == face)
+                     for face in lower] for f in upper]
+            assert brute_force.rank_rational(rows) == brute_force.rank_fractions(rows) == rank
+            assert rank_f2([sum(1 << c for c, v in enumerate(r) if v & 1) for r in rows]) == mod_2
+
     @pytest.mark.parametrize("rows, rank", [
         ([[2, 3], [3, 2]], 2),
         ([[2, 3, 0], [0, 2, 3], [2, 5, 3]], 2),
@@ -1116,6 +1191,7 @@ class TestRationalRankAgainstFractions:
     ])
     def test_only_non_unit_pivots(self, rows, rank):
         assert rank_rational(sparse(rows)) == brute_force.rank_rational(rows) == rank
+        assert brute_force.rank_fractions(rows) == rank
 
     def test_every_degree_3_boundary_matrix(self):
         # homology hands `rank_rational` only the maps between two nonzero
